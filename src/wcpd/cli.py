@@ -111,6 +111,7 @@ def ingest_csv(
         label_idx = column_of[label_column] if label_column is not None else None
 
         rows = []
+        row_lines = []
         labels = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -127,6 +128,7 @@ def ingest_csv(
                     f"{path}: line {lineno}: non-numeric value {row[bad]!r} "
                     f"in column {header[bad]!r}"
                 ) from None
+            row_lines.append(lineno)
             if label_idx is not None:
                 try:
                     labels.append(int(row[label_idx]))
@@ -138,6 +140,13 @@ def ingest_csv(
     if not rows:
         raise ValueError(f"{path}: empty series")
     data = np.asarray(rows, dtype=float)
+    non_finite = np.argwhere(~np.isfinite(data))
+    if non_finite.size:
+        r, c = non_finite[0]
+        raise ValueError(
+            f"{path}: line {row_lines[r]}: non-finite value '{data[r, c]}' "
+            f"in column {value_names[c]!r}"
+        )
     label_arr = np.asarray(labels, dtype=int) if label_idx is not None else None
     if difference:
         if data.shape[0] < 2:
@@ -179,6 +188,8 @@ def _resolve(args, config: dict, name: str, default=None, required=False):
 
 def _load_series_spec(path) -> SeriesSpec:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: spec must be a JSON object")
     try:
         segments = tuple(
             (
@@ -193,6 +204,8 @@ def _load_series_spec(path) -> SeriesSpec:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: segment entries need a {exc.args[0]!r} key") from None
+    except TypeError:
+        raise ValueError(f"{path}: segments must be a list of JSON objects") from None
     return SeriesSpec(
         segments=segments,
         dimension=int(payload.get("dimension", 1)),
@@ -202,9 +215,14 @@ def _load_series_spec(path) -> SeriesSpec:
 
 def _load_pairs(path) -> tuple:
     payload = json.loads(Path(path).read_text())
-    return tuple(
-        (DistSpec(**before), DistSpec(**after)) for before, after in payload
-    )
+    try:
+        return tuple(
+            (DistSpec(**before), DistSpec(**after)) for before, after in payload
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: pairs must be [before, after] lists of distribution specs: {exc}"
+        ) from None
 
 
 def _trace_rows(raw: StatTrace, filtered: StatTrace | None):

@@ -10,13 +10,13 @@ local maxima of the filtered trace above a threshold.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .empirical import NULL, _w2t_from_sorted
+from .empirical import NULL, _w2t_rows
 from .errors import NumericalError
 from .series import TimeSeries
 from .simgen import DistSpec, SeriesSpec, generate
@@ -125,15 +125,12 @@ class DetectorConfig:
     beta: int
     lam: float = NULL.reject_threshold_05
     filter: MatchedFilter | None = None
-    dimension_reduce: str = "mean"
 
     def __post_init__(self):
         if self.beta < 2:
             raise ValueError("beta must be at least 2")
         if not np.isfinite(self.lam):
             raise ValueError("threshold must be finite")
-        if self.dimension_reduce != "mean":
-            raise ValueError("only mean dimension reduction is supported")
         if self.filter is not None and self.filter.beta != self.beta:
             raise ValueError("filter window size does not match beta")
 
@@ -145,60 +142,9 @@ class DetectionResult:
     filtered: StatTrace | None
 
 
-class _SlidingW2T:
-    """Scalar sliding statistic over incrementally maintained sorted windows.
-
-    Each new sample shifts the center by one: the entering and leaving values
-    are spliced into the sorted before/after windows, so a step costs O(beta)
-    instead of a fresh sort.
-    """
-
-    def __init__(self, beta: int):
-        self._beta = beta
-        self._recent: deque[float] = deque(maxlen=2 * beta + 2)
-        self._count = 0
-        self._before: np.ndarray | None = None
-        self._after: np.ndarray | None = None
-
-    @staticmethod
-    def _evict_insert(window: np.ndarray, old: float, new: float) -> np.ndarray:
-        idx = int(np.searchsorted(window, old, side="left"))
-        window = np.delete(window, idx)
-        jdx = int(np.searchsorted(window, new))
-        return np.insert(window, jdx, new)
-
-    def feed(self, x: float) -> float | None:
-        beta = self._beta
-        self._recent.append(x)
-        s = self._count
-        self._count += 1
-        if s < 2 * beta:
-            return None
-        if s == 2 * beta:
-            buf = np.array(self._recent)  # samples 0..2*beta
-            self._before = np.sort(buf[:beta])
-            self._after = np.sort(buf[beta + 1 :])
-        else:
-            base = s - 2 * beta - 1  # oldest retained sample index
-            enter_before = self._recent[(s - beta - 1) - base]
-            leave_before = self._recent[0]
-            leave_after = self._recent[(s - beta) - base]
-            self._before = self._evict_insert(self._before, leave_before, enter_before)
-            self._after = self._evict_insert(self._after, leave_after, x)
-        return _w2t_from_sorted(self._before, self._after)
-
-
-class _SlidingStack:
-    """Vector wrapper: one scalar window per dimension, averaged per step."""
-
-    def __init__(self, beta: int, dim: int):
-        self._workers = [_SlidingW2T(beta) for _ in range(dim)]
-
-    def feed(self, sample: np.ndarray) -> float | None:
-        outs = [w.feed(float(sample[d])) for d, w in enumerate(self._workers)]
-        if outs[0] is None:
-            return None
-        return float(np.mean(outs))
+# Work per offline chunk, in window samples: positions are processed
+# _CHUNK_ELEMENTS // beta at a time, so temporaries stay flat in T.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
@@ -213,13 +159,25 @@ def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
     T = len(series)
     if T < 2 * beta + 1:
         raise ValueError("series too short for window")
+    valid = T - 2 * beta
+    per_dim = np.empty((valid, series.dim))
+    step = max(1, _CHUNK_ELEMENTS // beta)
+    for dim in range(series.dim):
+        # row r is the window starting at sample r: position beta + i reads
+        # its before window at row i and its after window at row i + beta + 1
+        windows = sliding_window_view(series.data[:, dim], beta)
+        for lo in range(0, valid, step):
+            hi = min(lo + step, valid)
+            if hi - lo > beta:
+                # the before and after rows overlap: one sort serves both
+                rows = np.sort(windows[lo : hi + beta + 1], axis=1)
+                before, after = rows[: hi - lo], rows[beta + 1 :]
+            else:
+                before = np.sort(windows[lo:hi], axis=1)
+                after = np.sort(windows[lo + beta + 1 : hi + beta + 1], axis=1)
+            per_dim[lo:hi, dim] = _w2t_rows(before, after)
     values = np.full(T, np.nan)
-    stack = _SlidingStack(beta, series.dim)
-    data = series.data
-    for s in range(T):
-        out = stack.feed(data[s])
-        if out is not None:
-            values[s - beta] = out
+    values[beta : T - beta] = per_dim.mean(axis=1)
     return StatTrace(values, beta, filtered=False)
 
 
@@ -292,11 +250,6 @@ def estimate_matched_filter(
     )
 
 
-def _response(rev_taps: np.ndarray, segment: np.ndarray) -> float:
-    # out[t] = sum_k taps[k] * sigma[t - k] over offsets k in -beta..beta
-    return float(np.dot(rev_taps, segment))
-
-
 def apply_filter(trace: StatTrace, filt: MatchedFilter) -> StatTrace:
     """Same-length convolution of the trace with the filter taps.
 
@@ -310,24 +263,19 @@ def apply_filter(trace: StatTrace, filt: MatchedFilter) -> StatTrace:
     T = len(trace)
     beta = trace.beta
     padded = np.where(np.isnan(trace.values), NULL.null_mean, trace.values)
-    rev = filt.taps[::-1].copy()
     out = np.full(T, np.nan)
-    for t in range(beta, T - beta):
-        out[t] = _response(rev, padded[t - beta : t + beta + 1])
+    # out[t] = sum_k taps[k] * sigma[t - k] over offsets k in -beta..beta
+    out[beta : T - beta] = np.correlate(padded, filt.taps[::-1], "valid")
     return StatTrace(out, beta, filtered=True)
 
 
 def detect_peaks(trace: StatTrace, lam: float) -> list[int]:
     """Strict local maxima above lam with both neighbors valid."""
     vals = trace.values
-    out: list[int] = []
-    for t in range(1, len(vals) - 1):
-        left, mid, right = vals[t - 1], vals[t], vals[t + 1]
-        if np.isnan(left) or np.isnan(mid) or np.isnan(right):
-            continue
-        if mid > left and mid > right and mid > lam:
-            out.append(t)
-    return out
+    mid = vals[1:-1]
+    # NaN compares false, so a peak never touches an invalid entry
+    hits = (mid > vals[:-2]) & (mid > vals[2:]) & (mid > lam)
+    return (np.flatnonzero(hits) + 1).tolist()
 
 
 def detect(series: TimeSeries, config: DetectorConfig) -> DetectionResult:
@@ -351,7 +299,8 @@ class OnlineDetector:
     exactly when sample t + 2*beta does. A loaded filter with a nonzero
     leading tap needs one more sample. :meth:`finalize` flushes the decisions
     the offline pass makes near the end of the stream with padding, so
-    streamed plus flushed indices always equal the offline result.
+    streamed plus flushed indices always equal the offline result. The state
+    is O(beta) however long the stream runs.
     """
 
     def __init__(self, config: DetectorConfig):
@@ -363,58 +312,48 @@ class OnlineDetector:
             taps = np.zeros(2 * beta + 1)
             taps[beta] = 1.0  # identity: peaks come straight from the raw trace
         self._rev = taps[::-1].copy()
-        self._lead_zero = taps[0] == 0.0
+        # filtered[t] is final once every nonzero tap sees a real statistic;
+        # a zero leading tap lets it in one sample before sigma[t + beta],
+        # whose ring slot then still holds an older finite statistic
+        self._slack = 1 if taps[0] == 0.0 else 0
         self._beta = beta
-        self._stack: _SlidingStack | None = None
-        self._dim: int | None = None
+        self._span = 2 * beta + 1
         self._n = 0
-        self._sigma: list[float] = []  # sigma[beta + i] for i in range(len)
-        self._filt: list[float] = []  # filtered[beta + i] for i in range(len)
-        self._next_check = beta + 1
-        self._last_emitted = -1
+        # Rings written twice, at slot and slot + span, so the last span
+        # entries are always one contiguous view. _raw holds samples (one row
+        # per dimension), _sigma the statistics sigma[i] at slot i % span; its
+        # never-written slots keep the null mean, which is also how the
+        # offline pass pads indices outside the valid range.
+        self._raw: np.ndarray | None = None
+        self._sigma = np.full(2 * self._span, NULL.null_mean)
+        self._sigma_hi = beta - 1  # highest index written to _sigma
+        self._next_t = beta  # next index whose filtered value is due
+        self._last_two = (np.nan, np.nan)  # filtered[next_t - 2], filtered[next_t - 1]
         self._finalized = False
 
-    def _sigma_hi(self) -> int:
-        return self._beta + len(self._sigma) - 1
+    def _push_sigma(self, value: float) -> None:
+        self._sigma_hi += 1
+        slot = self._sigma_hi % self._span
+        self._sigma[slot] = self._sigma[slot + self._span] = value
 
-    def _filter_value(self, t: int) -> float:
-        beta = self._beta
-        lo = t - beta
-        segment = np.full(2 * beta + 1, NULL.null_mean)
-        src_lo = max(lo, beta)
-        src_hi = min(t + beta, self._sigma_hi())
-        if src_hi >= src_lo:
-            segment[src_lo - lo : src_hi - lo + 1] = self._sigma[
-                src_lo - beta : src_hi - beta + 1
-            ]
-        return _response(self._rev, segment)
+    def _filter_next(self) -> int | None:
+        """Filter the next index t and judge t - 1, whose neighbors are now known.
 
-    def _peak_at(self, t: int) -> bool:
-        base = self._beta
-        left = self._filt[t - 1 - base]
-        mid = self._filt[t - base]
-        right = self._filt[t + 1 - base]
-        return mid > left and mid > right and mid > self._config.lam
-
-    def _extend_filtered(self, available_hi: int) -> None:
-        beta = self._beta
-        while True:
-            t = beta + len(self._filt)
-            if t > available_hi:
-                break
-            self._filt.append(self._filter_value(t))
-
-    def _drain(self, decide_hi: int) -> list[int]:
-        emitted: list[int] = []
-        while self._next_check <= decide_hi:
-            t = self._next_check
-            self._next_check += 1
-            if t < self._beta + 1:
-                continue
-            if self._peak_at(t) and t > self._last_emitted:
-                self._last_emitted = t
-                emitted.append(t)
-        return emitted
+        The filtered values before index beta are NaN and compare false, like
+        the warm-up entries the offline peak search skips.
+        """
+        t = self._next_t
+        self._next_t += 1
+        lo = (t - self._beta) % self._span
+        # np.correlate, as in apply_filter: for short filters numpy sums in
+        # its own loop rather than BLAS, and the two round differently
+        window = self._sigma[lo : lo + self._span]
+        right = float(np.correlate(window, self._rev, "valid")[0])
+        left, mid = self._last_two
+        self._last_two = (mid, right)
+        if mid > left and mid > right and mid > self._config.lam:
+            return t - 1
+        return None
 
     def step(self, sample) -> int | None:
         """Feed one sample; returns a confirmed change point index or None."""
@@ -423,29 +362,27 @@ class OnlineDetector:
         arr = np.atleast_1d(np.asarray(sample, dtype=float))
         if arr.ndim != 1:
             raise ValueError("sample must be a flat vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite sample")
-        if self._stack is None:
-            self._dim = arr.size
-            self._stack = _SlidingStack(self._beta, arr.size)
-        elif arr.size != self._dim:
+        if self._raw is None:
+            self._raw = np.empty((arr.size, 2 * self._span))
+        elif arr.size != self._raw.shape[0]:
             raise ValueError("sample dimension changed mid-stream")
+        span, beta = self._span, self._beta
+        slot = self._n % span
+        self._raw[:, slot] = self._raw[:, slot + span] = arr
         self._n += 1
-
-        out = self._stack.feed(arr)
-        if out is not None:
-            self._sigma.append(out)
-        if not self._sigma:
+        if self._n < span:
             return None
 
-        beta = self._beta
-        # filtered[t] is final once every nonzero tap sees a real statistic;
-        # a zero leading tap lets the frontier value in one sample earlier
-        slack = 1 if self._lead_zero else 0
-        self._extend_filtered(self._sigma_hi() - beta + slack)
-        decide_hi = beta + len(self._filt) - 2  # the right neighbor must exist
-        emitted = self._drain(decide_hi)
-        return emitted[0] if emitted else None
+        window = self._raw[:, slot + 1 : slot + 1 + span]
+        per_dim = _w2t_rows(
+            np.sort(window[:, :beta], axis=1), np.sort(window[:, beta + 1 :], axis=1)
+        )
+        self._push_sigma(per_dim.mean())
+        if self._sigma_hi < self._next_t + beta - self._slack:
+            return None
+        return self._filter_next()
 
     def finalize(self) -> list[int]:
         """Flush end-of-stream decisions (offline uses padding there)."""
@@ -453,11 +390,16 @@ class OnlineDetector:
             raise ValueError("detector already finalized")
         self._finalized = True
         T = self._n
-        beta = self._beta
-        if not self._sigma or T < 2 * beta + 1:
+        if T < self._span:
             return []
-        self._extend_filtered(T - beta - 1)
-        return self._drain(T - beta - 2)
+        emitted = []
+        while self._next_t < T - self._beta:
+            while self._sigma_hi < self._next_t + self._beta:
+                self._push_sigma(NULL.null_mean)
+            confirmed = self._filter_next()
+            if confirmed is not None:
+                emitted.append(confirmed)
+        return emitted
 
 
 def save_filter(filt: MatchedFilter, path) -> None:
@@ -487,16 +429,21 @@ def load_filter(path) -> MatchedFilter:
         raise ValueError(f"{path}: not a matched filter file")
     if payload.get("version") != FILTER_VERSION:
         raise ValueError(f"{path}: unsupported filter version {payload.get('version')!r}")
-    pairs = tuple(
-        (DistSpec(**before), DistSpec(**after))
-        for before, after in payload.get("change_pairs", [])
-    )
-    return MatchedFilter(
-        taps=np.asarray(payload["taps"], dtype=float),
-        beta=int(payload["beta"]),
-        gamma=float(payload["gamma"]),
-        ensemble_size=int(payload["ensemble_size"]),
-        source="loaded",
-        change_pairs=pairs,
-        seed=payload.get("seed"),
-    )
+    try:
+        pairs = tuple(
+            (DistSpec(**before), DistSpec(**after))
+            for before, after in payload.get("change_pairs", [])
+        )
+        return MatchedFilter(
+            taps=np.asarray(payload["taps"], dtype=float),
+            beta=int(payload["beta"]),
+            gamma=float(payload["gamma"]),
+            ensemble_size=int(payload["ensemble_size"]),
+            source="loaded",
+            change_pairs=pairs,
+            seed=payload.get("seed"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: filter file lacks a {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid filter file: {exc}") from None

@@ -153,6 +153,52 @@ def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+# Largest cube table kept, in elements (8 MB): it covers windows up to about
+# a thousand samples; beyond that the cubes are evaluated per call.
+_TABLE_MAX_ELEMENTS = 1 << 20
+
+
+def _pieces(counts: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The integrand pieces of :func:`_w2t_from_sorted` at k = counts / m."""
+    k = counts / m
+    a, b = _unit_grid(n)
+    return (k - a) ** 3 - (k - b) ** 3
+
+
+@lru_cache(maxsize=8)
+def _cubic_table(m: int, n: int) -> np.ndarray:
+    """Pieces for every count 0..m, row c at k = c/m.
+
+    Built with exactly the operations of the scalar kernel, so a gather from
+    it is bit-identical to evaluating the cubes per call.
+    """
+    table = _pieces(np.arange(m + 1)[:, None], m, n)
+    table.setflags(write=False)
+    return table
+
+
+def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_w2t_from_sorted` over sorted rows xs (R, m) and ys (R, n).
+
+    A stable sort of each concatenated row puts every x ahead of the equal
+    y's, so y_j lands at merged position j + c_j with c_j = #x <= y_j.
+    """
+    rows, m = xs.shape
+    n = ys.shape[1]
+    order = np.concatenate((xs, ys), axis=1).argsort(axis=1, kind="stable")
+    cols = np.arange(n)
+    merged_pos = (np.flatnonzero(order >= m) % (m + n)).reshape(rows, n)
+    counts = merged_pos - cols
+    if (m + 1) * n <= _TABLE_MAX_ELEMENTS:
+        pieces = _cubic_table(m, n)[counts, cols]
+    else:
+        pieces = _pieces(counts, m, n)
+    stats = (m * n / (m + n)) * pieces.sum(axis=1) / 3.0
+    if m == n:
+        stats[(xs == ys).all(axis=1)] = 0.0  # see _w2t_from_sorted
+    return stats
+
+
 def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample statistic from pre-sorted uniform samples x (m) and y (n).
 

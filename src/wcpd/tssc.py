@@ -52,7 +52,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """Symmetric matrix of exp(-distance) similarities with a unit diagonal."""
+    """Symmetric matrix of exp(-distance) similarities with a unit diagonal.
+
+    Off-diagonal entries lie in [0, 1]: exp(-W2) underflows to 0 once W2
+    passes ~745.
+    """
 
     values: np.ndarray
 
@@ -66,8 +70,9 @@ class AffinityMatrix:
             raise ValueError("affinity matrix must be symmetric")
         if not np.all(values.diagonal() == 1.0):
             raise ValueError("affinity diagonal must be exactly one")
-        if np.any(values <= 0.0) or np.any(values > 1.0):
-            raise ValueError("affinities must lie in (0, 1]")
+        # zeros are harmless: the unit diagonal keeps every degree >= 1
+        if np.any(values < 0.0) or np.any(values > 1.0):
+            raise ValueError("affinities must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

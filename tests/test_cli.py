@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,12 @@ class TestSimulate:
         write_spec(tmp_path / "bad.json", [{"family": "normal", "length": 0}])
         assert run(["simulate", "--spec", tmp_path / "bad.json", "--out", tmp_path / "x.csv"]) == 2
 
+    def test_list_spec_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "list.json"
+        spec.write_text(json.dumps(THREE_SEGMENTS))
+        assert run(["simulate", "--spec", spec, "--out", tmp_path / "x.csv"]) == 2
+        assert str(spec) in capsys.readouterr().err
+
     def test_four_segments_three_indices(self, tmp_path):
         write_spec(
             tmp_path / "spec.json",
@@ -148,6 +155,25 @@ class TestCalibrateFilter:
         ) == 0
         payload = json.loads((tmp_path / "custom.json").read_text())
         assert payload["change_pairs"][0][1]["location"] == 6.0
+
+    def test_unknown_pair_key_is_data_error(self, tmp_path, capsys):
+        pairs = [[{"family": "normal", "mean": 0.0}, {"family": "normal", "location": 1.0}]]
+        (tmp_path / "pairs.json").write_text(json.dumps(pairs))
+        code = run(
+            [
+                "calibrate-filter",
+                "--beta",
+                5,
+                "--ensemble",
+                2,
+                "--pairs",
+                tmp_path / "pairs.json",
+                "--out",
+                tmp_path / "f.json",
+            ]
+        )
+        assert code == 2
+        assert str(tmp_path / "pairs.json") in capsys.readouterr().err
 
     def test_unwritable_out_path(self, workspace):
         code = run(
@@ -239,6 +265,32 @@ class TestDetect:
             ]
         )
         assert code == 2
+
+    def test_filter_without_taps_is_data_error(self, workspace, tmp_path, capsys):
+        payload = json.loads((workspace / "filter.json").read_text())
+        del payload["taps"]
+        broken = tmp_path / "no_taps.json"
+        broken.write_text(json.dumps(payload))
+        code = run(
+            [
+                "detect",
+                "--input",
+                workspace / "data.csv",
+                "--time-column",
+                "t",
+                "--label-column",
+                "label",
+                "--beta",
+                30,
+                "--filter",
+                broken,
+                "--out-dir",
+                tmp_path / "out",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(broken) in err and "'taps'" in err
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         config = {
@@ -526,6 +578,14 @@ class TestIngest:
         path.write_text("x\n1.0\noops\n")
         with pytest.raises(ValueError, match="line 3"):
             ingest_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"t,x0\n0,1.0\n1,{cell}\n")
+        message = f"{path}: line 3: non-finite value '{cell}' in column 'x0'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_csv(path, time_column="t")
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"

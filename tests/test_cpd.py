@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcpd import cpd
 from wcpd.cpd import (
     DEFAULT_CHANGE_PAIRS,
     DetectorConfig,
@@ -16,7 +21,7 @@ from wcpd.cpd import (
     save_filter,
     sliding_statistic,
 )
-from wcpd.empirical import NULL
+from wcpd.empirical import NULL, build_empirical, w2t_statistic
 from wcpd.errors import NumericalError
 from wcpd.metrics import cp_f1
 from wcpd.series import TimeSeries
@@ -112,6 +117,61 @@ class TestSlidingStatistic:
             before = np.sort(data[t - beta : t])
             after = np.sort(data[t + 1 : t + beta + 1])
             assert trace.values[t] == _w2t_from_sorted(before, after)
+
+
+def reference_trace(data, beta):
+    """Mean over dimensions of w2t_statistic on independently sorted windows."""
+    T = data.shape[0]
+    values = np.full(T, np.nan)
+    for t in range(beta, T - beta):
+        values[t] = np.mean(
+            [
+                w2t_statistic(
+                    build_empirical(data[t - beta : t, k]),
+                    build_empirical(data[t + 1 : t + beta + 1, k]),
+                )
+                for k in range(data.shape[1])
+            ]
+        )
+    return values
+
+
+@st.composite
+def integer_series(draw):
+    """Small integer-valued (T, d) data, so windows are full of ties."""
+    beta = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    T = draw(st.integers(2 * beta + 1, 2 * beta + 30))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=T * dim, max_size=T * dim))
+    return np.array(cells, dtype=float).reshape(T, dim), beta
+
+
+class TestSlidingProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(integer_series())
+    def test_matches_sorted_window_reference(self, case):
+        data, beta = case
+        trace = sliding_statistic(TimeSeries(data), beta)
+        assert np.array_equal(trace.values, reference_trace(data, beta), equal_nan=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_series(), st.sampled_from([lambda x: 3.0 * x + 7.0, lambda x: x**3]))
+    def test_rank_invariance(self, case, increasing):
+        # both maps are strictly increasing and exact on small integers
+        data, beta = case
+        base = sliding_statistic(TimeSeries(data), beta)
+        mapped = sliding_statistic(TimeSeries(increasing(data)), beta)
+        assert np.array_equal(base.values, mapped.values, equal_nan=True)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_chunking_does_not_change_trace(self, monkeypatch, chunk):
+        # 7 // 9 and 1 // 9 sort before and after windows apart; 100 // 9 = 11
+        # positions per chunk share one sort, with a ragged last chunk
+        rng = np.random.default_rng(chunk)
+        data = rng.integers(0, 6, size=(75, 2)).astype(float)
+        monkeypatch.setattr(cpd, "_CHUNK_ELEMENTS", chunk)
+        trace = sliding_statistic(TimeSeries(data), beta=9)
+        assert np.array_equal(trace.values, reference_trace(data, 9), equal_nan=True)
 
 
 class TestEstimateMatchedFilter:
@@ -351,6 +411,64 @@ class TestOnlineDetector:
         detector.finalize()
         with pytest.raises(ValueError, match="finalized"):
             detector.step([0.0])
+
+
+    def test_state_stays_bounded(self):
+        # the detector keeps O(beta) history however long the stream runs
+        # (tracing multiplies the step cost about sixfold, so the traced
+        # stretch is 2e4 steps; unbounded lists would retain over 1 MB there)
+        detector = OnlineDetector(DetectorConfig(beta=3))
+        samples = np.random.default_rng(0).normal(size=(21_000, 1))
+        warm_up = 1_000
+        for sample in samples[:warm_up]:
+            detector.step(sample)
+        tracemalloc.start()
+        try:
+            for sample in samples[warm_up:]:
+                detector.step(sample)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.sampled_from(["normal", "laplace"]),
+                st.floats(-3.0, 3.0),
+                st.floats(0.3, 3.0),
+                st.integers(2 * 8 + 1, 60),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        dim=st.integers(1, 3),
+        beta=st.integers(2, 8),
+        taps_kind=st.sampled_from(["none", "estimated", "blunt"]),
+        lam=st.sampled_from([0.0, 0.2, NULL.reject_threshold_05]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_online_matches_offline(self, segments, dim, beta, taps_kind, lam, seed):
+        spec = SeriesSpec(
+            segments=tuple((DistSpec(f, loc, scale), n) for f, loc, scale, n in segments),
+            dimension=dim,
+            seed=seed,
+        )
+        series = generate(spec)
+        filt = None
+        if taps_kind != "none":
+            strong = ((DistSpec("normal", 0.0, 1.0), DistSpec("normal", 5.0, 1.0)),)
+            filt = estimate_matched_filter(beta, 2, change_pairs=strong, seed=seed)
+        if taps_kind == "blunt":
+            taps = filt.taps.copy()
+            taps[0] = 0.05
+            filt = MatchedFilter(taps=taps / taps.sum(), beta=beta, gamma=1.0, ensemble_size=1)
+        config = DetectorConfig(beta=beta, lam=lam, filter=filt)
+        emissions, tail = self.run_stream(series, config)
+        assert [cp for cp, _ in emissions] + tail == detect(series, config).change_points
+        delay = 2 * beta + (1 if taps_kind == "blunt" else 0)
+        assert all(arrival - cp == delay for cp, arrival in emissions)
 
 
 class TestFilterSerialization:

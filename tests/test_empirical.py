@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wcpd import empirical
 from wcpd.empirical import (
     NULL,
     EmpiricalDist,
@@ -160,6 +161,23 @@ class TestW2TStatistic:
             x = rng.normal(size=rng.integers(1, 12))
             y = rng.normal(size=rng.integers(1, 12))
             assert w2t_statistic(uniform(x), uniform(y)) >= 0.0
+
+
+
+class TestW2TRows:
+    @pytest.mark.parametrize("table_max", [empirical._TABLE_MAX_ELEMENTS, 0])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9)])
+    def test_matches_scalar_kernel(self, monkeypatch, table_max, m, n):
+        # the cube table and the per-call cubes are bit-identical to the scalar
+        # kernel, ties and equal rows included
+        monkeypatch.setattr(empirical, "_TABLE_MAX_ELEMENTS", table_max)
+        rng = np.random.default_rng(m * 100 + n)
+        xs = np.sort(rng.integers(0, 4, size=(20, m)).astype(float), axis=1)
+        ys = np.sort(rng.integers(0, 4, size=(20, n)).astype(float), axis=1)
+        if m == n:
+            ys[::3] = xs[::3]
+        expected = [empirical._w2t_from_sorted(x, y) for x, y in zip(xs, ys)]
+        np.testing.assert_array_equal(empirical._w2t_rows(xs, ys), expected)
 
 
 class TestWasserstein2:

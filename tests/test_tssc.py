@@ -126,8 +126,13 @@ class TestAffinityMatrix:
             AffinityMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             AffinityMatrix(np.array([[1.0, 0.5], [0.6, 1.0]]))
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            AffinityMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            AffinityMatrix(np.array([[1.0, -0.1], [-0.1, 1.0]]))
+
+    def test_underflowed_affinity_is_zero(self):
+        # exp(-W2) underflows to exactly 0 once W2 exceeds ~745
+        result = affinity_matrix([atom_segment(0.0), atom_segment(1000.0)])
+        np.testing.assert_array_equal(result.values, np.eye(2))
 
 
 def planted_affinity(sizes, cross):
@@ -210,6 +215,13 @@ class TestClusterSegments:
         )
         labeling = cluster_segments(series, [100], K=2, beta=20, seed=0)
         assert labeling.labels[0] != labeling.labels[1]
+
+    def test_far_apart_segments_cluster(self):
+        # a mean shift of 1000 drives the cross affinities to exactly 0
+        near, far = DistSpec("normal", 0.0, 1.0), DistSpec("normal", 1000.0, 1.0)
+        series = generate(SeriesSpec(segments=((near, 100), (far, 100), (near, 100)), seed=8))
+        labeling = cluster_segments(series, series.change_points, K=2, beta=20, seed=0)
+        assert label_accuracy(labeling, series.labels, 2) == 1.0
 
     def test_too_few_segments(self):
         series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 50),), seed=5))
