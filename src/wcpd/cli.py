@@ -168,10 +168,17 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    payload = json.loads(Path(path).read_text())
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return payload
@@ -187,7 +194,7 @@ def _resolve(args, config: dict, name: str, default=None, required=False):
 
 
 def _load_series_spec(path) -> SeriesSpec:
-    payload = json.loads(Path(path).read_text())
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
     try:
@@ -202,19 +209,21 @@ def _load_series_spec(path) -> SeriesSpec:
             )
             for seg in payload["segments"]
         )
+        return SeriesSpec(
+            segments=segments,
+            dimension=int(payload.get("dimension", 1)),
+            seed=int(payload.get("seed", 0)),
+        )
     except KeyError as exc:
         raise ValueError(f"{path}: segment entries need a {exc.args[0]!r} key") from None
     except TypeError:
         raise ValueError(f"{path}: segments must be a list of JSON objects") from None
-    return SeriesSpec(
-        segments=segments,
-        dimension=int(payload.get("dimension", 1)),
-        seed=int(payload.get("seed", 0)),
-    )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_pairs(path) -> tuple:
-    payload = json.loads(Path(path).read_text())
+    payload = _read_json(path)
     try:
         return tuple(
             (DistSpec(**before), DistSpec(**after)) for before, after in payload

@@ -1,8 +1,9 @@
 """Weighted one-dimensional empirical distributions and exact transport statistics.
 
 Everything here is closed-form: the two-sample statistic integrates its
-piecewise-quadratic integrand analytically, and the weighted distance walks the
-merged quantile breakpoints of both inputs. No quadrature, no sampling.
+piecewise-quadratic integrand analytically, and the weighted distance sums the
+squared quantile gaps over the merged cumulative-weight breakpoints of both
+inputs. No quadrature, no sampling.
 """
 
 from __future__ import annotations
@@ -235,27 +236,16 @@ def w2t_statistic(p: EmpiricalDist, q: EmpiricalDist) -> float:
 def wasserstein2(a: EmpiricalDist, b: EmpiricalDist) -> float:
     """Exact 2-Wasserstein distance between weighted atomic distributions.
 
-    Walks the merged cumulative-weight breakpoints of both quantile functions
-    and accumulates du * (x_i - y_j)^2 on each piece, then takes the root.
+    Both quantile functions are constant between consecutive breakpoints of
+    the merged cumulative weights, so the squared distance is the sum of
+    du * (x_i - y_j)^2 over those pieces; the result is its root.
     """
-    xa, xb = a.support, b.support
     ca, cb = a.cum_weights, b.cum_weights
-    last_a = xa.size - 1
-    last_b = xb.size - 1
-    i = j = 0
-    u_prev = 0.0
-    cost = 0.0
-    while True:
-        ua = ca[i]
-        ub = cb[j]
-        u = ua if ua < ub else ub
-        diff = xa[i] - xb[j]
-        cost += (u - u_prev) * diff * diff
-        u_prev = u
-        if i == last_a and j == last_b:
-            break
-        if ua <= ub and i < last_a:
-            i += 1
-        if ub <= ua and j < last_b:
-            j += 1
-    return math.sqrt(cost)
+    u = np.union1d(ca, cb)
+    du = np.diff(u, prepend=0.0)
+    # a running sum can round past 1 ahead of the pinned top; such a
+    # breakpoint lies beyond the other side's top, and the clip keeps it on
+    # the last atom there
+    i = np.minimum(np.searchsorted(ca, u), ca.size - 1)
+    j = np.minimum(np.searchsorted(cb, u), cb.size - 1)
+    return math.sqrt(du @ (a.support[i] - b.support[j]) ** 2)

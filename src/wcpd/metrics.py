@@ -78,17 +78,9 @@ def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    sorted_values = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; a run of ties shares the mean of the ranks it spans."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def cp_auc(filtered_trace: StatTrace, truth, delta: int) -> float:
@@ -105,7 +97,11 @@ def cp_auc(filtered_trace: StatTrace, truth, delta: int) -> float:
     valid = np.flatnonzero(filtered_trace.valid_mask)
     if truths.size == 0 or valid.size == 0:
         raise ValueError("degenerate AUC")
-    distance = np.min(np.abs(valid[:, None] - truths[None, :]), axis=1)
+    right = np.searchsorted(truths, valid)
+    distance = np.minimum(
+        np.abs(valid - truths[np.maximum(right - 1, 0)]),
+        np.abs(valid - truths[np.minimum(right, truths.size - 1)]),
+    )
     positive = distance <= delta
     n_pos = int(positive.sum())
     n_neg = int(valid.size - n_pos)

@@ -1,9 +1,9 @@
-"""Self-contained dense kernels: Jacobi eigendecomposition, k-means, assignment.
+"""Small dense kernels: symmetric eigendecomposition, k-means, assignment.
 
 The matrices these routines see are small (segment counts, cluster counts), so
 the implementations favor determinism and testability over scalability: every
-tie has a documented break, and identical inputs always produce identical
-outputs.
+tie has a documented break (eigenvector signs included), and identical inputs
+always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from .errors import NumericalError
 __all__ = ["eigh_symmetric", "kmeans", "hungarian"]
 
 _SYM_TOL = 1e-12
-_OFF_DIAG_TOL = 1e-12
-_MAX_SWEEPS = 100
 _MAX_LLOYD_ITERATIONS = 300
 
 
 def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix (LAPACK, via ``np.linalg.eigh``).
 
     Parameters
     ----------
@@ -31,71 +29,22 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
     -------
     eigenvalues : (n,) ascending.
     eigenvectors : (n, n) orthonormal columns aligned with the eigenvalues;
-        each column's first nonvanishing entry is made positive so downstream
-        consumers see a reproducible basis.
+        each column's first entry with magnitude above 1e-12 is made positive
+        so downstream consumers see a reproducible basis.
 
-    Sweeps run until the off-diagonal Frobenius mass drops below 1e-12, and a
-    NumericalError is raised if 100 sweeps are not enough.
+    A NumericalError is raised if LAPACK does not converge.
     """
     A = np.array(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
     if float(np.abs(A - A.T).max()) > _SYM_TOL:
         raise ValueError("matrix is not symmetric")
-    n = A.shape[0]
-    V = np.eye(n)
-
-    def off_diagonal_mass() -> float:
-        return np.sqrt(2.0 * float(np.sum(np.tril(A, -1) ** 2)))
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        if off_diagonal_mass() < _OFF_DIAG_TOL:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                gap = A[q, q] - A[p, p]
-                if abs(apq) < 1e-36 * abs(gap):
-                    # rotation angle underflows; the entry is already negligible
-                    t = apq / gap
-                else:
-                    theta = gap / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    if not converged and off_diagonal_mass() >= _OFF_DIAG_TOL:
-        raise NumericalError("eigendecomposition did not converge")
-
-    eigenvalues = A.diagonal().copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    V = V[:, order]
-    for col in range(n):
-        nonzero = np.flatnonzero(np.abs(V[:, col]) > 1e-12)
-        if nonzero.size and V[nonzero[0], col] < 0.0:
-            V[:, col] = -V[:, col]
+    try:
+        eigenvalues, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError:
+        raise NumericalError("eigendecomposition did not converge") from None
+    leading = (np.abs(V) > 1e-12).argmax(axis=0)
+    V *= np.where(V[leading, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
     return eigenvalues, V
 
 

@@ -632,3 +632,27 @@ class TestDeterminism:
             assert (tmp_path / "r1" / filename).read_bytes() == (
                 tmp_path / "r2" / filename
             ).read_bytes()
+
+
+SPEC = ["simulate", "--spec", "{json}", "--out", "{tmp}/x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (SPEC, json.dumps({"segments": [{"family": "normal", "length": 0}]})),
+        (SPEC, json.dumps({"segments": [{"family": "normal", "location": "x", "length": 5}]})),
+        (SPEC, json.dumps({"segments": [{"family": "cauchy", "length": 5}]})),
+        (SPEC, '{"segments": ['),
+        (["calibrate-filter", "--beta", "5", "--pairs", "{json}", "--out", "{tmp}/f.json"], "[[{"),
+        (["detect", "--config", "{json}"], '{"beta": 5'),
+    ],
+    ids=["zero-length", "string-location", "unknown-family", "truncated-spec",
+         "truncated-pairs", "truncated-config"],
+)
+def test_json_input_error_names_the_file(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code = run([arg.format(json=path, tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert f"error: {path}: " in capsys.readouterr().err

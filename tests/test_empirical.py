@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcpd import empirical
 from wcpd.empirical import (
@@ -223,6 +225,39 @@ class TestWasserstein2:
             mine = wasserstein2(a, b)
             oracle = lp_wasserstein2(a, b)
             assert abs(mine - oracle) <= 1e-9 * max(1.0, oracle)
+
+
+@st.composite
+def tied_weighted_dist(draw):
+    """Integer atoms with ties and integer weights that include zeros."""
+    n = draw(st.integers(1, 7))
+    atoms = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1
+    return build_empirical(atoms, weights=weights)
+
+
+class TestWasserstein2Properties:
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_zero_weight_top_atom_terminates(self, swap):
+        # the running weight before the zero-weight top atom rounds to
+        # 1.0000000000000002, one ulp above the pinned top
+        a = build_empirical([0, 1, 2, 3, 4], weights=[1, 6, 3, 3, 0])
+        b = build_empirical([0.5])
+        assert a.cum_weights[-2] > 1.0
+        if swap:
+            a, b = b, a
+        oracle = lp_wasserstein2(a, b)
+        assert abs(wasserstein2(a, b) - oracle) <= 1e-9 * max(1.0, oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_weighted_dist(), tied_weighted_dist())
+    def test_symmetric_and_matches_lp_oracle(self, a, b):
+        forward = wasserstein2(a, b)
+        assert forward == wasserstein2(b, a)
+        oracle = lp_wasserstein2(a, b)
+        assert abs(forward - oracle) <= 1e-9 * max(1.0, oracle)
 
 
 class TestNullConstants:

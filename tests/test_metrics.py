@@ -96,6 +96,38 @@ class TestCpAuc:
             cp_auc(trace, [], delta=5)
 
 
+def pairwise_auc(values, positive):
+    """O(pos x neg) count of positives above negatives, ties counting one half."""
+    pos = values[positive][:, None]
+    neg = values[~positive][None, :]
+    wins = float((pos > neg).sum()) + 0.5 * float((pos == neg).sum())
+    return wins / (pos.size * neg.size)
+
+
+class TestCpAucReference:
+    def test_matches_pairwise_count(self):
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(200):
+            beta = int(rng.integers(1, 6))
+            values = rng.integers(0, 4, size=int(rng.integers(10, 120))).astype(float)
+            trace = make_trace(values, beta=beta)
+            first, last = beta, beta + values.size - 1
+            delta = int(rng.integers(0, 6))
+            # truths scattered over the trace, plus one within delta + 1 of
+            # each valid edge, on either side of it
+            truths = rng.integers(0, len(trace), size=int(rng.integers(1, 4))).tolist()
+            truths += [edge + int(rng.integers(-delta - 1, delta + 2)) for edge in (first, last)]
+            valid = np.arange(first, last + 1)
+            distance = np.abs(valid[:, None] - np.asarray(truths)[None, :]).min(axis=1)
+            positive = distance <= delta
+            if positive.all() or not positive.any():
+                continue
+            assert cp_auc(trace, truths, delta) == pairwise_auc(values, positive)
+            checked += 1
+        assert checked > 100
+
+
 class TestLabelAccuracy:
     def test_permuted_labels_score_one(self):
         truth = np.repeat([0, 1, 2], 10)

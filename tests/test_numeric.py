@@ -12,6 +12,14 @@ def random_symmetric(rng, n, scale=1.0):
     return (m + m.T) / 2.0
 
 
+# Repeated eigenvalues leave each eigenspace's basis to the solver's choice;
+# the decomposition and the sign rule must hold whatever it picks.
+DEGENERATE = [
+    np.ones((4, 4)) + np.eye(4),  # eigenvalues 1, 1, 1, 5
+    np.kron(np.eye(2), 3.0 * np.eye(3) - np.ones((3, 3))),  # two triangles: 0, 0, 3, 3, 3, 3
+]
+
+
 class TestEighSymmetric:
     def test_identity(self):
         w, v = eigh_symmetric(np.eye(3))
@@ -27,11 +35,10 @@ class TestEighSymmetric:
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            m = random_symmetric(rng, 6)
+        for m in [random_symmetric(rng, 6) for _ in range(50)] + DEGENERATE:
             w, v = eigh_symmetric(m)
             assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-8
-            assert np.linalg.norm(v.T @ v - np.eye(6)) <= 1e-10
+            assert np.linalg.norm(v.T @ v - np.eye(m.shape[0])) <= 1e-10
 
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(29)
@@ -42,14 +49,14 @@ class TestEighSymmetric:
 
     def test_sign_canonicalization_deterministic(self):
         rng = np.random.default_rng(31)
-        m = random_symmetric(rng, 5)
-        w1, v1 = eigh_symmetric(m)
-        w2, v2 = eigh_symmetric(m)
-        np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_array_equal(v1, v2)
-        for col in range(5):
-            leading = v1[np.flatnonzero(np.abs(v1[:, col]) > 1e-12)[0], col]
-            assert leading > 0
+        for m in [random_symmetric(rng, 5)] + DEGENERATE:
+            w1, v1 = eigh_symmetric(m)
+            w2, v2 = eigh_symmetric(m)
+            np.testing.assert_array_equal(w1, w2)
+            np.testing.assert_array_equal(v1, v2)
+            for col in range(m.shape[0]):
+                leading = v1[np.flatnonzero(np.abs(v1[:, col]) > 1e-12)[0], col]
+                assert leading > 0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):

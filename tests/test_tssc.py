@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcpd.cli import _labeling_from_samples
 from wcpd.metrics import label_accuracy
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
@@ -266,3 +269,21 @@ class TestSegmentLabeling:
     def test_labels_bounded_by_k(self):
         with pytest.raises(ValueError, match=r"\[0, K\)"):
             SegmentLabeling(change_points=[3], labels=[0, 5], K=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(0, 3)), min_size=1, max_size=8)
+    )
+    def test_per_sample_round_trip(self, segments):
+        # adjacent segments need distinct labels, else the expansion merges them
+        lengths = [length for length, _ in segments]
+        labels = [segments[0][1]]
+        for _, label in segments[1:]:
+            labels.append(label if label != labels[-1] else (label + 1) % 4)
+        labeling = SegmentLabeling(
+            change_points=np.cumsum(lengths)[:-1], labels=labels, K=4
+        )
+        total = int(sum(lengths))
+        restored = _labeling_from_samples(labeling.per_sample(total), 4)
+        np.testing.assert_array_equal(restored.change_points, labeling.change_points)
+        np.testing.assert_array_equal(restored.labels, labeling.labels)
