@@ -26,13 +26,11 @@ from .empirical import (
     EmpiricalDist,
     NullConstants,
     build_empirical,
-    ecdf_eval,
-    quantile,
     w2t_statistic,
     wasserstein2,
 )
 from .errors import NumericalError
-from .metrics import EvalReport, cp_auc, cp_f1, label_accuracy
+from .metrics import cp_auc, cp_f1, label_accuracy
 from .numeric import eigh_symmetric, hungarian, kmeans
 from .series import TimeSeries
 from .simgen import DistSpec, SeriesSpec, generate, sample
@@ -56,7 +54,6 @@ __all__ = [
     "DetectorConfig",
     "DistSpec",
     "EmpiricalDist",
-    "EvalReport",
     "MatchedFilter",
     "NULL",
     "NullConstants",
@@ -76,7 +73,6 @@ __all__ = [
     "cp_f1",
     "detect",
     "detect_peaks",
-    "ecdf_eval",
     "eigh_symmetric",
     "estimate_matched_filter",
     "generate",
@@ -84,7 +80,6 @@ __all__ = [
     "kmeans",
     "label_accuracy",
     "load_filter",
-    "quantile",
     "sample",
     "save_filter",
     "segment_distribution",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .cpd import (
     save_filter,
 )
 from .errors import NumericalError
-from .metrics import EvalReport, cp_auc, cp_f1, label_accuracy
+from .metrics import cp_auc, cp_f1, label_accuracy
 from .series import TimeSeries
 from .simgen import DistSpec, SeriesSpec, generate
 from .tssc import SegmentLabeling, cluster_segments
@@ -72,15 +73,13 @@ def ingest_csv(
     time_column=None,
     delimiter=",",
     difference=False,
-    truth_path=None,
 ) -> TimeSeries:
     """Parse a header-bearing delimited file into a series.
 
     Every non-label, non-time column is a value dimension unless
     ``value_columns`` names them explicitly. ``difference`` replaces the
     values with their first difference (indices then refer to the transformed
-    series). ``truth_path`` points at a sidecar of ground-truth change point
-    indices, one per line.
+    series).
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -91,6 +90,9 @@ def ingest_csv(
             raise ValueError(f"{path}: empty series") from None
         header = [name.strip() for name in header]
         column_of = {name: i for i, name in enumerate(header)}
+        if len(column_of) < len(header):
+            repeated = next(name for i, name in enumerate(header) if column_of[name] != i)
+            raise ValueError(f"{path}: duplicate column name {repeated!r}")
 
         skip = set()
         for special in (label_column, time_column):
@@ -154,10 +156,7 @@ def ingest_csv(
         data = np.diff(data, axis=0)
         if label_arr is not None:
             label_arr = label_arr[1:]
-    change_points = None
-    if truth_path is not None:
-        change_points = np.asarray(_read_indices(truth_path), dtype=int)
-    return TimeSeries(data=data, labels=label_arr, change_points=change_points)
+    return TimeSeries(data=data, labels=label_arr)
 
 
 def _is_float(cell: str) -> bool:
@@ -240,54 +239,27 @@ def _trace_rows(raw: StatTrace, filtered: StatTrace | None):
         yield f"{t},{_fmt(raw.values[t])},{_fmt(filt_values[t])}"
 
 
-def _read_trace(path, column: str) -> StatTrace:
-    col = {"raw": 1, "filtered": 2}.get(column)
-    if col is None:
-        raise _UsageError("trace column must be 'raw' or 'filtered'")
+def _read_column(path, col: int, convert, what: str) -> list:
+    """Column ``col`` of each row of a header-bearing CSV written by this tool."""
     values = []
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trace file")
+        if next(reader, None) is None:
+            raise ValueError(f"{path}: empty {what} file")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                values.append(float(row[col]))
+                values.append(convert(row[col]))
             except (ValueError, IndexError):
-                raise ValueError(f"{path}: line {lineno}: malformed trace row") from None
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or np.all(np.isnan(arr)):
-        raise ValueError(f"{path}: trace column {column!r} contains no values")
-    leading = int(np.argmax(~np.isnan(arr)))
-    beta = max(leading, 1)
-    return StatTrace(arr, beta=beta, filtered=column == "filtered")
+                raise ValueError(f"{path}: line {lineno}: malformed {what} row") from None
+    return values
 
 
 def _labeling_from_samples(sample_labels: np.ndarray, K: int) -> SegmentLabeling:
     changes = np.flatnonzero(np.diff(sample_labels) != 0) + 1
     labels = sample_labels[np.concatenate(([0], changes))]
     return SegmentLabeling(change_points=changes, labels=labels, K=K)
-
-
-def _read_sample_labels(path) -> np.ndarray:
-    labels = []
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty label file")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                labels.append(int(row[1]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: line {lineno}: malformed label row") from None
-    if not labels:
-        raise ValueError(f"{path}: empty label file")
-    return np.asarray(labels, dtype=int)
 
 
 def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
@@ -302,7 +274,6 @@ def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="first-difference the values before processing",
     )
-    parser.add_argument("--truth", help="sidecar of true change point indices")
 
 
 def _ingest_from_args(args, config: dict) -> TimeSeries:
@@ -316,7 +287,6 @@ def _ingest_from_args(args, config: dict) -> TimeSeries:
         time_column=_resolve(args, config, "time-column"),
         delimiter=_resolve(args, config, "delimiter", default=","),
         difference=bool(_resolve(args, config, "difference", default=False)),
-        truth_path=_resolve(args, config, "truth"),
     )
 
 
@@ -388,9 +358,14 @@ def _cmd_cluster(args) -> int:
     beta = int(_resolve(args, config_file, "beta", required=True))
     k = int(_resolve(args, config_file, "k", required=True))
     seed = int(_resolve(args, config_file, "seed", default=0))
-    cps = _read_indices(_resolve(args, config_file, "change-points", required=True))
+    cps_path = _resolve(args, config_file, "change-points", required=True)
+    cps = sorted(_read_indices(cps_path))
+    try:  # TimeSeries checks the change points against the series length
+        series = replace(series, change_points=cps)
+    except ValueError as exc:
+        raise ValueError(f"{cps_path}: {exc}") from None
 
-    labeling = cluster_segments(series, cps, K=k, beta=beta, seed=seed)
+    labeling = cluster_segments(series, series.change_points, K=k, beta=beta, seed=seed)
     out_dir = Path(_resolve(args, config_file, "out-dir", required=True))
     bounds = np.concatenate(([0], labeling.change_points, [len(series)]))
     segment_lines = ["segment_index,start,end,label"]
@@ -418,7 +393,18 @@ def _cmd_evaluate(args) -> int:
     auc = float("nan")
     trace_path = _resolve(args, config_file, "trace")
     if trace_path:
-        trace = _read_trace(trace_path, _resolve(args, config_file, "trace-column", default="filtered"))
+        column = _resolve(args, config_file, "trace-column", default="filtered")
+        col = {"raw": 1, "filtered": 2}.get(column)
+        if col is None:
+            raise _UsageError("trace column must be 'raw' or 'filtered'")
+        values = np.asarray(_read_column(trace_path, col, float, "trace"), dtype=float)
+        if values.size == 0 or np.all(np.isnan(values)):
+            raise ValueError(f"{trace_path}: trace column {column!r} contains no values")
+        warmup = max(int(np.argmax(~np.isnan(values))), 1)
+        try:
+            trace = StatTrace(values, beta=warmup, filtered=column == "filtered")
+        except ValueError as exc:
+            raise ValueError(f"{trace_path}: {exc}") from None
         auc = cp_auc(trace, truth, delta)
 
     accuracy = float("nan")
@@ -428,33 +414,33 @@ def _cmd_evaluate(args) -> int:
     if predicted_labels and truth_labels:
         if k is None:
             raise _UsageError("--k is required to score labels")
-        sample_labels = _read_sample_labels(predicted_labels)
-        labeling = _labeling_from_samples(sample_labels, int(k))
-        accuracy = label_accuracy(labeling, _read_indices(truth_labels), int(k))
+        sample_labels = np.asarray(_read_column(predicted_labels, 1, int, "label"), dtype=int)
+        if sample_labels.size == 0:
+            raise ValueError(f"{predicted_labels}: empty label file")
+        truth_ids = _read_indices(truth_labels)
+        if sample_labels.size != len(truth_ids):
+            raise ValueError(
+                f"{predicted_labels}: {sample_labels.size} labels, "
+                f"but {truth_labels} has {len(truth_ids)}"
+            )
+        try:
+            labeling = _labeling_from_samples(sample_labels, int(k))
+        except ValueError as exc:
+            raise ValueError(f"{predicted_labels}: {exc}") from None
+        accuracy = label_accuracy(labeling, truth_ids, int(k))
 
     beta = _resolve(args, config_file, "beta")
     lam = _resolve(args, config_file, "lambda")
-    report = EvalReport(
-        cp_precision=precision,
-        cp_recall=recall,
-        cp_f1=f1,
-        cp_auc=auc,
-        label_accuracy=accuracy,
-        delta=delta,
-        k=int(k) if k is not None else None,
-        beta=int(beta) if beta is not None else None,
-        lam=float(lam) if lam is not None else None,
-    )
     lines = [
-        f"k={report.k if report.k is not None else 'none'}",
-        f"beta={report.beta if report.beta is not None else 'none'}",
-        f"lambda={_fmt(report.lam) if report.lam is not None else 'none'}",
-        f"delta={report.delta}",
-        f"cp_precision={_fmt(report.cp_precision)}",
-        f"cp_recall={_fmt(report.cp_recall)}",
-        f"cp_f1={_fmt(report.cp_f1)}",
-        f"cp_auc={_fmt(report.cp_auc)}",
-        f"label_accuracy={_fmt(report.label_accuracy)}",
+        f"k={int(k) if k is not None else 'none'}",
+        f"beta={int(beta) if beta is not None else 'none'}",
+        f"lambda={_fmt(lam) if lam is not None else 'none'}",
+        f"delta={delta}",
+        f"cp_precision={_fmt(precision)}",
+        f"cp_recall={_fmt(recall)}",
+        f"cp_f1={_fmt(f1)}",
+        f"cp_auc={_fmt(auc)}",
+        f"label_accuracy={_fmt(accuracy)}",
     ]
     if args.out:
         _write_text(Path(args.out), lines)

@@ -84,11 +84,6 @@ class StatTrace:
     def valid_mask(self) -> np.ndarray:
         return ~np.isnan(self.values)
 
-    @property
-    def valid_range(self) -> tuple[int, int]:
-        """Inclusive (first, last) index with a fully supported window."""
-        return self.beta, len(self) - self.beta - 1
-
 
 @dataclass(frozen=True)
 class MatchedFilter:

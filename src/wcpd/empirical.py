@@ -19,8 +19,6 @@ __all__ = [
     "NullConstants",
     "NULL",
     "build_empirical",
-    "ecdf_eval",
-    "quantile",
     "w2t_statistic",
     "wasserstein2",
 ]
@@ -123,26 +121,6 @@ def build_empirical(values, weights=None) -> EmpiricalDist:
         w = w / total
     order = np.argsort(vals, kind="stable")
     return EmpiricalDist(vals[order], w[order])
-
-
-def ecdf_eval(dist: EmpiricalDist, x: float) -> float:
-    """Right-continuous empirical CDF: total weight of atoms <= x."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite evaluation point")
-    idx = int(np.searchsorted(dist.support, x, side="right"))
-    if idx == 0:
-        return 0.0
-    return float(dist.cum_weights[idx - 1])
-
-
-def quantile(dist: EmpiricalDist, u: float) -> float:
-    """Generalized inverse CDF: smallest atom whose cumulative weight >= u."""
-    u = float(u)
-    if not 0.0 < u <= 1.0:
-        raise ValueError("quantile level must lie in (0, 1]")
-    idx = int(np.searchsorted(dist.cum_weights, u, side="left"))
-    return float(dist.support[idx])
 
 
 @lru_cache(maxsize=64)

@@ -9,38 +9,13 @@ with the assignment solver before counting per-sample agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cpd import StatTrace
 from .numeric import hungarian
 from .tssc import SegmentLabeling
 
-__all__ = ["EvalReport", "cp_f1", "cp_auc", "label_accuracy"]
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Metric bundle with the run parameters echoed alongside."""
-
-    cp_precision: float
-    cp_recall: float
-    cp_f1: float
-    cp_auc: float = float("nan")
-    label_accuracy: float = float("nan")
-    delta: int = 0
-    k: int | None = None
-    beta: int | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        for name in ("cp_precision", "cp_recall", "cp_f1", "cp_auc", "label_accuracy"):
-            value = getattr(self, name)
-            if np.isfinite(value) and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+__all__ = ["cp_f1", "cp_auc", "label_accuracy"]
 
 
 def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:

@@ -16,6 +16,7 @@ __all__ = ["eigh_symmetric", "kmeans", "hungarian"]
 
 _SYM_TOL = 1e-12
 _MAX_LLOYD_ITERATIONS = 300
+_KMEANS_RESTARTS = 10
 
 
 def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +96,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, history: list | None = None)
     return labels, inertia
 
 
-def kmeans(points, k: int, seed: int, restarts: int = 10) -> np.ndarray:
-    """Deterministic k-means: ++ seeding, Lloyd to a fixpoint, best of restarts.
+def kmeans(points, k: int, seed: int) -> np.ndarray:
+    """Deterministic k-means: ++ seeding, Lloyd to a fixpoint, best of ten restarts.
 
     All randomness flows from one generator seeded with ``seed``; the restart
     with the lowest within-cluster sum of squares wins, earliest restart on a
@@ -110,12 +111,10 @@ def kmeans(points, k: int, seed: int, restarts: int = 10) -> np.ndarray:
         raise ValueError("cluster count must be at least 1")
     if k > n:
         raise ValueError("more clusters than points")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     best_labels = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _plus_plus_init(pts, k, rng)
         labels, inertia = _lloyd(pts, centers)
         if inertia < best_inertia:

@@ -28,8 +28,6 @@ __all__ = [
     "cluster_segments",
 ]
 
-_KMEANS_RESTARTS = 10
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -152,28 +150,22 @@ def _segment_distance(a: Segment, b: Segment) -> float:
     return float(np.mean(per_dim))
 
 
-def affinity_matrix(segments, scale: float = 1.0) -> AffinityMatrix:
-    """exp(-W2/scale) similarity between all segment pairs; diagonal exactly one.
+def affinity_matrix(segments) -> AffinityMatrix:
+    """exp(-W2) similarity between all segment pairs; diagonal exactly one.
 
-    For d > 1 the distance is the mean of the per-dimension distances. The
-    default scale of 1 is the literal formula; a different bandwidth is
-    an opt-in knob.
+    For d > 1 the distance is the mean of the per-dimension distances.
     """
     segments = list(segments)
     n = len(segments)
     if n < 2:
         raise ValueError("need at least two segments")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
     dim = segments[0].dim
     if any(seg.dim != dim for seg in segments):
         raise ValueError("dimension mismatch")
     values = np.ones((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            similarity = float(
-                np.exp(-_segment_distance(segments[i], segments[j]) / scale)
-            )
+            similarity = float(np.exp(-_segment_distance(segments[i], segments[j])))
             values[i, j] = similarity
             values[j, i] = similarity
     return AffinityMatrix(values)
@@ -198,7 +190,7 @@ def spectral_cluster(affinity: AffinityMatrix, K: int, seed: int) -> np.ndarray:
     norms = np.sqrt((embedding**2).sum(axis=1))
     nonzero = norms > 0.0
     embedding[nonzero] /= norms[nonzero, None]
-    return kmeans(embedding, K, seed=seed, restarts=_KMEANS_RESTARTS)
+    return kmeans(embedding, K, seed=seed)
 
 
 def cluster_segments(

@@ -543,6 +543,33 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_label_count_mismatch_names_both_files(self, tmp_path, capsys):
+        (tmp_path / "truth.cps").write_text("200\n")
+        truth = tmp_path / "truth.labels"
+        truth.write_text("0\n" * 200 + "1\n" * 200)
+        predicted = tmp_path / "labels.csv"
+        predicted.write_text("t,label\n" + "".join(f"{t},{int(t >= 150)}\n" for t in range(300)))
+        code = run(
+            [
+                "evaluate",
+                "--predicted",
+                tmp_path / "truth.cps",
+                "--truth",
+                tmp_path / "truth.cps",
+                "--delta",
+                10,
+                "--predicted-labels",
+                predicted,
+                "--truth-labels",
+                truth,
+                "--k",
+                2,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(predicted) in err and str(truth) in err
+
     def test_missing_delta_is_usage_error(self, workspace):
         code = run(
             ["evaluate", "--predicted", workspace / "data.csv.cps", "--truth", workspace / "data.csv.cps"]
@@ -593,19 +620,18 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 3"):
             ingest_csv(path)
 
+    def test_duplicate_column_name_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,x\n1,10\n2,20\n")
+        code = run(["detect", "--input", path, "--beta", 1, "--out-dir", tmp_path / "out"])
+        assert code == 2
+        assert f"error: {path}: duplicate column name 'x'" in capsys.readouterr().err
+
     def test_difference_transform(self, tmp_path):
         path = tmp_path / "diff.csv"
         path.write_text("x\n1.0\n4.0\n9.0\n")
         series = ingest_csv(path, difference=True)
         np.testing.assert_array_equal(series.data[:, 0], [3.0, 5.0])
-
-    def test_truth_sidecar(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text("x\n" + "\n".join(str(v) for v in range(10)) + "\n")
-        truth = tmp_path / "s.cps"
-        truth.write_text("4\n7\n")
-        series = ingest_csv(path, truth_path=truth)
-        np.testing.assert_array_equal(series.change_points, [4, 7])
 
 
 class TestDeterminism:
@@ -654,5 +680,33 @@ def test_json_input_error_names_the_file(tmp_path, capsys, argv, content):
     path = tmp_path / "input.json"
     path.write_text(content)
     code = run([arg.format(json=path, tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+CLUSTER = ["cluster", "--input", "{ws}/data.csv", "--time-column", "t", "--label-column", "label",
+           "--beta", "30", "--k", "2", "--change-points", "{bad}", "--out-dir", "{tmp}/out"]
+EVALUATE = ["evaluate", "--predicted", "{ws}/data.csv.cps", "--truth", "{ws}/data.csv.cps",
+            "--delta", "20"]
+LABELS = [*EVALUATE, "--predicted-labels", "{bad}", "--truth-labels", "{ws}/data.csv.labels",
+          "--k", "3"]
+TRACE = [*EVALUATE, "--trace", "{bad}"]
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (CLUSTER, "150\n150\n"),
+        (CLUSTER, "150\n450\n"),
+        (LABELS, "t,label\n" + "".join(f"{t},{0 if t < 300 else 3}\n" for t in range(450))),
+        (TRACE, "t,sigma_raw,sigma_filtered\n"
+                + "".join(f"{t},nan,{0.5 if 3 <= t < 18 else 'nan'}\n" for t in range(20))),
+    ],
+    ids=["duplicate-change-point", "change-point-at-end", "label-at-k", "short-trailing-warmup"],
+)
+def test_file_content_error_names_the_file(workspace, tmp_path, capsys, argv, content):
+    path = tmp_path / "input.txt"
+    path.write_text(content)
+    code = run([arg.format(ws=workspace, bad=path, tmp=tmp_path) for arg in argv])
     assert code == 2
     assert f"error: {path}: " in capsys.readouterr().err

@@ -65,7 +65,6 @@ class TestStatTrace:
     def test_flags_warmup(self):
         trace = make_trace([1.0, 2.0, 3.0], beta=2)
         assert len(trace) == 7
-        assert trace.valid_range == (2, 4)
         assert trace.valid_mask.sum() == 3
 
     def test_rejects_unflagged_warmup(self):

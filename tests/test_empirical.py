@@ -9,8 +9,6 @@ from wcpd.empirical import (
     EmpiricalDist,
     NullConstants,
     build_empirical,
-    ecdf_eval,
-    quantile,
     w2t_statistic,
     wasserstein2,
 )
@@ -79,46 +77,6 @@ class TestEmpiricalDistInvariants:
         dist = uniform([1, 2, 3])
         with pytest.raises(ValueError):
             dist.support[0] = 10.0
-
-
-class TestEcdf:
-    def test_two_of_three(self):
-        assert ecdf_eval(uniform([1, 2, 3]), 2.0) == pytest.approx(2 / 3)
-
-    def test_below_support(self):
-        assert ecdf_eval(uniform([1, 2, 3]), 0.0) == 0.0
-
-    def test_at_largest_atom(self):
-        assert ecdf_eval(uniform([1, 2, 3]), 3.0) == 1.0
-
-    def test_right_continuity(self):
-        dist = uniform([0.0, 0.0, 1.0])
-        assert ecdf_eval(dist, 0.0) == pytest.approx(2 / 3)
-
-    def test_non_finite_point(self):
-        with pytest.raises(ValueError):
-            ecdf_eval(uniform([1]), np.nan)
-
-
-class TestQuantile:
-    def test_midpoint(self):
-        assert quantile(uniform([1, 2, 3]), 0.5) == 2.0
-
-    def test_top(self):
-        assert quantile(uniform([1, 2, 3]), 1.0) == 3.0
-
-    def test_bottom(self):
-        assert quantile(uniform([1, 2, 3]), 1e-9) == 1.0
-
-    def test_out_of_range(self):
-        for u in (0.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                quantile(uniform([1]), u)
-
-    def test_zero_weight_atoms_skipped(self):
-        dist = build_empirical([1, 2, 3], weights=[1, 0, 1])
-        assert quantile(dist, 0.5) == 1.0
-        assert quantile(dist, 0.6) == 3.0
 
 
 class TestW2TStatistic:

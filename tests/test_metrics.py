@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wcpd.cpd import StatTrace
-from wcpd.metrics import EvalReport, cp_auc, cp_f1, label_accuracy
+from wcpd.metrics import cp_auc, cp_f1, label_accuracy
 from wcpd.tssc import SegmentLabeling
 
 
@@ -166,14 +166,3 @@ class TestLabelAccuracy:
         labeling = SegmentLabeling(change_points=[5], labels=[0, 1], K=2)
         with pytest.raises(ValueError, match="more distinct truth labels"):
             label_accuracy(labeling, np.arange(10) % 3, 2)
-
-
-class TestEvalReport:
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            EvalReport(cp_precision=1.5, cp_recall=0.0, cp_f1=0.0)
-
-    def test_nan_metrics_allowed(self):
-        report = EvalReport(cp_precision=1.0, cp_recall=1.0, cp_f1=1.0)
-        assert np.isnan(report.cp_auc)
-        assert np.isnan(report.label_accuracy)

@@ -95,8 +95,8 @@ class TestKMeans:
     def test_deterministic(self):
         rng = np.random.default_rng(43)
         points = rng.normal(size=(40, 4))
-        a = kmeans(points, 5, seed=9, restarts=10)
-        b = kmeans(points, 5, seed=9, restarts=10)
+        a = kmeans(points, 5, seed=9)
+        b = kmeans(points, 5, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_k_greater_than_n(self):

@@ -115,15 +115,6 @@ class TestAffinityMatrix:
         with pytest.raises(ValueError, match="at least two"):
             affinity_matrix([atom_segment(0.0)])
 
-    def test_optional_scale_widens_affinity(self):
-        segments = [atom_segment(0.0), atom_segment(1.0)]
-        default = affinity_matrix(segments)
-        wide = affinity_matrix(segments, scale=2.0)
-        assert wide.values[0, 1] == pytest.approx(np.exp(-0.5))
-        assert wide.values[0, 1] > default.values[0, 1]
-        with pytest.raises(ValueError, match="scale"):
-            affinity_matrix(segments, scale=0.0)
-
     def test_type_invariants(self):
         with pytest.raises(ValueError, match="diagonal"):
             AffinityMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]))
