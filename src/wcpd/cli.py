@@ -183,12 +183,31 @@ def _load_config(path) -> dict:
     return payload
 
 
-def _resolve(args, config: dict, name: str, default=None, required=False):
+def _resolve(args, config: dict, name: str, convert=None, default=None, required=False):
+    """A flag's value, else the config file's, else ``default``.
+
+    ``convert`` checks and converts the first two: a value it rejects is a
+    usage error from a flag and a data error naming the file and key from the
+    config file.
+    """
     value = getattr(args, name.replace("-", "_"), None)
+    where, error = f"--{name}", _UsageError
     if value is None:
-        value = config.get(name, default)
-    if required and value is None:
-        raise _UsageError(f"missing required option --{name}")
+        value = config.get(name)
+        where, error = f"{args.config}: {name!r}", ValueError
+    if value is None:
+        if required:
+            raise _UsageError(f"missing required option --{name}")
+        return default
+    try:
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{where}: {exc}") from None
+
+
+def _one_char(value) -> str:
+    if not isinstance(value, str) or len(value) != 1:
+        raise ValueError(f"must be one character, not {value!r}")
     return value
 
 
@@ -285,7 +304,7 @@ def _ingest_from_args(args, config: dict) -> TimeSeries:
         value_columns=value_columns,
         label_column=_resolve(args, config, "label-column"),
         time_column=_resolve(args, config, "time-column"),
-        delimiter=_resolve(args, config, "delimiter", default=","),
+        delimiter=_resolve(args, config, "delimiter", _one_char, default=","),
         difference=bool(_resolve(args, config, "difference", default=False)),
     )
 
@@ -335,8 +354,8 @@ def _cmd_calibrate_filter(args) -> int:
 def _cmd_detect(args) -> int:
     config_file = _load_config(args.config)
     series = _ingest_from_args(args, config_file)
-    beta = int(_resolve(args, config_file, "beta", required=True))
-    lam = float(_resolve(args, config_file, "lambda", default=0.462))
+    beta = _resolve(args, config_file, "beta", int, required=True)
+    lam = _resolve(args, config_file, "lambda", float, default=0.462)
     filter_path = _resolve(args, config_file, "filter")
     filt = load_filter(filter_path) if filter_path else None
     config = DetectorConfig(beta=beta, lam=lam, filter=filt)
@@ -355,9 +374,9 @@ def _cmd_detect(args) -> int:
 def _cmd_cluster(args) -> int:
     config_file = _load_config(args.config)
     series = _ingest_from_args(args, config_file)
-    beta = int(_resolve(args, config_file, "beta", required=True))
-    k = int(_resolve(args, config_file, "k", required=True))
-    seed = int(_resolve(args, config_file, "seed", default=0))
+    beta = _resolve(args, config_file, "beta", int, required=True)
+    k = _resolve(args, config_file, "k", int, required=True)
+    seed = _resolve(args, config_file, "seed", int, default=0)
     cps_path = _resolve(args, config_file, "change-points", required=True)
     cps = sorted(_read_indices(cps_path))
     try:  # TimeSeries checks the change points against the series length
@@ -385,7 +404,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config_file = _load_config(args.config)
-    delta = int(_resolve(args, config_file, "delta", required=True))
+    delta = _resolve(args, config_file, "delta", int, required=True)
     predicted = _read_indices(_resolve(args, config_file, "predicted", required=True))
     truth = _read_indices(_resolve(args, config_file, "truth", required=True))
     precision, recall, f1 = cp_f1(predicted, truth, delta)
@@ -408,7 +427,7 @@ def _cmd_evaluate(args) -> int:
         auc = cp_auc(trace, truth, delta)
 
     accuracy = float("nan")
-    k = _resolve(args, config_file, "k")
+    k = _resolve(args, config_file, "k", int)
     predicted_labels = _resolve(args, config_file, "predicted-labels")
     truth_labels = _resolve(args, config_file, "truth-labels")
     if predicted_labels and truth_labels:
@@ -424,16 +443,16 @@ def _cmd_evaluate(args) -> int:
                 f"but {truth_labels} has {len(truth_ids)}"
             )
         try:
-            labeling = _labeling_from_samples(sample_labels, int(k))
+            labeling = _labeling_from_samples(sample_labels, k)
         except ValueError as exc:
             raise ValueError(f"{predicted_labels}: {exc}") from None
-        accuracy = label_accuracy(labeling, truth_ids, int(k))
+        accuracy = label_accuracy(labeling, truth_ids, k)
 
-    beta = _resolve(args, config_file, "beta")
-    lam = _resolve(args, config_file, "lambda")
+    beta = _resolve(args, config_file, "beta", int)
+    lam = _resolve(args, config_file, "lambda", float)
     lines = [
-        f"k={int(k) if k is not None else 'none'}",
-        f"beta={int(beta) if beta is not None else 'none'}",
+        f"k={k if k is not None else 'none'}",
+        f"beta={beta if beta is not None else 'none'}",
         f"lambda={_fmt(lam) if lam is not None else 'none'}",
         f"delta={delta}",
         f"cp_precision={_fmt(precision)}",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .empirical import NULL, _w2t_rows
+from .empirical import _CHUNK_ELEMENTS, NULL, _w2t_rows
 from .errors import NumericalError
 from .series import TimeSeries
 from .simgen import DistSpec, SeriesSpec, generate
@@ -135,11 +135,6 @@ class DetectionResult:
     change_points: list[int]
     raw: StatTrace
     filtered: StatTrace | None
-
-
-# Work per offline chunk, in window samples: positions are processed
-# _CHUNK_ELEMENTS // beta at a time, so temporaries stay flat in T.
-_CHUNK_ELEMENTS = 1 << 14
 
 
 def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:

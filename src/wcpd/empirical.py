@@ -3,7 +3,7 @@
 Everything here is closed-form: the two-sample statistic integrates its
 piecewise-quadratic integrand analytically, and the weighted distance sums the
 squared quantile gaps over the merged cumulative-weight breakpoints of both
-inputs. No quadrature, no sampling.
+inputs; both run on batches of rows. No quadrature, no sampling.
 """
 
 from __future__ import annotations
@@ -136,6 +136,10 @@ def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 # a thousand samples; beyond that the cubes are evaluated per call.
 _TABLE_MAX_ELEMENTS = 1 << 20
 
+# Work per batched kernel call, in window or merged samples, for the sliding
+# statistic and the all-pairs distances: temporaries stay flat in input size.
+_CHUNK_ELEMENTS = 1 << 14
+
 
 def _pieces(counts: np.ndarray, m: int, n: int) -> np.ndarray:
     """The integrand pieces of :func:`_w2t_from_sorted` at k = counts / m."""
@@ -178,6 +182,29 @@ def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return stats
 
 
+def _w2_squared_rows(c: np.ndarray, x: np.ndarray, C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Squared W2 between one distribution (c, x) and each row of (C, X).
+
+    Cumulative weights c, C and atoms x, X; rows are padded with 1.0 and their
+    last atom. Capped at 1 (a running sum can round past the pinned top), each
+    row of [c | C] is two sorted runs, which a stable sort merges. The piece
+    ending at merged position p takes atom i of x and atom p - i of the row, i
+    counting the c's ahead of p; both are clipped to the last atom. Summed
+    sequentially in merged order, zero-width pieces (ties, padding) add exactly
+    0, so the result has the same bits in either argument order and padding.
+    """
+    rows, m = C.shape
+    n = c.size
+    merged = np.minimum(np.concatenate((np.broadcast_to(c, (rows, n)), C), axis=1), 1.0)
+    order = merged.argsort(axis=1, kind="stable")
+    from_c = order < n
+    i = np.cumsum(from_c, axis=1) - from_c
+    j = np.minimum(np.arange(n + m) - i, m - 1)
+    gap = x[np.minimum(i, n - 1)] - np.take_along_axis(X, j, axis=1)
+    du = np.diff(np.take_along_axis(merged, order, axis=1), axis=1, prepend=0.0)
+    return np.cumsum(du * gap**2, axis=1)[:, -1]
+
+
 def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample statistic from pre-sorted uniform samples x (m) and y (n).
 
@@ -216,14 +243,8 @@ def wasserstein2(a: EmpiricalDist, b: EmpiricalDist) -> float:
 
     Both quantile functions are constant between consecutive breakpoints of
     the merged cumulative weights, so the squared distance is the sum of
-    du * (x_i - y_j)^2 over those pieces; the result is its root.
+    du * (x_i - y_j)^2 over those pieces; the result is its root. This is the
+    one-row case of the kernel :func:`wcpd.tssc.affinity_matrix` runs in blocks.
     """
-    ca, cb = a.cum_weights, b.cum_weights
-    u = np.union1d(ca, cb)
-    du = np.diff(u, prepend=0.0)
-    # a running sum can round past 1 ahead of the pinned top; such a
-    # breakpoint lies beyond the other side's top, and the clip keeps it on
-    # the last atom there
-    i = np.minimum(np.searchsorted(ca, u), ca.size - 1)
-    j = np.minimum(np.searchsorted(cb, u), cb.size - 1)
-    return math.sqrt(du @ (a.support[i] - b.support[j]) ** 2)
+    squared = _w2_squared_rows(a.cum_weights, a.support, b.cum_weights[None], b.support[None])
+    return math.sqrt(squared[0])

@@ -3,8 +3,8 @@
 Segments between change points are summarized as weighted empirical
 distributions whose boundary samples are tapered by half-Hamming ramps, so a
 mislocated change point contaminates a segment's distribution only weakly.
-Pairwise transport distances between those distributions feed an exp(-W2)
-affinity matrix that is clustered spectrally.
+Transport distances between all pairs of them, batched in blocks, feed an
+exp(-W2) affinity matrix that is clustered spectrally.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalDist, build_empirical, wasserstein2
+from .empirical import _CHUNK_ELEMENTS, EmpiricalDist, _w2_squared_rows, build_empirical
 from .numeric import eigh_symmetric, kmeans
 from .series import TimeSeries
 
@@ -42,6 +42,8 @@ class Segment:
             raise ValueError("segment start must precede its end")
         if not self.dists:
             raise ValueError("segment needs at least one dimension")
+        if len({len(dist) for dist in self.dists}) > 1:
+            raise ValueError("every dimension of a segment holds the same samples")
 
     @property
     def dim(self) -> int:
@@ -145,15 +147,12 @@ def segment_distribution(series: TimeSeries, start: int, end: int, beta: int) ->
     return Segment(start=start, end=end, dists=dists)
 
 
-def _segment_distance(a: Segment, b: Segment) -> float:
-    per_dim = [wasserstein2(a.dists[d], b.dists[d]) for d in range(a.dim)]
-    return float(np.mean(per_dim))
-
-
 def affinity_matrix(segments) -> AffinityMatrix:
     """exp(-W2) similarity between all segment pairs; diagonal exactly one.
 
-    For d > 1 the distance is the mean of the per-dimension distances.
+    For d > 1 the distance is the mean of the per-dimension distances. Longest
+    first, each segment meets the shorter ones after it in bounded blocks of the
+    kernel behind :func:`wcpd.empirical.wasserstein2`, padded to their longest.
     """
     segments = list(segments)
     n = len(segments)
@@ -162,12 +161,26 @@ def affinity_matrix(segments) -> AffinityMatrix:
     dim = segments[0].dim
     if any(seg.dim != dim for seg in segments):
         raise ValueError("dimension mismatch")
+    order = np.argsort([-len(seg.dists[0]) for seg in segments], kind="stable")
+    sizes = np.array([len(segments[s].dists[0]) for s in order])
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    cums = [np.concatenate([segments[s].dists[d].cum_weights for s in order]) for d in range(dim)]
+    atoms = [np.concatenate([segments[s].dists[d].support for s in order]) for d in range(dim)]
+    total = np.zeros((n, n))
+    for a in range(n - 1):
+        own = slice(starts[a], ends[a])
+        step = max(1, _CHUNK_ELEMENTS // int(sizes[a] + sizes[a + 1]))
+        for lo in range(a + 1, n, step):
+            hi = min(lo + step, n)
+            # clipped at each row's end, the gather pads with 1.0 and the last atom
+            idx = np.minimum(starts[lo:hi, None] + np.arange(sizes[lo]), ends[lo:hi, None] - 1)
+            for c, x in zip(cums, atoms):
+                total[a, lo:hi] += np.sqrt(_w2_squared_rows(c[own], x[own], c[idx], x[idx]))
+    upper = np.triu_indices(n, 1)
     values = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            similarity = float(np.exp(-_segment_distance(segments[i], segments[j])))
-            values[i, j] = similarity
-            values[j, i] = similarity
+    similarity = np.exp(-total[upper] / dim)
+    values[order[upper[0]], order[upper[1]]] = values[order[upper[1]], order[upper[0]]] = similarity
     return AffinityMatrix(values)
 
 

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcpd
 from wcpd.cli import ingest_csv, main
 
 
@@ -710,3 +714,43 @@ def test_file_content_error_names_the_file(workspace, tmp_path, capsys, argv, co
     code = run([arg.format(ws=workspace, bad=path, tmp=tmp_path) for arg in argv])
     assert code == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+DETECT = ["detect", "--input", "{ws}/data.csv", "--time-column", "t", "--label-column", "label",
+          "--beta", "30", "--out-dir", "{tmp}/out"]
+
+
+def test_delimiter_flag_of_wrong_length_is_usage_error(workspace, tmp_path, capsys):
+    code = run([*(arg.format(ws=workspace, tmp=tmp_path) for arg in DETECT), "--delimiter", ""])
+    assert code == 1
+    assert "usage error: --delimiter: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;", 5])
+def test_config_delimiter_of_wrong_length_names_the_file(workspace, tmp_path, capsys, delimiter):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"delimiter": delimiter}))
+    argv = [*(arg.format(ws=workspace, tmp=tmp_path) for arg in DETECT), "--config", config]
+    assert run(argv) == 2
+    assert f"error: {config}: 'delimiter': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["k", "beta", "delta", "lambda"])
+def test_config_value_of_wrong_type_names_file_and_key(workspace, tmp_path, capsys, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"delta": 5, key: "abc"}))
+    argv = ["evaluate", "--config", config, "--predicted", workspace / "data.csv.cps",
+            "--truth", workspace / "data.csv.cps"]
+    assert run(argv) == 2
+    assert f"error: {config}: {key!r}: " in capsys.readouterr().err
+
+
+def test_python_m_wcpd_runs_the_cli():
+    src = str(Path(wcpd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "wcpd", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: wcpd")

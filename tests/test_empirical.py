@@ -218,6 +218,22 @@ class TestWasserstein2Properties:
         assert abs(forward - oracle) <= 1e-9 * max(1.0, oracle)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(tied_weighted_dist(), st.lists(tied_weighted_dist(), min_size=1, max_size=5))
+    def test_padded_block_rows_equal_single_pairs(self, a, others):
+        # padding a row with its pinned top 1.0 and its last atom adds only
+        # zero-width pieces, which leave the sequential sum's bits unchanged
+        width = max(len(b) for b in others) + 2
+        C = np.ones((len(others), width))
+        X = np.empty((len(others), width))
+        for r, b in enumerate(others):
+            C[r, : len(b)] = b.cum_weights
+            X[r] = b.support[-1]
+            X[r, : len(b)] = b.support
+        block = np.sqrt(empirical._w2_squared_rows(a.cum_weights, a.support, C, X))
+        np.testing.assert_array_equal(block, [wasserstein2(a, b) for b in others])
+
+
 class TestNullConstants:
     def test_defaults(self):
         constants = NullConstants()

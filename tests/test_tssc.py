@@ -1,14 +1,20 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcpd import tssc
 from wcpd.cli import _labeling_from_samples
+from wcpd.empirical import build_empirical
 from wcpd.metrics import label_accuracy
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
 from wcpd.tssc import (
     AffinityMatrix,
+    Segment,
     SegmentLabeling,
     affinity_matrix,
     boundary_weights,
@@ -17,7 +23,7 @@ from wcpd.tssc import (
     spectral_cluster,
 )
 
-from helpers import adjusted_rand
+from helpers import adjusted_rand, lp_wasserstein2
 
 
 def atom_segment(value, length=5, beta=2):
@@ -82,6 +88,11 @@ class TestSegmentDistribution:
         with pytest.raises(ValueError, match="empty segment"):
             segment_distribution(series, 5, 5, beta=2)
 
+    def test_dimensions_hold_the_same_samples(self):
+        dists = (build_empirical([1.0, 2.0, 3.0]), build_empirical([1.0]))
+        with pytest.raises(ValueError, match="same samples"):
+            Segment(start=0, end=3, dists=dists)
+
 
 class TestAffinityMatrix:
     def test_identical_segments_full_affinity(self):
@@ -127,6 +138,72 @@ class TestAffinityMatrix:
         # exp(-W2) underflows to exactly 0 once W2 exceeds ~745
         result = affinity_matrix([atom_segment(0.0), atom_segment(1000.0)])
         np.testing.assert_array_equal(result.values, np.eye(2))
+
+
+def ragged_segments(seed, dim):
+    """Segments of 1 to ~300 tied integer atoms with zero weights.
+
+    One segment is long and the rest short, which keeps the LP oracle cheap;
+    every other segment ends in a zero-weight top atom.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = [int(rng.integers(250, 300)), 1, *rng.integers(2, 30, size=4)]
+    segments = []
+    for s, length in enumerate(rng.permutation(lengths)):
+        dists = []
+        for _ in range(dim):
+            atoms = rng.integers(-4, 5, size=length).astype(float)
+            weights = rng.integers(0, 3, size=length).astype(float)
+            weights[rng.integers(length)] = 1.0
+            if s % 2 and length > 1:
+                atoms[-1], weights[-1] = 10.0, 0.0
+            dists.append(build_empirical(atoms, weights))
+        segments.append(Segment(start=0, end=int(length), dists=tuple(dists)))
+    return segments
+
+
+@functools.lru_cache(maxsize=None)
+def lp_affinity(seed, dim):
+    segments = ragged_segments(seed, dim)
+    n = len(segments)
+    values = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            distance = np.mean(
+                [lp_wasserstein2(a, b) for a, b in zip(segments[i].dists, segments[j].dists)]
+            )
+            values[i, j] = values[j, i] = np.exp(-distance)
+    return values
+
+
+class TestBatchedAffinity:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 100])
+    def test_matches_lp_oracle_at_any_chunk(self, monkeypatch, seed, dim, chunk):
+        segments = ragged_segments(seed, dim)
+        default = affinity_matrix(segments).values
+        if chunk is not None:
+            monkeypatch.setattr(tssc, "_CHUNK_ELEMENTS", chunk)
+        values = affinity_matrix(segments).values
+        np.testing.assert_allclose(values, lp_affinity(seed, dim), rtol=0.0, atol=1e-9)
+        # chunk boundaries and padding do not change a single bit
+        np.testing.assert_array_equal(values, default)
+
+    def test_peak_memory_is_bounded(self):
+        # one (pairs x 2L) temporary for 200 segments of 500 samples would be
+        # ~160 MB; blocks of at most _CHUNK_ELEMENTS keep the peak near the
+        # inputs' own size
+        data = np.random.default_rng(5).normal(size=100_000)
+        series = TimeSeries(data)
+        segments = [segment_distribution(series, s, s + 500, beta=50) for s in range(0, 100_000, 500)]
+        tracemalloc.start()
+        try:
+            affinity_matrix(segments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def planted_affinity(sizes, cross):
