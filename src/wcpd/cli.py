@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,9 +54,38 @@ def _write_text(path: Path, lines) -> None:
     path.write_text("".join(f"{line}\n" for line in lines))
 
 
+def _parse_body(handle, dtype, **options):
+    """The rest of ``handle`` parsed by ``np.loadtxt``, or None where numpy rejects it.
+
+    numpy's cell parsers accept a subset of what ``float()`` and ``int()``
+    accept, and agree with them bitwise there. So a caller that gets None
+    re-reads the file line by line: that reader either accepts what numpy
+    did not (``1_0``, a text time column) or words the error with its line.
+    An empty body, which numpy only warns about, and a delimiter numpy does
+    not take (TypeError), such as the quote character, also give None. So
+    does a handle that cannot be rewound for that reader, such as a pipe:
+    numpy leaves it unread.
+    """
+    if not handle.seekable():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(handle, dtype=dtype, comments=None, **options)
+        except (ValueError, TypeError, Warning):
+            return None
+
+
 def _read_indices(path) -> list[int]:
+    with Path(path).open() as handle:
+        indices = _parse_body(handle, int, ndmin=2)
+        if indices is not None and indices.shape[1] == 1:
+            return indices[:, 0].tolist()
+        if handle.seekable():
+            handle.seek(0)
+        text = handle.read()
     indices = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -80,6 +110,11 @@ def ingest_csv(
     ``value_columns`` names them explicitly. ``difference`` replaces the
     values with their first difference (indices then refer to the transformed
     series).
+
+    numpy parses the body in one call, every column as a float and the label
+    column as an integer. A file it cannot parse, such as one with a text
+    time column, and a pipe go through a slower line-by-line reader. The
+    accepted syntax and every error message are those of that reader.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -112,32 +147,60 @@ def ingest_csv(
         value_idx = [column_of[name] for name in value_names]
         label_idx = column_of[label_column] if label_column is not None else None
 
-        rows = []
-        row_lines = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
-                )
+        columns = np.dtype(
+            [(f"c{i}", np.int64 if i == label_idx else np.float64) for i in range(len(header))]
+        )
+        body = _parse_body(handle, columns, delimiter=delimiter, quotechar='"', ndmin=1)
+        if body is not None:
+            data = np.stack([body[f"c{i}"] for i in value_idx], axis=1, dtype=float)
+            labels = body[f"c{label_idx}"] if label_idx is not None else None
+        if body is None or not np.isfinite(data).all():
+            if handle.seekable():
+                handle.seek(0)
+                next(reader)
+            data, labels = _scan_rows(reader, path, header, value_idx, label_idx)
+
+    if difference:
+        if data.shape[0] < 2:
+            raise ValueError(f"{path}: need at least two samples to difference")
+        data = np.diff(data, axis=0)
+        if labels is not None:
+            labels = labels[1:]
+    return TimeSeries(data=data, labels=labels)
+
+
+def _scan_rows(reader, path, header, value_idx, label_idx):
+    """``ingest_csv``'s body row by row with ``float()`` and ``int()``.
+
+    Returns the values and the labels (None without a label column), or
+    raises naming the first bad line.
+    """
+    rows = []
+    row_lines = []
+    labels = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
+            )
+        try:
+            rows.append([float(row[i]) for i in value_idx])
+        except ValueError:
+            bad = next(i for i in value_idx if not _is_float(row[i]))
+            raise ValueError(
+                f"{path}: line {lineno}: non-numeric value {row[bad]!r} "
+                f"in column {header[bad]!r}"
+            ) from None
+        row_lines.append(lineno)
+        if label_idx is not None:
             try:
-                rows.append([float(row[i]) for i in value_idx])
+                labels.append(int(row[label_idx]))
             except ValueError:
-                bad = next(i for i in value_idx if not _is_float(row[i]))
                 raise ValueError(
-                    f"{path}: line {lineno}: non-numeric value {row[bad]!r} "
-                    f"in column {header[bad]!r}"
+                    f"{path}: line {lineno}: non-integer label {row[label_idx]!r}"
                 ) from None
-            row_lines.append(lineno)
-            if label_idx is not None:
-                try:
-                    labels.append(int(row[label_idx]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-integer label {row[label_idx]!r}"
-                    ) from None
 
     if not rows:
         raise ValueError(f"{path}: empty series")
@@ -147,16 +210,9 @@ def ingest_csv(
         r, c = non_finite[0]
         raise ValueError(
             f"{path}: line {row_lines[r]}: non-finite value '{data[r, c]}' "
-            f"in column {value_names[c]!r}"
+            f"in column {header[value_idx[c]]!r}"
         )
-    label_arr = np.asarray(labels, dtype=int) if label_idx is not None else None
-    if difference:
-        if data.shape[0] < 2:
-            raise ValueError(f"{path}: need at least two samples to difference")
-        data = np.diff(data, axis=0)
-        if label_arr is not None:
-            label_arr = label_arr[1:]
-    return TimeSeries(data=data, labels=label_arr)
+    return data, np.asarray(labels, dtype=int) if label_idx is not None else None
 
 
 def _is_float(cell: str) -> bool:
@@ -183,7 +239,7 @@ def _load_config(path) -> dict:
     return payload
 
 
-def _resolve(args, config: dict, name: str, convert=None, default=None, required=False):
+def _resolve(args, config: dict, name: str, convert, default=None, required=False):
     """A flag's value, else the config file's, else ``default``.
 
     ``convert`` checks and converts the first two: a value it rejects is a
@@ -200,7 +256,7 @@ def _resolve(args, config: dict, name: str, convert=None, default=None, required
             raise _UsageError(f"missing required option --{name}")
         return default
     try:
-        return value if convert is None else convert(value)
+        return convert(value)
     except (TypeError, ValueError) as exc:
         raise error(f"{where}: {exc}") from None
 
@@ -209,6 +265,26 @@ def _one_char(value) -> str:
     if not isinstance(value, str) or len(value) != 1:
         raise ValueError(f"must be one character, not {value!r}")
     return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, not {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, not {value!r}")
+    return value
+
+
+def _column_names(value) -> list:
+    if isinstance(value, str):
+        return [name.strip() for name in value.split(",") if name.strip()]
+    if isinstance(value, list) and all(isinstance(name, str) for name in value):
+        return value
+    raise ValueError(f"must be a comma-separated string or a list of strings, not {value!r}")
 
 
 def _load_series_spec(path) -> SeriesSpec:
@@ -252,27 +328,31 @@ def _load_pairs(path) -> tuple:
         ) from None
 
 
-def _trace_rows(raw: StatTrace, filtered: StatTrace | None):
-    filt_values = filtered.values if filtered is not None else np.full(len(raw), np.nan)
-    for t in range(len(raw)):
-        yield f"{t},{_fmt(raw.values[t])},{_fmt(filt_values[t])}"
+def _read_column(path, col: int, dtype, what: str) -> np.ndarray:
+    """Column ``col`` of each row of a header-bearing CSV written by this tool.
 
-
-def _read_column(path, col: int, convert, what: str) -> list:
-    """Column ``col`` of each row of a header-bearing CSV written by this tool."""
-    values = []
+    ``dtype`` is ``float`` or ``int``: numpy's type for the column, and the
+    converter of the line-by-line reader for what numpy rejects.
+    """
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
         if next(reader, None) is None:
             raise ValueError(f"{path}: empty {what} file")
+        values = _parse_body(handle, dtype, delimiter=",", quotechar='"', usecols=col, ndmin=1)
+        if values is not None:
+            return values
+        if handle.seekable():
+            handle.seek(0)
+            next(reader)
+        values = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                values.append(convert(row[col]))
+                values.append(dtype(row[col]))
             except (ValueError, IndexError):
                 raise ValueError(f"{path}: line {lineno}: malformed {what} row") from None
-    return values
+    return np.asarray(values, dtype=dtype)
 
 
 def _labeling_from_samples(sample_labels: np.ndarray, K: int) -> SegmentLabeling:
@@ -296,16 +376,13 @@ def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _ingest_from_args(args, config: dict) -> TimeSeries:
-    value_columns = _resolve(args, config, "value-columns")
-    if isinstance(value_columns, str):
-        value_columns = [name.strip() for name in value_columns.split(",") if name.strip()]
     return ingest_csv(
-        _resolve(args, config, "input", required=True),
-        value_columns=value_columns,
-        label_column=_resolve(args, config, "label-column"),
-        time_column=_resolve(args, config, "time-column"),
+        _resolve(args, config, "input", _text, required=True),
+        value_columns=_resolve(args, config, "value-columns", _column_names),
+        label_column=_resolve(args, config, "label-column", _text),
+        time_column=_resolve(args, config, "time-column", _text),
         delimiter=_resolve(args, config, "delimiter", _one_char, default=","),
-        difference=bool(_resolve(args, config, "difference", default=False)),
+        difference=_resolve(args, config, "difference", _boolean, default=False),
     )
 
 
@@ -356,16 +433,19 @@ def _cmd_detect(args) -> int:
     series = _ingest_from_args(args, config_file)
     beta = _resolve(args, config_file, "beta", int, required=True)
     lam = _resolve(args, config_file, "lambda", float, default=0.462)
-    filter_path = _resolve(args, config_file, "filter")
+    filter_path = _resolve(args, config_file, "filter", _text)
     filt = load_filter(filter_path) if filter_path else None
     config = DetectorConfig(beta=beta, lam=lam, filter=filt)
 
     result = detect(series, config)
-    out_dir = Path(_resolve(args, config_file, "out-dir", required=True))
+    out_dir = Path(_resolve(args, config_file, "out-dir", _text, required=True))
     _write_text(out_dir / "change_points.txt", [str(cp) for cp in result.change_points])
+    raw = result.raw.values.tolist()
+    filtered = [np.nan] * len(raw) if result.filtered is None else result.filtered.values.tolist()
     _write_text(
         out_dir / "trace.csv",
-        ["t,sigma_raw,sigma_filtered", *_trace_rows(result.raw, result.filtered)],
+        ["t,sigma_raw,sigma_filtered",
+         *(f"{t},{r!r},{f!r}" for t, (r, f) in enumerate(zip(raw, filtered)))],
     )
     print(f"detected {len(result.change_points)} change points")
     return 0
@@ -377,7 +457,7 @@ def _cmd_cluster(args) -> int:
     beta = _resolve(args, config_file, "beta", int, required=True)
     k = _resolve(args, config_file, "k", int, required=True)
     seed = _resolve(args, config_file, "seed", int, default=0)
-    cps_path = _resolve(args, config_file, "change-points", required=True)
+    cps_path = _resolve(args, config_file, "change-points", _text, required=True)
     cps = sorted(_read_indices(cps_path))
     try:  # TimeSeries checks the change points against the series length
         series = replace(series, change_points=cps)
@@ -385,7 +465,7 @@ def _cmd_cluster(args) -> int:
         raise ValueError(f"{cps_path}: {exc}") from None
 
     labeling = cluster_segments(series, series.change_points, K=k, beta=beta, seed=seed)
-    out_dir = Path(_resolve(args, config_file, "out-dir", required=True))
+    out_dir = Path(_resolve(args, config_file, "out-dir", _text, required=True))
     bounds = np.concatenate(([0], labeling.change_points, [len(series)]))
     segment_lines = ["segment_index,start,end,label"]
     segment_lines.extend(
@@ -393,10 +473,9 @@ def _cmd_cluster(args) -> int:
         for i in range(labeling.labels.size)
     )
     _write_text(out_dir / "segments.csv", segment_lines)
-    per_sample = labeling.per_sample(len(series))
+    per_sample = labeling.per_sample(len(series)).tolist()
     _write_text(
-        out_dir / "labels.csv",
-        ["t,label", *(f"{t},{per_sample[t]}" for t in range(len(series)))],
+        out_dir / "labels.csv", ["t,label", *(f"{t},{label}" for t, label in enumerate(per_sample))]
     )
     print(f"clustered {labeling.labels.size} segments into {k} classes")
     return 0
@@ -405,18 +484,18 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     config_file = _load_config(args.config)
     delta = _resolve(args, config_file, "delta", int, required=True)
-    predicted = _read_indices(_resolve(args, config_file, "predicted", required=True))
-    truth = _read_indices(_resolve(args, config_file, "truth", required=True))
+    predicted = _read_indices(_resolve(args, config_file, "predicted", _text, required=True))
+    truth = _read_indices(_resolve(args, config_file, "truth", _text, required=True))
     precision, recall, f1 = cp_f1(predicted, truth, delta)
 
     auc = float("nan")
-    trace_path = _resolve(args, config_file, "trace")
+    trace_path = _resolve(args, config_file, "trace", _text)
     if trace_path:
-        column = _resolve(args, config_file, "trace-column", default="filtered")
+        column = _resolve(args, config_file, "trace-column", _text, default="filtered")
         col = {"raw": 1, "filtered": 2}.get(column)
         if col is None:
             raise _UsageError("trace column must be 'raw' or 'filtered'")
-        values = np.asarray(_read_column(trace_path, col, float, "trace"), dtype=float)
+        values = _read_column(trace_path, col, float, "trace")
         if values.size == 0 or np.all(np.isnan(values)):
             raise ValueError(f"{trace_path}: trace column {column!r} contains no values")
         warmup = max(int(np.argmax(~np.isnan(values))), 1)
@@ -428,12 +507,12 @@ def _cmd_evaluate(args) -> int:
 
     accuracy = float("nan")
     k = _resolve(args, config_file, "k", int)
-    predicted_labels = _resolve(args, config_file, "predicted-labels")
-    truth_labels = _resolve(args, config_file, "truth-labels")
+    predicted_labels = _resolve(args, config_file, "predicted-labels", _text)
+    truth_labels = _resolve(args, config_file, "truth-labels", _text)
     if predicted_labels and truth_labels:
         if k is None:
             raise _UsageError("--k is required to score labels")
-        sample_labels = np.asarray(_read_column(predicted_labels, 1, int, "label"), dtype=int)
+        sample_labels = _read_column(predicted_labels, 1, int, "label")
         if sample_labels.size == 0:
             raise ValueError(f"{predicted_labels}: empty label file")
         truth_ids = _read_indices(truth_labels)

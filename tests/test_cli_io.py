@@ -1,0 +1,296 @@
+"""The CLI's table I/O: numpy's body parse against the line-by-line reader,
+the bytes of the writers, and the types of config values."""
+
+import csv
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wcpd import cli
+from wcpd.cli import ingest_csv, main
+from wcpd.cpd import DetectorConfig, detect, load_filter
+from wcpd.series import TimeSeries
+from wcpd.tssc import cluster_segments
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+def outcome(read, *args, **kwargs):
+    """What a reader returns, as comparable bytes, or the message it raises."""
+    try:
+        value = read(*args, **kwargs)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, TimeSeries):
+        labels = None if value.labels is None else value.labels.tolist()
+        return value.data.shape, value.data.tobytes(), labels
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def both_ways(read, *args, **kwargs):
+    """``outcome`` with numpy's body parse, and with the line-by-line reader alone."""
+    fast = outcome(read, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_body", lambda *args, **kwargs: None)
+        slow = outcome(read, *args, **kwargs)
+    return fast, slow
+
+
+INGEST_CASES = [
+    # (file bytes, ingest_csv options, values and labels, or the message after "<path>: ")
+    (b't,x0,label\r\n0,"1.5",2\r\n1,"-2.25","3"\r\n', {"label_column": "label", "time_column": "t"},
+     ([[1.5], [-2.25]], [2, 3])),
+    (b"t,x0\n0,1.5\n1,2.5", {"time_column": "t"}, ([[1.5], [2.5]], None)),
+    (b"x,y\n1,2\n\n\n3\n", {}, "line 5: expected 2 fields, found 1"),
+    (b"x,y\n1,2\n \n3,4\n", {}, "line 3: expected 2 fields, found 1"),
+    (b"x\n1\n \n", {}, "line 3: non-numeric value ' ' in column 'x'"),
+    (b"x,y\n1,2\n3,4,5\n", {}, "line 3: expected 2 fields, found 3"),
+    (b"x,label\n1,0\n2,2.5\n", {"label_column": "label"}, "line 3: non-integer label '2.5'"),
+    (b"x,label\n1,0\n2,1e3\n", {"label_column": "label"}, "line 3: non-integer label '1e3'"),
+    (b"x,label\n1, 3 \n", {"label_column": "label"}, ([[1.0]], [3])),
+    (b"x\n1_0\n2\n", {}, ([[10.0], [2.0]], None)),
+    (b"t,x\n2020-01-01,1.5\n2020-01-02,2.5\n", {"time_column": "t"}, ([[1.5], [2.5]], None)),
+    (b"x\n1\n\n\ninf\n", {}, "line 5: non-finite value 'inf' in column 'x'"),
+    (b"x,y\n1,2\n\n3,nan\n", {}, "line 4: non-finite value 'nan' in column 'y'"),
+    (b"x\n\n\n", {}, "empty series"),
+    (b'x"y\n1"2\n', {"delimiter": '"'}, ([[1.0, 2.0]], None)),
+]
+
+
+@pytest.mark.parametrize("content,options,expected", INGEST_CASES)
+def test_ingest_numpy_path_matches_line_by_line(tmp_path, content, options, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    fast, slow = both_ways(ingest_csv, path, **options)
+    assert fast == slow
+    if isinstance(expected, str):
+        assert fast == (ValueError, f"{path}: {expected}")
+    else:
+        values, labels = expected
+        series = ingest_csv(path, **options)
+        np.testing.assert_array_equal(series.data, values)
+        assert labels == (None if series.labels is None else series.labels.tolist())
+
+
+def test_ingest_error_keeps_exit_code(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text("t,x0\n0,1.0\n\n\n1,inf\n")
+    code = run(["detect", "--input", path, "--time-column", "t", "--beta", 1,
+                "--out-dir", tmp_path / "out"])
+    assert code == 2
+    assert f"error: {path}: line 5: non-finite value 'inf' in column 'x0'" in capsys.readouterr().err
+
+
+READER_CASES = [
+    # (reader, file text, message after "<path>: " or the values read)
+    (cli._read_indices, "1\n\n  \n2\n", [1, 2]),
+    (cli._read_indices, " 3 \n1_0\n", [3, 10]),
+    (cli._read_indices, "", []),
+    (cli._read_indices, "1 2\n", "line 1: not an index: '1 2'"),
+    (cli._read_indices, "1\n2,3\n", "line 2: not an index: '2,3'"),
+    (cli._read_indices, "# 3\n", "line 1: not an index: '# 3'"),
+    (cli._read_indices, "1\n\n2.5\n", "line 3: not an index: '2.5'"),
+    (lambda p: cli._read_column(p, 2, float, "trace"),
+     "t,a,b\n0,nan,1.5\n\n1,2,3,extra\n", np.array([1.5, 3.0])),
+    (lambda p: cli._read_column(p, 2, float, "trace"), "t,a,b\n0,1,2\n \n",
+     "line 3: malformed trace row"),
+    (lambda p: cli._read_column(p, 2, float, "trace"), "t,a,b\n0,1,2\n1,2\n",
+     "line 3: malformed trace row"),
+    (lambda p: cli._read_column(p, 1, int, "label"), 't,label\n0," 3 "\n1,1_0\n', np.array([3, 10])),
+    (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n0,1\n1,1e3\n",
+     "line 3: malformed label row"),
+    (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n", np.array([], dtype=int)),
+]
+
+
+@pytest.mark.parametrize("read,content,expected", READER_CASES)
+def test_readers_numpy_path_matches_line_by_line(tmp_path, read, content, expected):
+    path = tmp_path / "in.txt"
+    path.write_text(content)
+    fast, slow = both_ways(read, path)
+    assert fast == slow
+    if isinstance(expected, str):
+        assert fast == (ValueError, f"{path}: {expected}")
+    else:
+        assert fast == outcome(lambda: expected)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "read,content,expected",
+    [
+        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n2\n", [[1.0], [2.0]]),
+        (lambda p: ingest_csv(p, time_column="t").data.tolist(),
+         "t,x\n2020-01-01,1\n\n2020-01-02,2\n", [[1.0], [2.0]]),
+        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n\noops\n",
+         "line 4: non-numeric value 'oops' in column 'x'"),
+        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1_0\n", [10]),
+        (cli._read_indices, "3\n1_0\n", [3, 10]),
+    ],
+    ids=["numeric", "text-time-column", "bad-row", "label-column", "indices"],
+)
+def test_pipe_is_read_line_by_line(read, content, expected):
+    # a pipe cannot be rewound after numpy has read it, so it skips numpy
+    read_end, write_end = os.pipe()
+    os.write(write_end, content.encode())
+    os.close(write_end)
+    path = f"/dev/fd/{read_end}"
+    try:
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as error:
+                read(path)
+            assert str(error.value) == f"{path}: {expected}"
+        else:
+            assert read(path) == expected
+    finally:
+        os.close(read_end)
+
+
+CELL = st.sampled_from(["0", "1", "-2.5", "3e1", "1_0", "nan", "inf", " 4 ", '"5"', '"6', "x", ""])
+SEPARATOR = st.sampled_from([",", "\n", "\r\n", ",", "\n", '"', " ", ";"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=st.lists(st.one_of(CELL, SEPARATOR), max_size=24),
+       delimiter=st.sampled_from([",", ",", ";", " ", '"']))
+def test_numpy_path_matches_line_by_line_on_any_text(tmp_path_factory, body, delimiter):
+    path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+    text = "".join(body)
+    path.write_text(delimiter.join(["t", "x", "label"]) + "\n" + text)
+    for read, *args in [(ingest_csv, path, None, None, None, delimiter),
+                        (ingest_csv, path, None, "label", "t", delimiter),
+                        (cli._read_column, path, 2, int, "label"),
+                        (cli._read_column, path, 1, float, "trace")]:
+        fast, slow = both_ways(read, *args)
+        assert fast == slow
+    path.write_text(text)
+    fast, slow = both_ways(cli._read_indices, path)
+    assert fast == slow
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("io")
+    spec = {"seed": 11, "dimension": 2, "segments": [
+        {"family": "normal", "location": 0, "scale": 1, "length": 80},
+        {"family": "laplace", "location": 2, "scale": 1, "length": 80},
+        {"family": "normal", "location": 0, "scale": 2, "length": 80},
+    ]}
+    (base / "spec.json").write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", base / "spec.json", "--out", base / "data.csv"]) == 0
+    assert run(["calibrate-filter", "--beta", 15, "--ensemble", 8, "--seed", 2,
+                "--out", base / "filter.json"]) == 0
+    return base
+
+
+@pytest.mark.parametrize("with_filter", [True, False])
+def test_trace_csv_bytes_match_the_row_formatter(small_run, tmp_path, with_filter):
+    argv = ["detect", "--input", small_run / "data.csv", "--time-column", "t",
+            "--label-column", "label", "--beta", 15, "--out-dir", tmp_path]
+    filt = None
+    if with_filter:
+        argv += ["--filter", small_run / "filter.json"]
+        filt = load_filter(small_run / "filter.json")
+    assert run(argv) == 0
+
+    series = ingest_csv(small_run / "data.csv", label_column="label", time_column="t")
+    result = detect(series, DetectorConfig(beta=15, lam=0.462, filter=filt))
+    filtered = result.filtered.values if filt is not None else np.full(len(series), np.nan)
+    rows = "".join(
+        f"{t},{repr(float(result.raw.values[t]))},{repr(float(filtered[t]))}\n"
+        for t in range(len(series))
+    )
+    expected = "t,sigma_raw,sigma_filtered\n" + rows
+    assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+    assert "nan" in rows.splitlines()[0]
+
+
+def test_labels_csv_bytes_match_the_row_formatter(small_run, tmp_path):
+    assert run(["cluster", "--input", small_run / "data.csv", "--time-column", "t",
+                "--label-column", "label", "--beta", 15, "--k", 3, "--seed", 4,
+                "--change-points", small_run / "data.csv.cps", "--out-dir", tmp_path]) == 0
+
+    series = ingest_csv(small_run / "data.csv", label_column="label", time_column="t")
+    cps = [int(line) for line in (small_run / "data.csv.cps").read_text().split()]
+    per_sample = cluster_segments(series, cps, K=3, beta=15, seed=4).per_sample(len(series))
+    expected = "t,label\n" + "".join(f"{t},{per_sample[t]}\n" for t in range(len(series)))
+    assert (tmp_path / "labels.csv").read_bytes() == expected.encode()
+
+
+@pytest.fixture()
+def configs(tmp_path):
+    data = tmp_path / "seven.csv"
+    data.write_text("t,x0\n" + "".join(f"{t},{(3 * t) % 7}\n" for t in range(7)))
+    cps = tmp_path / "cps.txt"
+    cps.write_text("3\n")
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,sigma_raw,sigma_filtered\n"
+                     + "".join(f"{t},{v},{v}\n" for t, v in enumerate("nan 1 2 3 2 1 nan".split())))
+    ingest = {"input": str(data), "time-column": "t", "beta": 2, "out-dir": str(tmp_path / "out")}
+    return {
+        "detect": ingest,
+        "cluster": {**ingest, "k": 1, "change-points": str(cps)},
+        "evaluate": {"predicted": str(cps), "truth": str(cps), "delta": 1, "trace": str(trace)},
+    }
+
+
+@pytest.mark.parametrize("command", ["detect", "cluster", "evaluate"])
+def test_config_of_the_right_types_runs(configs, tmp_path, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(configs[command]))
+    assert run([command, "--config", config]) == 0
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("detect", "input", 5),
+        ("detect", "out-dir", ["out"]),
+        ("detect", "filter", 5),
+        ("cluster", "change-points", 3),
+        ("evaluate", "truth", 7),
+        ("detect", "label-column", 1),
+        ("detect", "time-column", ["t"]),
+        ("detect", "value-columns", 3),
+        ("detect", "value-columns", ["x0", 1]),
+        ("evaluate", "trace-column", ["raw"]),
+        ("detect", "difference", "false"),
+        ("detect", "difference", 1),
+    ],
+    ids=["path-input", "path-out-dir", "path-filter", "path-change-points", "path-truth",
+         "column-label", "column-time", "columns-number", "columns-list-of-number",
+         "column-trace", "bool-string", "bool-number"],
+)
+def test_config_value_of_wrong_type_names_file_and_key(configs, tmp_path, capsys,
+                                                      command, key, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**configs[command], key: value}))
+    assert run([command, "--config", config]) == 2
+    assert f"error: {config}: {key!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("difference,rows", [(False, 7), (True, 6)])
+def test_config_difference_is_a_json_bool(configs, tmp_path, difference, rows):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**configs["detect"], "difference": difference}))
+    assert run(["detect", "--config", config]) == 0
+    assert len((tmp_path / "out/trace.csv").read_text().splitlines()) == rows + 1
+
+
+def test_config_value_columns_as_list_or_string(configs, tmp_path):
+    outputs = []
+    for columns in (["x0"], " x0 ,"):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**configs["detect"], "value-columns": columns}))
+        assert run(["detect", "--config", config]) == 0
+        outputs.append((tmp_path / "out/trace.csv").read_bytes())
+    assert outputs[0] == outputs[1]
