@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import warnings
@@ -54,6 +55,11 @@ def _write_text(path: Path, lines) -> None:
     path.write_text("".join(f"{line}\n" for line in lines))
 
 
+def _open_buffered(path) -> io.TextIOWrapper:
+    """``path`` read whole into a rewindable text handle, so a pipe reads like a file."""
+    return io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), newline="")
+
+
 def _parse_body(handle, dtype, **options):
     """The rest of ``handle`` parsed by ``np.loadtxt``, or None where numpy rejects it.
 
@@ -62,12 +68,8 @@ def _parse_body(handle, dtype, **options):
     re-reads the file line by line: that reader either accepts what numpy
     did not (``1_0``, a text time column) or words the error with its line.
     An empty body, which numpy only warns about, and a delimiter numpy does
-    not take (TypeError), such as the quote character, also give None. So
-    does a handle that cannot be rewound for that reader, such as a pipe:
-    numpy leaves it unread.
+    not take (TypeError), such as the quote character, also give None.
     """
-    if not handle.seekable():
-        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -76,13 +78,20 @@ def _parse_body(handle, dtype, **options):
             return None
 
 
+def _int64(text) -> int:
+    """``int(text)``, rejected like numpy's parse where it does not fit in int64."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} does not fit in int64")
+    return value
+
+
 def _read_indices(path) -> list[int]:
-    with Path(path).open() as handle:
+    with _open_buffered(path) as handle:
         indices = _parse_body(handle, int, ndmin=2)
         if indices is not None and indices.shape[1] == 1:
             return indices[:, 0].tolist()
-        if handle.seekable():
-            handle.seek(0)
+        handle.seek(0)
         text = handle.read()
     indices = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -90,7 +99,7 @@ def _read_indices(path) -> list[int]:
         if not line:
             continue
         try:
-            indices.append(int(line))
+            indices.append(_int64(line))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: not an index: {line!r}") from exc
     return indices
@@ -113,11 +122,11 @@ def ingest_csv(
 
     numpy parses the body in one call, every column as a float and the label
     column as an integer. A file it cannot parse, such as one with a text
-    time column, and a pipe go through a slower line-by-line reader. The
-    accepted syntax and every error message are those of that reader.
+    time column, goes through a slower line-by-line reader. The accepted
+    syntax and every error message are those of that reader.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    with _open_buffered(path) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
@@ -155,9 +164,8 @@ def ingest_csv(
             data = np.stack([body[f"c{i}"] for i in value_idx], axis=1, dtype=float)
             labels = body[f"c{label_idx}"] if label_idx is not None else None
         if body is None or not np.isfinite(data).all():
-            if handle.seekable():
-                handle.seek(0)
-                next(reader)
+            handle.seek(0)
+            next(reader)
             data, labels = _scan_rows(reader, path, header, value_idx, label_idx)
 
     if difference:
@@ -170,7 +178,7 @@ def ingest_csv(
 
 
 def _scan_rows(reader, path, header, value_idx, label_idx):
-    """``ingest_csv``'s body row by row with ``float()`` and ``int()``.
+    """``ingest_csv``'s body row by row with ``float()`` and ``_int64()``.
 
     Returns the values and the labels (None without a label column), or
     raises naming the first bad line.
@@ -196,7 +204,7 @@ def _scan_rows(reader, path, header, value_idx, label_idx):
         row_lines.append(lineno)
         if label_idx is not None:
             try:
-                labels.append(int(row[label_idx]))
+                labels.append(_int64(row[label_idx]))
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer label {row[label_idx]!r}"
@@ -257,7 +265,7 @@ def _resolve(args, config: dict, name: str, convert, default=None, required=Fals
         return default
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{where}: {exc}") from None
 
 
@@ -276,6 +284,24 @@ def _text(value) -> str:
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, not {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, not {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, not {value!r}")
+    return float(value)
+
+
+def _trace_column(value) -> str:
+    if value not in ("raw", "filtered"):
+        raise ValueError(f"must be 'raw' or 'filtered', not {value!r}")
     return value
 
 
@@ -331,25 +357,26 @@ def _load_pairs(path) -> tuple:
 def _read_column(path, col: int, dtype, what: str) -> np.ndarray:
     """Column ``col`` of each row of a header-bearing CSV written by this tool.
 
-    ``dtype`` is ``float`` or ``int``: numpy's type for the column, and the
-    converter of the line-by-line reader for what numpy rejects.
+    ``dtype`` is ``float`` or ``int``: numpy's type for the column. The
+    line-by-line reader, for what numpy rejects, converts with ``float()`` or
+    ``_int64()``.
     """
-    with Path(path).open(newline="") as handle:
+    convert = _int64 if dtype is int else float
+    with _open_buffered(path) as handle:
         reader = csv.reader(handle)
         if next(reader, None) is None:
             raise ValueError(f"{path}: empty {what} file")
         values = _parse_body(handle, dtype, delimiter=",", quotechar='"', usecols=col, ndmin=1)
         if values is not None:
             return values
-        if handle.seekable():
-            handle.seek(0)
-            next(reader)
+        handle.seek(0)
+        next(reader)
         values = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                values.append(dtype(row[col]))
+                values.append(convert(row[col]))
             except (ValueError, IndexError):
                 raise ValueError(f"{path}: line {lineno}: malformed {what} row") from None
     return np.asarray(values, dtype=dtype)
@@ -392,21 +419,18 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
+    labels = series.labels.tolist()
     header = "t," + ",".join(f"x{d}" for d in range(series.dim)) + ",label"
-    lines = [header]
-    for t in range(len(series)):
-        cells = [str(t)]
-        cells.extend(_fmt(v) for v in series.data[t])
-        cells.append(str(int(series.labels[t])))
-        lines.append(",".join(cells))
-    _write_text(out, lines)
+    rows = (",".join([str(t), *map(repr, values), str(label)])
+            for t, (values, label) in enumerate(zip(series.data.tolist(), labels)))
+    _write_text(out, [header, *rows])
 
     cps_path = Path(args.truth_out) if args.truth_out else out.with_suffix(out.suffix + ".cps")
-    _write_text(cps_path, [str(int(cp)) for cp in series.change_points])
+    _write_text(cps_path, map(str, series.change_points.tolist()))
     labels_path = (
         Path(args.labels_out) if args.labels_out else out.with_suffix(out.suffix + ".labels")
     )
-    _write_text(labels_path, [str(int(label)) for label in series.labels])
+    _write_text(labels_path, map(str, labels))
     print(f"wrote {out} ({len(series)} samples, {series.change_points.size} change points)")
     return 0
 
@@ -431,8 +455,8 @@ def _cmd_calibrate_filter(args) -> int:
 def _cmd_detect(args) -> int:
     config_file = _load_config(args.config)
     series = _ingest_from_args(args, config_file)
-    beta = _resolve(args, config_file, "beta", int, required=True)
-    lam = _resolve(args, config_file, "lambda", float, default=0.462)
+    beta = _resolve(args, config_file, "beta", _integer, required=True)
+    lam = _resolve(args, config_file, "lambda", _number, default=0.462)
     filter_path = _resolve(args, config_file, "filter", _text)
     filt = load_filter(filter_path) if filter_path else None
     config = DetectorConfig(beta=beta, lam=lam, filter=filt)
@@ -454,9 +478,9 @@ def _cmd_detect(args) -> int:
 def _cmd_cluster(args) -> int:
     config_file = _load_config(args.config)
     series = _ingest_from_args(args, config_file)
-    beta = _resolve(args, config_file, "beta", int, required=True)
-    k = _resolve(args, config_file, "k", int, required=True)
-    seed = _resolve(args, config_file, "seed", int, default=0)
+    beta = _resolve(args, config_file, "beta", _integer, required=True)
+    k = _resolve(args, config_file, "k", _integer, required=True)
+    seed = _resolve(args, config_file, "seed", _integer, default=0)
     cps_path = _resolve(args, config_file, "change-points", _text, required=True)
     cps = sorted(_read_indices(cps_path))
     try:  # TimeSeries checks the change points against the series length
@@ -483,7 +507,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config_file = _load_config(args.config)
-    delta = _resolve(args, config_file, "delta", int, required=True)
+    delta = _resolve(args, config_file, "delta", _integer, required=True)
     predicted = _read_indices(_resolve(args, config_file, "predicted", _text, required=True))
     truth = _read_indices(_resolve(args, config_file, "truth", _text, required=True))
     precision, recall, f1 = cp_f1(predicted, truth, delta)
@@ -491,11 +515,8 @@ def _cmd_evaluate(args) -> int:
     auc = float("nan")
     trace_path = _resolve(args, config_file, "trace", _text)
     if trace_path:
-        column = _resolve(args, config_file, "trace-column", _text, default="filtered")
-        col = {"raw": 1, "filtered": 2}.get(column)
-        if col is None:
-            raise _UsageError("trace column must be 'raw' or 'filtered'")
-        values = _read_column(trace_path, col, float, "trace")
+        column = _resolve(args, config_file, "trace-column", _trace_column, default="filtered")
+        values = _read_column(trace_path, 1 if column == "raw" else 2, float, "trace")
         if values.size == 0 or np.all(np.isnan(values)):
             raise ValueError(f"{trace_path}: trace column {column!r} contains no values")
         warmup = max(int(np.argmax(~np.isnan(values))), 1)
@@ -506,7 +527,7 @@ def _cmd_evaluate(args) -> int:
         auc = cp_auc(trace, truth, delta)
 
     accuracy = float("nan")
-    k = _resolve(args, config_file, "k", int)
+    k = _resolve(args, config_file, "k", _integer)
     predicted_labels = _resolve(args, config_file, "predicted-labels", _text)
     truth_labels = _resolve(args, config_file, "truth-labels", _text)
     if predicted_labels and truth_labels:
@@ -527,8 +548,8 @@ def _cmd_evaluate(args) -> int:
             raise ValueError(f"{predicted_labels}: {exc}") from None
         accuracy = label_accuracy(labeling, truth_ids, k)
 
-    beta = _resolve(args, config_file, "beta", int)
-    lam = _resolve(args, config_file, "lambda", float)
+    beta = _resolve(args, config_file, "beta", _integer)
+    lam = _resolve(args, config_file, "lambda", _number)
     lines = [
         f"k={k if k is not None else 'none'}",
         f"beta={beta if beta is not None else 'none'}",
@@ -571,7 +592,7 @@ def build_parser() -> _Parser:
     p_det.add_argument("--config", help="JSON config; flags override its values")
     _add_ingest_options(p_det)
     p_det.add_argument("--beta", type=int)
-    p_det.add_argument("--lambda", dest="lambda_", type=float, help="detection threshold")
+    p_det.add_argument("--lambda", type=float, help="detection threshold")
     p_det.add_argument("--filter", help="matched filter file from calibrate-filter")
     p_det.add_argument("--out-dir", help="directory for change_points.txt and trace.csv")
     p_det.set_defaults(func=_cmd_detect)
@@ -597,7 +618,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--truth-labels", help="file of true labels, one per line")
     p_eval.add_argument("--k", type=int)
     p_eval.add_argument("--beta", type=int)
-    p_eval.add_argument("--lambda", dest="lambda_", type=float)
+    p_eval.add_argument("--lambda", type=float)
     p_eval.add_argument("--out", help="report path (default stdout)")
     p_eval.set_defaults(func=_cmd_evaluate)
 
@@ -608,9 +629,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # argparse stores --lambda under lambda_; expose it under the config key name
-        if hasattr(args, "lambda_"):
-            setattr(args, "lambda", args.lambda_)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from wcpd import cli
 from wcpd.cli import ingest_csv, main
 from wcpd.cpd import DetectorConfig, detect, load_filter
 from wcpd.series import TimeSeries
+from wcpd.simgen import generate
 from wcpd.tssc import cluster_segments
 
 
@@ -63,6 +64,10 @@ INGEST_CASES = [
     (b"x,y\n1,2\n\n3,nan\n", {}, "line 4: non-finite value 'nan' in column 'y'"),
     (b"x\n\n\n", {}, "empty series"),
     (b'x"y\n1"2\n', {"delimiter": '"'}, ([[1.0, 2.0]], None)),
+    (b"x,label\n1,0\n2,99999999999999999999\n", {"label_column": "label"},
+     "line 3: non-integer label '99999999999999999999'"),
+    (b"x,label\n1,9223372036854775807\n2,-9223372036854775808\n", {"label_column": "label"},
+     ([[1.0], [2.0]], [2**63 - 1, -(2**63)])),
 ]
 
 
@@ -109,6 +114,11 @@ READER_CASES = [
     (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n0,1\n1,1e3\n",
      "line 3: malformed label row"),
     (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n", np.array([], dtype=int)),
+    (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n0,1\n1,9223372036854775808\n",
+     "line 3: malformed label row"),
+    (cli._read_indices, "1\n99999999999999999999\n", "line 2: not an index: '99999999999999999999'"),
+    (cli._read_indices, "-9223372036854775809\n", "line 1: not an index: '-9223372036854775809'"),
+    (cli._read_indices, "9223372036854775807\n1_0\n", [2**63 - 1, 10]),
 ]
 
 
@@ -124,35 +134,55 @@ def test_readers_numpy_path_matches_line_by_line(tmp_path, read, content, expect
         assert fast == outcome(lambda: expected)
 
 
+def routed(read, path):
+    """``read(path)``'s value or message, and whether numpy parsed each body it read."""
+    routes = []
+    parse_body = cli._parse_body
+
+    def spy(*args, **kwargs):
+        body = parse_body(*args, **kwargs)
+        routes.append(body is not None)
+        return body
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_body", spy)
+        try:
+            value = read(path)
+        except ValueError as exc:
+            value = str(exc).removeprefix(f"{path}: ")
+    return value, routes
+
+
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 @pytest.mark.parametrize(
-    "read,content,expected",
+    "read,content,expected,numpy_parses",
     [
-        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n2\n", [[1.0], [2.0]]),
+        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n2\n", [[1.0], [2.0]], True),
         (lambda p: ingest_csv(p, time_column="t").data.tolist(),
-         "t,x\n2020-01-01,1\n\n2020-01-02,2\n", [[1.0], [2.0]]),
+         "t,x\n2020-01-01,1\n\n2020-01-02,2\n", [[1.0], [2.0]], False),
         (lambda p: ingest_csv(p).data.tolist(), "x\n1\n\noops\n",
-         "line 4: non-numeric value 'oops' in column 'x'"),
-        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1_0\n", [10]),
-        (cli._read_indices, "3\n1_0\n", [3, 10]),
+         "line 4: non-numeric value 'oops' in column 'x'", False),
+        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1_0\n", [10], False),
+        (cli._read_indices, "3\n1_0\n", [3, 10], False),
+        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1\n1,2\n", [1, 2],
+         True),
+        (cli._read_indices, "3\n10\n", [3, 10], True),
     ],
-    ids=["numeric", "text-time-column", "bad-row", "label-column", "indices"],
+    ids=["numeric", "text-time-column", "bad-row", "label-column", "indices",
+         "numeric-label-column", "numeric-indices"],
 )
-def test_pipe_is_read_line_by_line(read, content, expected):
-    # a pipe cannot be rewound after numpy has read it, so it skips numpy
+def test_pipe_is_read_like_a_file(tmp_path, read, content, expected, numpy_parses):
+    # the pipe is buffered once, so numpy parses its body as it would a file's
     read_end, write_end = os.pipe()
     os.write(write_end, content.encode())
     os.close(write_end)
-    path = f"/dev/fd/{read_end}"
     try:
-        if isinstance(expected, str):
-            with pytest.raises(ValueError) as error:
-                read(path)
-            assert str(error.value) == f"{path}: {expected}"
-        else:
-            assert read(path) == expected
+        from_pipe = routed(read, f"/dev/fd/{read_end}")
     finally:
         os.close(read_end)
+    assert from_pipe == (expected, [numpy_parses])
+    (tmp_path / "in.csv").write_text(content)
+    assert routed(read, tmp_path / "in.csv") == from_pipe
 
 
 CELL = st.sampled_from(["0", "1", "-2.5", "3e1", "1_0", "nan", "inf", " 4 ", '"5"', '"6', "x", ""])
@@ -190,6 +220,29 @@ def small_run(tmp_path_factory):
     assert run(["calibrate-filter", "--beta", 15, "--ensemble", 8, "--seed", 2,
                 "--out", base / "filter.json"]) == 0
     return base
+
+
+def test_simulate_csv_bytes_match_the_cell_formatter(small_run):
+    series = generate(cli._load_series_spec(small_run / "spec.json"))
+    lines = ["t,x0,x1,label"]
+    for t in range(len(series)):
+        cells = [str(t), *(repr(float(v)) for v in series.data[t]), str(int(series.labels[t]))]
+        lines.append(",".join(cells))
+    assert (small_run / "data.csv").read_bytes() == "".join(f"{line}\n" for line in lines).encode()
+    cps = "".join(f"{int(cp)}\n" for cp in series.change_points)
+    assert (small_run / "data.csv.cps").read_text() == cps
+    labels = "".join(f"{int(label)}\n" for label in series.labels)
+    assert (small_run / "data.csv.labels").read_text() == labels
+
+
+def test_change_point_beyond_int64_names_file_and_line(configs, tmp_path, capsys):
+    cps = tmp_path / "big.txt"
+    cps.write_text("3\n99999999999999999999\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(configs["cluster"]))
+    assert run(["cluster", "--config", config, "--change-points", cps]) == 2
+    assert (f"error: {cps}: line 2: not an index: '99999999999999999999'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("with_filter", [True, False])
@@ -265,10 +318,21 @@ def test_config_of_the_right_types_runs(configs, tmp_path, command):
         ("evaluate", "trace-column", ["raw"]),
         ("detect", "difference", "false"),
         ("detect", "difference", 1),
+        ("detect", "beta", 2.9),
+        ("detect", "beta", True),
+        ("cluster", "k", "3"),
+        ("cluster", "seed", 1.5),
+        ("evaluate", "delta", 1.7),
+        ("detect", "lambda", True),
+        ("detect", "lambda", "0.5"),
+        ("detect", "lambda", 10**400),
+        ("evaluate", "trace-column", "bogus"),
     ],
     ids=["path-input", "path-out-dir", "path-filter", "path-change-points", "path-truth",
          "column-label", "column-time", "columns-number", "columns-list-of-number",
-         "column-trace", "bool-string", "bool-number"],
+         "column-trace", "bool-string", "bool-number", "int-float", "int-bool", "int-string",
+         "seed-float", "delta-float", "number-bool", "number-string", "number-too-large",
+         "column-trace-name"],
 )
 def test_config_value_of_wrong_type_names_file_and_key(configs, tmp_path, capsys,
                                                       command, key, value):
@@ -276,6 +340,13 @@ def test_config_value_of_wrong_type_names_file_and_key(configs, tmp_path, capsys
     config.write_text(json.dumps({**configs[command], key: value}))
     assert run([command, "--config", config]) == 2
     assert f"error: {config}: {key!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", [1, 0.25])
+def test_config_lambda_takes_any_json_number(configs, tmp_path, lam):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**configs["detect"], "lambda": lam}))
+    assert run(["detect", "--config", config]) == 0
 
 
 @pytest.mark.parametrize("difference,rows", [(False, 7), (True, 6)])
