@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -296,6 +297,8 @@ def _integer(value) -> int:
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, not {value!r}")
     return float(value)
 
 
@@ -313,6 +316,16 @@ def _column_names(value) -> list:
     raise ValueError(f"must be a comma-separated string or a list of strings, not {value!r}")
 
 
+def _spec_value(entry: dict, key: str, convert, default=None):
+    """``convert(entry[key])``, or ``default`` for an absent key that has one."""
+    if default is not None and key not in entry:
+        return default
+    try:
+        return convert(entry[key])
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
 def _load_series_spec(path) -> SeriesSpec:
     payload = _read_json(path)
     if not isinstance(payload, dict):
@@ -322,17 +335,17 @@ def _load_series_spec(path) -> SeriesSpec:
             (
                 DistSpec(
                     family=seg["family"],
-                    location=float(seg.get("location", 0.0)),
-                    scale=float(seg.get("scale", 1.0)),
+                    location=_spec_value(seg, "location", _number, 0.0),
+                    scale=_spec_value(seg, "scale", _number, 1.0),
                 ),
-                int(seg["length"]),
+                _spec_value(seg, "length", _integer),
             )
             for seg in payload["segments"]
         )
         return SeriesSpec(
             segments=segments,
-            dimension=int(payload.get("dimension", 1)),
-            seed=int(payload.get("seed", 0)),
+            dimension=_spec_value(payload, "dimension", _integer, 1),
+            seed=_spec_value(payload, "seed", _integer, 0),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: segment entries need a {exc.args[0]!r} key") from None

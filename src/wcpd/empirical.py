@@ -150,31 +150,46 @@ def _pieces(counts: np.ndarray, m: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _cubic_table(m: int, n: int) -> np.ndarray:
-    """Pieces for every count 0..m, row c at k = c/m.
+    """Pieces for every count 0..m, flat and j-major: piece (c, j) at j*(m+1) + c.
 
-    Built with exactly the operations of the scalar kernel, so a gather from
-    it is bit-identical to evaluating the cubes per call.
+    The values are those of :func:`_pieces` at k = c/m, built with exactly the
+    operations of the scalar kernel and copied out in this order, so a gather
+    from it is bit-identical to evaluating the cubes per call.
     """
-    table = _pieces(np.arange(m + 1)[:, None], m, n)
+    table = _pieces(np.arange(m + 1)[:, None], m, n).T.ravel()
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=16)
+def _gather_offsets(rows: int, m: int, n: int) -> np.ndarray:
+    """Per y_j of row r, flattened: j*m - r*(m+n).
+
+    Added to the flat merged position r*(m+n) + j + c_j of y_j, it gives the
+    index j*(m+1) + c_j of piece (c_j, j) in :func:`_cubic_table`.
+    """
+    offsets = (np.arange(n) * m - np.arange(rows)[:, None] * (m + n)).ravel()
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_w2t_from_sorted` over sorted rows xs (R, m) and ys (R, n).
 
     A stable sort of each concatenated row puts every x ahead of the equal
-    y's, so y_j lands at merged position j + c_j with c_j = #x <= y_j.
+    y's, so y_j of row r lands at flat merged position r*(m+n) + j + c_j with
+    c_j = #x <= y_j. One cached offset per y turns that into the index of
+    piece (c_j, j) in the j-major cube table, so the gather is a single take.
     """
     rows, m = xs.shape
     n = ys.shape[1]
     order = np.concatenate((xs, ys), axis=1).argsort(axis=1, kind="stable")
-    cols = np.arange(n)
-    merged_pos = (np.flatnonzero(order >= m) % (m + n)).reshape(rows, n)
-    counts = merged_pos - cols
+    index = np.flatnonzero(order >= m)
+    index += _gather_offsets(rows, m, n)
     if (m + 1) * n <= _TABLE_MAX_ELEMENTS:
-        pieces = _cubic_table(m, n)[counts, cols]
+        pieces = _cubic_table(m, n).take(index).reshape(rows, n)
     else:
+        counts = index.reshape(rows, n) - np.arange(n) * (m + 1)
         pieces = _pieces(counts, m, n)
     stats = (m * n / (m + n)) * pieces.sum(axis=1) / 3.0
     if m == n:

@@ -365,3 +365,44 @@ def test_config_value_columns_as_list_or_string(configs, tmp_path):
         assert run(["detect", "--config", config]) == 0
         outputs.append((tmp_path / "out/trace.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_non_finite_lambda_names_flag_or_file_and_key(configs, tmp_path, capsys, command, lam):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(configs[command]))
+    assert run([command, "--config", config, f"--lambda={lam}"]) == 1
+    assert "usage error: --lambda: must be finite" in capsys.readouterr().err
+    config.write_text(json.dumps({**configs[command], "lambda": float(lam)}))
+    assert run([command, "--config", config]) == 2
+    assert f"error: {config}: 'lambda': must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("length", 30.9),
+        ("length", True),
+        ("length", "30"),
+        ("location", True),
+        ("location", "0"),
+        ("location", float("nan")),
+        ("scale", None),
+        ("dimension", 2.0),
+        ("seed", "1"),
+        ("seed", False),
+    ],
+)
+def test_spec_value_of_wrong_type_names_file_and_key(tmp_path, capsys, key, value):
+    segment = {"family": "normal", "location": 0, "scale": 1, "length": 30}
+    spec = {"seed": 1, "dimension": 1, "segments": [segment]}
+    if key in spec:
+        spec[key] = value
+    else:
+        segment[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", path, "--out", tmp_path / "x.csv"]) == 2
+    assert f"error: {path}: {key!r}: " in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -172,6 +172,15 @@ class TestSlidingProperties:
         trace = sliding_statistic(TimeSeries(data), beta=9)
         assert np.array_equal(trace.values, reference_trace(data, 9), equal_nan=True)
 
+    def test_wide_windows_sorted_apart(self):
+        # at beta = 130 a default chunk holds fewer positions than beta, so the
+        # before and after windows are sorted apart, with a ragged last chunk
+        rng = np.random.default_rng(130)
+        data = rng.integers(0, 6, size=(561, 2)).astype(float)
+        assert cpd._CHUNK_ELEMENTS // 130 <= 130
+        trace = sliding_statistic(TimeSeries(data), beta=130)
+        assert np.array_equal(trace.values, reference_trace(data, 130), equal_nan=True)
+
 
 class TestEstimateMatchedFilter:
     def test_unit_area_and_zero_ends(self, filter_b50):

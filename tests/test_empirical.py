@@ -129,15 +129,17 @@ class TestW2TRows:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9)])
     def test_matches_scalar_kernel(self, monkeypatch, table_max, m, n):
         # the cube table and the per-call cubes are bit-identical to the scalar
-        # kernel, ties and equal rows included
+        # kernel, ties and equal rows included; the gather offsets depend on
+        # the row count (the online step passes one row per dimension)
         monkeypatch.setattr(empirical, "_TABLE_MAX_ELEMENTS", table_max)
         rng = np.random.default_rng(m * 100 + n)
-        xs = np.sort(rng.integers(0, 4, size=(20, m)).astype(float), axis=1)
-        ys = np.sort(rng.integers(0, 4, size=(20, n)).astype(float), axis=1)
-        if m == n:
-            ys[::3] = xs[::3]
-        expected = [empirical._w2t_from_sorted(x, y) for x, y in zip(xs, ys)]
-        np.testing.assert_array_equal(empirical._w2t_rows(xs, ys), expected)
+        for rows in (1, 3, 20):
+            xs = np.sort(rng.integers(0, 4, size=(rows, m)).astype(float), axis=1)
+            ys = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
+            if m == n:
+                ys[::3] = xs[::3]
+            expected = [empirical._w2t_from_sorted(x, y) for x, y in zip(xs, ys)]
+            np.testing.assert_array_equal(empirical._w2t_rows(xs, ys), expected)
 
 
 class TestWasserstein2:
