@@ -428,7 +428,10 @@ def _ingest_from_args(args, config: dict) -> TimeSeries:
 
 def _cmd_simulate(args) -> int:
     spec = _load_series_spec(args.spec)
-    series = generate(spec)
+    try:
+        series = generate(spec)
+    except ValueError as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 

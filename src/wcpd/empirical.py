@@ -173,25 +173,67 @@ def _gather_offsets(rows: int, m: int, n: int) -> np.ndarray:
     return offsets
 
 
-def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_w2t_from_sorted` over sorted rows xs (R, m) and ys (R, n).
+@lru_cache(maxsize=16)
+def _ramp(n: int, step: int, start: int = 0) -> np.ndarray:
+    """start + j*step for j = 0..n-1, read-only."""
+    ramp = start + np.arange(n) * step
+    ramp.setflags(write=False)
+    return ramp
 
-    A stable sort of each concatenated row puts every x ahead of the equal
-    y's, so y_j of row r lands at flat merged position r*(m+n) + j + c_j with
-    c_j = #x <= y_j. One cached offset per y turns that into the index of
-    piece (c_j, j) in the j-major cube table, so the gather is a single take.
-    """
-    rows, m = xs.shape
-    n = ys.shape[1]
-    order = np.concatenate((xs, ys), axis=1).argsort(axis=1, kind="stable")
-    index = np.flatnonzero(order >= m)
-    index += _gather_offsets(rows, m, n)
+
+def _gather_stats(index: np.ndarray, rows: int, m: int, n: int) -> np.ndarray:
+    """Statistics of R rows from the flat piece indices j*(m+1) + c_j of their y's."""
     if (m + 1) * n <= _TABLE_MAX_ELEMENTS:
         pieces = _cubic_table(m, n).take(index).reshape(rows, n)
     else:
-        counts = index.reshape(rows, n) - np.arange(n) * (m + 1)
-        pieces = _pieces(counts, m, n)
-    stats = (m * n / (m + n)) * pieces.sum(axis=1) / 3.0
+        pieces = _pieces(index.reshape(rows, n) - _ramp(n, m + 1), m, n)
+    return (m * n / (m + n)) * pieces.sum(axis=1) / 3.0
+
+
+def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_w2t_from_sorted` over windows given as integer rank keys.
+
+    Each sample v of the pooled series has min-rank rank(v), so v <= w exactly
+    when rank(v) <= rank(w); x's carry the key 2*rank and y's 2*rank + 1. A
+    plain sort of each concatenated (x, y) row of xk (R, m) and yk (R, n) then
+    puts every x ahead of the equal y's and behind the larger ones, and equal
+    keys are equal values, so no stable sort is needed. y_j of row r lands at
+    flat merged position r*(m+n) + j + c_j with c_j = #x <= y_j; one cached
+    offset per y turns that into the index of piece (c_j, j) in the j-major
+    cube table, so the gather is a single take. The rows need not be sorted.
+    """
+    rows, m = xk.shape
+    n = yk.shape[1]
+    merged = np.sort(np.concatenate((xk, yk), axis=1), axis=1)
+    index = np.flatnonzero((merged & 1) != 0)
+    index += _gather_offsets(rows, m, n)
+    stats = _gather_stats(index, rows, m, n)
+    if m == n:
+        # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j)
+        # for every j (c_j > j) and the rank sums agree: the per-j rank gaps
+        # are then nonnegative and sum to zero. Only the (rare) rows passing
+        # the first test are summed.
+        dominated = (index.reshape(rows, n) >= _ramp(n, m + 2, 1)).all(axis=1)
+        cand = np.flatnonzero(dominated)
+        gap = yk[cand].sum(axis=1, dtype=np.int64) - xk[cand].sum(axis=1, dtype=np.int64)
+        stats[cand[gap == n]] = 0.0
+    return stats
+
+
+def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_w2t_from_sorted` over sorted rows xs (R, m) and ys (R, n).
+
+    Each row counts c_j = #x <= y_j with one searchsorted; adding a cached
+    j*(m+1) gives the index of piece (c_j, j) in the j-major cube table, so
+    the gather is the one :func:`_w2t_keys` makes.
+    """
+    rows, m = xs.shape
+    n = ys.shape[1]
+    index = np.empty((rows, n), dtype=np.intp)
+    for r in range(rows):
+        index[r] = xs[r].searchsorted(ys[r], side="right")
+    index += _ramp(n, m + 1)
+    stats = _gather_stats(index.ravel(), rows, m, n)
     if m == n:
         stats[(xs == ys).all(axis=1)] = 0.0  # see _w2t_from_sorted
     return stats

@@ -73,6 +73,7 @@ def _uniforms(n: int, entropy) -> np.ndarray:
 
 
 def _draw(spec: DistSpec, n: int, entropy) -> np.ndarray:
+    """n draws of the spec; a ValueError if location and scale overflow float64."""
     if spec.family == "normal":
         pairs = (n + 1) // 2
         u = _uniforms(2 * pairs, entropy)
@@ -83,11 +84,17 @@ def _draw(spec: DistSpec, n: int, entropy) -> np.ndarray:
         z = np.empty(2 * pairs)
         z[0::2] = radius * np.cos(angle)
         z[1::2] = radius * np.sin(angle)
-        return spec.location + spec.scale * z[:n]
-    u = _uniforms(n, entropy)
-    centered = u - 0.5
-    body = np.maximum(1.0 - 2.0 * np.abs(centered), _TINY)
-    return spec.location - spec.scale * np.sign(centered) * np.log(body)
+        z = z[:n]
+    else:
+        u = _uniforms(n, entropy)
+        centered = u - 0.5
+        body = np.maximum(1.0 - 2.0 * np.abs(centered), _TINY)
+        z = -np.sign(centered) * np.log(body)
+    with np.errstate(over="ignore"):
+        values = spec.location + spec.scale * z
+    if not np.isfinite(values).all():
+        raise ValueError("location and scale overflow to a non-finite sample")
+    return values
 
 
 def sample(spec: DistSpec, n: int, seed: int) -> np.ndarray:
@@ -103,7 +110,8 @@ def generate(series_spec: SeriesSpec) -> TimeSeries:
     """Materialize the spec into a series with ground-truth structure.
 
     Change points sit at the cumulative segment boundaries; per-sample labels
-    reuse one id per distinct DistSpec, so repeated specs share a class.
+    reuse one id per distinct DistSpec, so repeated specs share a class. A
+    segment whose draws overflow float64 raises a ValueError naming it.
     """
     total = sum(length for _, length in series_spec.segments)
     d = series_spec.dimension
@@ -117,9 +125,12 @@ def generate(series_spec: SeriesSpec) -> TimeSeries:
         if spec not in spec_ids:
             spec_ids[spec] = len(spec_ids)
         for dim in range(d):
-            data[offset : offset + length, dim] = _draw(
-                spec, length, [series_spec.seed, seg_idx, dim]
-            )
+            try:
+                data[offset : offset + length, dim] = _draw(
+                    spec, length, [series_spec.seed, seg_idx, dim]
+                )
+            except ValueError as exc:
+                raise ValueError(f"segment {seg_idx}: {exc}") from None
         labels[offset : offset + length] = spec_ids[spec]
         offset += length
         if offset < total:

@@ -406,3 +406,21 @@ def test_spec_value_of_wrong_type_names_file_and_key(tmp_path, capsys, key, valu
     assert run(["simulate", "--spec", path, "--out", tmp_path / "x.csv"]) == 2
     assert f"error: {path}: {key!r}: " in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "family,location,scale",
+    [("normal", 0.0, 1e308), ("laplace", 1.7e308, 1e307), ("laplace", -1.7e308, 1e307)],
+)
+def test_simulate_overflow_names_file_and_segment(tmp_path, capsys, family, location, scale):
+    # the second segment overflows float64: no numpy warning, exit 2, and
+    # the message names the spec file and the segment
+    huge = {"family": family, "location": location, "scale": scale, "length": 50}
+    spec = {"seed": 1, "segments": [{"family": "normal", "length": 30}, huge]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", path, "--out", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: segment 1: ")
+    assert "Warning" not in err
+    assert not (tmp_path / "x.csv").exists()

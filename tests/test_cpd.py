@@ -137,11 +137,12 @@ def reference_trace(data, beta):
 
 @st.composite
 def integer_series(draw):
-    """Small integer-valued (T, d) data, so windows are full of ties."""
+    """Small integer-valued (T, d) data with ±0.0, so windows are full of ties."""
     beta = draw(st.integers(1, 6))
     dim = draw(st.integers(1, 3))
     T = draw(st.integers(2 * beta + 1, 2 * beta + 30))
-    cells = draw(st.lists(st.integers(-3, 3), min_size=T * dim, max_size=T * dim))
+    values = st.one_of(st.integers(-3, 3), st.sampled_from([-0.0, 0.0]))
+    cells = draw(st.lists(values, min_size=T * dim, max_size=T * dim))
     return np.array(cells, dtype=float).reshape(T, dim), beta
 
 
@@ -164,8 +165,8 @@ class TestSlidingProperties:
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_chunking_does_not_change_trace(self, monkeypatch, chunk):
-        # 7 // 9 and 1 // 9 sort before and after windows apart; 100 // 9 = 11
-        # positions per chunk share one sort, with a ragged last chunk
+        # 7 // 9 and 1 // 9 give chunks of one position, shorter than beta;
+        # 100 // 9 = 11 positions per chunk, with a ragged last chunk
         rng = np.random.default_rng(chunk)
         data = rng.integers(0, 6, size=(75, 2)).astype(float)
         monkeypatch.setattr(cpd, "_CHUNK_ELEMENTS", chunk)
@@ -174,12 +175,43 @@ class TestSlidingProperties:
 
     def test_wide_windows_sorted_apart(self):
         # at beta = 130 a default chunk holds fewer positions than beta, so the
-        # before and after windows are sorted apart, with a ragged last chunk
+        # before and after rows of a chunk do not overlap; the last chunk is ragged
         rng = np.random.default_rng(130)
         data = rng.integers(0, 6, size=(561, 2)).astype(float)
         assert cpd._CHUNK_ELEMENTS // 130 <= 130
         trace = sliding_statistic(TimeSeries(data), beta=130)
         assert np.array_equal(trace.values, reference_trace(data, 130), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "data,beta,expected",
+        [
+            # the windows are permutations of each other: exactly zero
+            ([3, 1, 2, 9, 2, 3, 1], 3, 0.0),
+            # every x_(j) <= y_(j), but the rank sums differ
+            ([0, 0, 1, 5, 0, 1, 1], 3, 0.2778),
+            # equal rank sums, but x_(1) > y_(1)
+            ([0, 3, 9, 1, 2], 2, 0.0833),
+        ],
+    )
+    def test_equal_window_zeroing(self, data, beta, expected):
+        data = np.array(data, dtype=float)[:, None]
+        trace = sliding_statistic(TimeSeries(data), beta)
+        assert np.array_equal(trace.values, reference_trace(data, beta), equal_nan=True)
+        assert trace.values[beta] == pytest.approx(expected, abs=1e-4)
+
+    def test_long_series_widens_keys(self):
+        # at T > 2**15 the rank keys 2*rank + 1 no longer fit 16 bits; rounded
+        # normals keep ties and put the top ranks above 2**15
+        T, beta = (1 << 15) + 100, 40
+        rng = np.random.default_rng(15)
+        data = rng.normal(size=T).round(1)
+        assert np.sort(data).searchsorted(data).max() >= 1 << 15
+        trace = sliding_statistic(TimeSeries(data[:, None]), beta)
+        for t in rng.choice(np.arange(beta, T - beta), size=500, replace=False):
+            expected = w2t_statistic(
+                build_empirical(data[t - beta : t]), build_empirical(data[t + 1 : t + beta + 1])
+            )
+            assert trace.values[t] == expected
 
 
 class TestEstimateMatchedFilter:

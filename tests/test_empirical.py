@@ -142,6 +142,48 @@ class TestW2TRows:
             np.testing.assert_array_equal(empirical._w2t_rows(xs, ys), expected)
 
 
+def rank_keys(xs, ys):
+    """Min-rank keys over all cells: 2*rank for x's, 2*rank + 1 for y's."""
+    pooled = np.concatenate((xs.ravel(), ys.ravel()))
+    ranks = np.sort(pooled).searchsorted(pooled).astype(np.uint16) << 1
+    return ranks[: xs.size].reshape(xs.shape), (ranks[xs.size :] | 1).reshape(ys.shape)
+
+
+class TestW2TKeys:
+    @pytest.mark.parametrize("table_max", [empirical._TABLE_MAX_ELEMENTS, 0])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9)])
+    def test_matches_scalar_kernel(self, monkeypatch, table_max, m, n):
+        # unsorted rows of tied values, ±0.0 among them; for m == n every
+        # third y row is a permutation of its x row, so its statistic is 0
+        monkeypatch.setattr(empirical, "_TABLE_MAX_ELEMENTS", table_max)
+        rng = np.random.default_rng(m * 100 + n + 7)
+        cells = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+        for rows in (1, 3, 20):
+            xs = rng.choice(cells, size=(rows, m))
+            ys = rng.choice(cells, size=(rows, n))
+            if m == n:
+                ys[::3] = rng.permuted(xs[::3], axis=1)
+            expected = [
+                empirical._w2t_from_sorted(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)
+            ]
+            np.testing.assert_array_equal(empirical._w2t_keys(*rank_keys(xs, ys)), expected)
+
+    def test_flatnonzero_reads_a_bool_mask(self, monkeypatch):
+        # on the raw key array flatnonzero finds the same positions but runs
+        # several times slower than on a bool mask
+        seen = []
+        flatnonzero = np.flatnonzero
+
+        def spy(a):
+            seen.append(np.asarray(a).dtype)
+            return flatnonzero(a)
+
+        monkeypatch.setattr(empirical.np, "flatnonzero", spy)
+        rng = np.random.default_rng(5)
+        empirical._w2t_keys(*rank_keys(rng.normal(size=(4, 6)), rng.normal(size=(4, 6))))
+        assert seen and all(dtype == bool for dtype in seen)
+
+
 class TestWasserstein2:
     def test_metric_identity(self):
         dist = build_empirical([1, 2, 5], weights=[1, 2, 1])

@@ -43,6 +43,14 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(DistSpec("normal", 0.0, 1.0), 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "spec", [DistSpec("normal", 0.0, 1e308), DistSpec("laplace", 1.7e308, 1e307)]
+    )
+    def test_overflow_raises_without_warning(self, spec):
+        # numpy's overflow warning would fail the test (warnings are errors)
+        with pytest.raises(ValueError, match="overflow to a non-finite sample"):
+            sample(spec, 50, seed=1)
+
 
 class TestGenerate:
     def test_boundaries(self):
