@@ -29,6 +29,7 @@ from .cpd import (
     load_filter,
     save_filter,
 )
+from .empirical import NULL
 from .errors import NumericalError
 from .metrics import cp_auc, cp_f1, label_accuracy
 from .series import TimeSeries
@@ -294,6 +295,18 @@ def _integer(value) -> int:
     return value
 
 
+def _at_least(low: int):
+    """A converter to an integer no smaller than ``low``."""
+
+    def convert(value) -> int:
+        value = _integer(value)
+        if value < low:
+            raise ValueError(f"must be at least {low}, not {value}")
+        return value
+
+    return convert
+
+
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, not {value!r}")
@@ -452,10 +465,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate_filter(args) -> int:
+    # no config file here: every option has a default, so only flags are read
+    beta = _resolve(args, {}, "beta", _at_least(2))
+    ensemble = _resolve(args, {}, "ensemble", _at_least(1))
+    seed = _resolve(args, {}, "seed", _at_least(0))
     pairs = _load_pairs(args.pairs) if args.pairs else DEFAULT_CHANGE_PAIRS
-    filt = estimate_matched_filter(
-        beta=args.beta, ensemble_size=args.ensemble, change_pairs=pairs, seed=args.seed
-    )
+    filt = estimate_matched_filter(beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(filt, out)
@@ -471,8 +486,8 @@ def _cmd_calibrate_filter(args) -> int:
 def _cmd_detect(args) -> int:
     config_file = _load_config(args.config)
     series = _ingest_from_args(args, config_file)
-    beta = _resolve(args, config_file, "beta", _integer, required=True)
-    lam = _resolve(args, config_file, "lambda", _number, default=0.462)
+    beta = _resolve(args, config_file, "beta", _at_least(2), required=True)
+    lam = _resolve(args, config_file, "lambda", _number, default=NULL.reject_threshold_05)
     filter_path = _resolve(args, config_file, "filter", _text)
     filt = load_filter(filter_path) if filter_path else None
     config = DetectorConfig(beta=beta, lam=lam, filter=filt)
@@ -494,9 +509,9 @@ def _cmd_detect(args) -> int:
 def _cmd_cluster(args) -> int:
     config_file = _load_config(args.config)
     series = _ingest_from_args(args, config_file)
-    beta = _resolve(args, config_file, "beta", _integer, required=True)
-    k = _resolve(args, config_file, "k", _integer, required=True)
-    seed = _resolve(args, config_file, "seed", _integer, default=0)
+    beta = _resolve(args, config_file, "beta", _at_least(1), required=True)
+    k = _resolve(args, config_file, "k", _at_least(1), required=True)
+    seed = _resolve(args, config_file, "seed", _at_least(0), default=0)
     cps_path = _resolve(args, config_file, "change-points", _text, required=True)
     cps = sorted(_read_indices(cps_path))
     try:  # TimeSeries checks the change points against the series length
@@ -523,7 +538,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config_file = _load_config(args.config)
-    delta = _resolve(args, config_file, "delta", _integer, required=True)
+    delta = _resolve(args, config_file, "delta", _at_least(0), required=True)
     predicted = _read_indices(_resolve(args, config_file, "predicted", _text, required=True))
     truth = _read_indices(_resolve(args, config_file, "truth", _text, required=True))
     precision, recall, f1 = cp_f1(predicted, truth, delta)
@@ -543,7 +558,7 @@ def _cmd_evaluate(args) -> int:
         auc = cp_auc(trace, truth, delta)
 
     accuracy = float("nan")
-    k = _resolve(args, config_file, "k", _integer)
+    k = _resolve(args, config_file, "k", _at_least(1))
     predicted_labels = _resolve(args, config_file, "predicted-labels", _text)
     truth_labels = _resolve(args, config_file, "truth-labels", _text)
     if predicted_labels and truth_labels:

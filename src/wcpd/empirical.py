@@ -123,54 +123,24 @@ def build_empirical(values, weights=None) -> EmpiricalDist:
     return EmpiricalDist(vals[order], w[order])
 
 
-@lru_cache(maxsize=64)
-def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.arange(n, dtype=float) / n
-    b = np.arange(1, n + 1, dtype=float) / n
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
-# Largest cube table kept, in elements (8 MB): it covers windows up to about
-# a thousand samples; beyond that the cubes are evaluated per call.
-_TABLE_MAX_ELEMENTS = 1 << 20
-
 # Work per batched kernel call, in window or merged samples, for the sliding
 # statistic and the all-pairs distances: temporaries stay flat in input size.
 _CHUNK_ELEMENTS = 1 << 14
 
 
-def _pieces(counts: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The integrand pieces of :func:`_w2t_from_sorted` at k = counts / m."""
-    k = counts / m
-    a, b = _unit_grid(n)
-    return (k - a) ** 3 - (k - b) ** 3
-
-
 @lru_cache(maxsize=8)
-def _cubic_table(m: int, n: int) -> np.ndarray:
-    """Pieces for every count 0..m, flat and j-major: piece (c, j) at j*(m+1) + c.
+def _piece_table(n: int) -> np.ndarray:
+    """The pieces of :func:`_w2t_from_sorted` for two windows of n samples.
 
-    The values are those of :func:`_pieces` at k = c/m, built with exactly the
-    operations of the scalar kernel and copied out in this order, so a gather
-    from it is bit-identical to evaluating the cubes per call.
+    With m = n the piece of y_j depends only on d = c_j - j, which runs over
+    1-n..n; it sits at index d + n - 1. The table is built with exactly the
+    scalar kernel's operations, so a gather from it matches that kernel bit
+    for bit.
     """
-    table = _pieces(np.arange(m + 1)[:, None], m, n).T.ravel()
+    d = np.arange(1 - n, n + 1)
+    table = (d * n / (n * n)) ** 3 - ((d - 1) * n / (n * n)) ** 3
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=16)
-def _gather_offsets(rows: int, m: int, n: int) -> np.ndarray:
-    """Per y_j of row r, flattened: j*m - r*(m+n).
-
-    Added to the flat merged position r*(m+n) + j + c_j of y_j, it gives the
-    index j*(m+1) + c_j of piece (c_j, j) in :func:`_cubic_table`.
-    """
-    offsets = (np.arange(n) * m - np.arange(rows)[:, None] * (m + n)).ravel()
-    offsets.setflags(write=False)
-    return offsets
 
 
 @lru_cache(maxsize=16)
@@ -181,13 +151,10 @@ def _ramp(n: int, step: int, start: int = 0) -> np.ndarray:
     return ramp
 
 
-def _gather_stats(index: np.ndarray, rows: int, m: int, n: int) -> np.ndarray:
-    """Statistics of R rows from the flat piece indices j*(m+1) + c_j of their y's."""
-    if (m + 1) * n <= _TABLE_MAX_ELEMENTS:
-        pieces = _cubic_table(m, n).take(index).reshape(rows, n)
-    else:
-        pieces = _pieces(index.reshape(rows, n) - _ramp(n, m + 1), m, n)
-    return (m * n / (m + n)) * pieces.sum(axis=1) / 3.0
+def _gather_stats(index: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """Statistics of R rows from the flat piece indices c_j - j + n - 1 of their y's."""
+    pieces = _piece_table(n).take(index).reshape(rows, n)
+    return (n * n / (n + n)) * pieces.sum(axis=1) / 3.0
 
 
 def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
@@ -195,47 +162,43 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
 
     Each sample v of the pooled series has min-rank rank(v), so v <= w exactly
     when rank(v) <= rank(w); x's carry the key 2*rank and y's 2*rank + 1. A
-    plain sort of each concatenated (x, y) row of xk (R, m) and yk (R, n) then
+    plain sort of each concatenated (x, y) row of xk and yk, both (R, n), then
     puts every x ahead of the equal y's and behind the larger ones, and equal
     keys are equal values, so no stable sort is needed. y_j of row r lands at
-    flat merged position r*(m+n) + j + c_j with c_j = #x <= y_j; one cached
-    offset per y turns that into the index of piece (c_j, j) in the j-major
-    cube table, so the gather is a single take. The rows need not be sorted.
+    flat merged position 2*(r*n + j) + c_j - j with c_j = #x <= y_j; one
+    cached ramp turns that into its index in the piece table, so the gather
+    is a single take. The rows need not be sorted.
     """
-    rows, m = xk.shape
-    n = yk.shape[1]
+    rows, n = xk.shape
     merged = np.sort(np.concatenate((xk, yk), axis=1), axis=1)
     index = np.flatnonzero((merged & 1) != 0)
-    index += _gather_offsets(rows, m, n)
-    stats = _gather_stats(index, rows, m, n)
-    if m == n:
-        # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j)
-        # for every j (c_j > j) and the rank sums agree: the per-j rank gaps
-        # are then nonnegative and sum to zero. Only the (rare) rows passing
-        # the first test are summed.
-        dominated = (index.reshape(rows, n) >= _ramp(n, m + 2, 1)).all(axis=1)
-        cand = np.flatnonzero(dominated)
-        gap = yk[cand].sum(axis=1, dtype=np.int64) - xk[cand].sum(axis=1, dtype=np.int64)
-        stats[cand[gap == n]] = 0.0
+    index += _ramp(rows * n, -2, n - 1)
+    stats = _gather_stats(index, rows, n)
+    # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j) for
+    # every j (c_j > j) and the rank sums agree: the per-j rank gaps are then
+    # nonnegative and sum to zero. Only the (rare) rows passing the first
+    # test are summed.
+    dominated = (index.reshape(rows, n) >= n).all(axis=1)
+    cand = np.flatnonzero(dominated)
+    gap = yk[cand].sum(axis=1, dtype=np.int64) - xk[cand].sum(axis=1, dtype=np.int64)
+    stats[cand[gap == n]] = 0.0
     return stats
 
 
 def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_w2t_from_sorted` over sorted rows xs (R, m) and ys (R, n).
+    """Row-wise :func:`_w2t_from_sorted` over sorted rows xs and ys, both (R, n).
 
     Each row counts c_j = #x <= y_j with one searchsorted; adding a cached
-    j*(m+1) gives the index of piece (c_j, j) in the j-major cube table, so
-    the gather is the one :func:`_w2t_keys` makes.
+    n - 1 - j gives its index in the piece table, so the gather is the one
+    :func:`_w2t_keys` makes.
     """
-    rows, m = xs.shape
-    n = ys.shape[1]
+    rows, n = xs.shape
     index = np.empty((rows, n), dtype=np.intp)
     for r in range(rows):
         index[r] = xs[r].searchsorted(ys[r], side="right")
-    index += _ramp(n, m + 1)
-    stats = _gather_stats(index.ravel(), rows, m, n)
-    if m == n:
-        stats[(xs == ys).all(axis=1)] = 0.0  # see _w2t_from_sorted
+    index += _ramp(n, -1, n - 1)
+    stats = _gather_stats(index.ravel(), rows, n)
+    stats[(xs == ys).all(axis=1)] = 0.0  # see _w2t_from_sorted
     return stats
 
 
@@ -265,8 +228,11 @@ def _w2_squared_rows(c: np.ndarray, x: np.ndarray, C: np.ndarray, X: np.ndarray)
 def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample statistic from pre-sorted uniform samples x (m) and y (n).
 
-    On ((j-1)/n, j/n] the composed CDF is the constant k_j = (#x <= y_j)/m, so
-    each piece integrates to ((k-a)^3 - (k-b)^3)/3 in closed form.
+    On (j/n, (j+1)/n] the composed CDF is the constant k_j = c_j/m with
+    c_j = #x <= y_j, so each piece integrates to
+    ((k_j - j/n)^3 - (k_j - (j+1)/n)^3)/3 in closed form. Both differences
+    are taken over the common denominator m*n, where their numerators are
+    exact integers, so each is rounded once.
     """
     m = x.size
     n = y.size
@@ -275,9 +241,9 @@ def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:
         # bottoms out at 1/(6n) instead because the step CDF can never track
         # the identity exactly.
         return 0.0
-    k = np.searchsorted(x, y, side="right") / m
-    a, b = _unit_grid(n)
-    pieces = (k - a) ** 3 - (k - b) ** 3
+    c = np.searchsorted(x, y, side="right")
+    j = np.arange(n)
+    pieces = ((c * n - j * m) / (m * n)) ** 3 - ((c * n - (j + 1) * m) / (m * n)) ** 3
     return (m * n / (m + n)) * float(pieces.sum()) / 3.0
 
 

@@ -69,7 +69,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, history: list | None = None):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     n = points.shape[0]
     k = centers.shape[0]
     labels = np.full(n, -1)
@@ -77,8 +77,6 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, history: list | None = None)
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), new_labels]
-        if history is not None:
-            history.append(float(point_d2.sum()))
         for c in range(k):
             mask = new_labels == c
             if mask.any():

@@ -380,6 +380,44 @@ def test_non_finite_lambda_names_flag_or_file_and_key(configs, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "command,key,value,low",
+    [
+        ("detect", "beta", 1, 2),
+        ("cluster", "beta", 0, 1),
+        ("cluster", "k", 0, 1),
+        ("cluster", "seed", -1, 0),
+        ("evaluate", "delta", -1, 0),
+        ("evaluate", "k", 0, 1),
+    ],
+)
+def test_integer_below_its_bound_names_flag_or_file_and_key(configs, tmp_path, capsys,
+                                                           command, key, value, low):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(configs[command]))
+    assert run([command, "--config", config, f"--{key}", value]) == 1
+    assert f"usage error: --{key}: must be at least {low}, not {value}" in capsys.readouterr().err
+    config.write_text(json.dumps({**configs[command], key: value}))
+    assert run([command, "--config", config]) == 2
+    assert (f"error: {config}: {key!r}: must be at least {low}, not {value}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key,value,low", [("beta", 1, 2), ("ensemble", 0, 1), ("seed", -1, 0)])
+def test_calibrate_option_below_its_bound_is_a_usage_error(tmp_path, capsys, key, value, low):
+    out = tmp_path / "filter.json"
+    assert run(["calibrate-filter", f"--{key}", value, "--out", out]) == 1
+    assert f"usage error: --{key}: must be at least {low}, not {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_k_above_segment_count_stays_a_data_error(configs, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**configs["cluster"], "k": 3}))
+    assert run(["cluster", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("length", 30.9),

@@ -182,6 +182,21 @@ class TestSlidingProperties:
         trace = sliding_statistic(TimeSeries(data), beta=130)
         assert np.array_equal(trace.values, reference_trace(data, 130), equal_nan=True)
 
+    def test_windows_of_a_thousand_samples(self):
+        # beta = 1030: the piece table holds 2*beta values however wide the
+        # windows are, and every index matches the scalar kernel bitwise
+        from wcpd.empirical import _piece_table, _w2t_from_sorted
+
+        beta = 1030
+        rng = np.random.default_rng(1030)
+        data = rng.integers(0, 50, size=2 * beta + 61).astype(float)
+        trace = sliding_statistic(TimeSeries(data[:, None]), beta)
+        for t in range(beta, data.size - beta):
+            before = np.sort(data[t - beta : t])
+            after = np.sort(data[t + 1 : t + beta + 1])
+            assert trace.values[t] == _w2t_from_sorted(before, after)
+        assert _piece_table(beta).size == 2 * beta
+
     @pytest.mark.parametrize(
         "data,beta,expected",
         [

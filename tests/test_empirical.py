@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,20 +126,46 @@ class TestW2TStatistic:
 
 
 
+def exact_w2t(x, y):
+    """_w2t_from_sorted in exact rational arithmetic."""
+    m, n = len(x), len(y)
+    if m == n and np.array_equal(x, y):
+        return Fraction(0)
+    total = Fraction(0)
+    for j, c in enumerate(np.searchsorted(x, y, side="right").tolist()):
+        k = Fraction(c, m)
+        total += (k - Fraction(j, n)) ** 3 - (k - Fraction(j + 1, n)) ** 3
+    return Fraction(m * n, m + n) * total / 3
+
+
+class TestW2TFromSorted:
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9), (30, 30)])
+    def test_matches_exact_arithmetic(self, m, n):
+        # tied values; the pieces are differences of cubes, so compare with a
+        # relative tolerance rather than bitwise
+        rng = np.random.default_rng(m * 100 + n + 3)
+        for _ in range(20):
+            x = np.sort(rng.integers(0, 4, size=m).astype(float))
+            y = np.sort(rng.integers(0, 4, size=n).astype(float))
+            expected = exact_w2t(x, y)
+            got = empirical._w2t_from_sorted(x, y)
+            if expected == 0:
+                assert got == 0.0
+            else:
+                assert abs(Fraction(got) - expected) <= expected * Fraction(1, 10**14)
+
+
 class TestW2TRows:
-    @pytest.mark.parametrize("table_max", [empirical._TABLE_MAX_ELEMENTS, 0])
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9)])
-    def test_matches_scalar_kernel(self, monkeypatch, table_max, m, n):
-        # the cube table and the per-call cubes are bit-identical to the scalar
-        # kernel, ties and equal rows included; the gather offsets depend on
-        # the row count (the online step passes one row per dimension)
-        monkeypatch.setattr(empirical, "_TABLE_MAX_ELEMENTS", table_max)
-        rng = np.random.default_rng(m * 100 + n)
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_matches_scalar_kernel(self, n):
+        # the piece table is bit-identical to the scalar kernel, ties and
+        # equal rows included; the ramp does not depend on the row count
+        # (the online step passes one row per dimension)
+        rng = np.random.default_rng(n * 101)
         for rows in (1, 3, 20):
-            xs = np.sort(rng.integers(0, 4, size=(rows, m)).astype(float), axis=1)
+            xs = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
             ys = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
-            if m == n:
-                ys[::3] = xs[::3]
+            ys[::3] = xs[::3]
             expected = [empirical._w2t_from_sorted(x, y) for x, y in zip(xs, ys)]
             np.testing.assert_array_equal(empirical._w2t_rows(xs, ys), expected)
 
@@ -150,19 +178,16 @@ def rank_keys(xs, ys):
 
 
 class TestW2TKeys:
-    @pytest.mark.parametrize("table_max", [empirical._TABLE_MAX_ELEMENTS, 0])
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9)])
-    def test_matches_scalar_kernel(self, monkeypatch, table_max, m, n):
-        # unsorted rows of tied values, ±0.0 among them; for m == n every
-        # third y row is a permutation of its x row, so its statistic is 0
-        monkeypatch.setattr(empirical, "_TABLE_MAX_ELEMENTS", table_max)
-        rng = np.random.default_rng(m * 100 + n + 7)
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_matches_scalar_kernel(self, n):
+        # unsorted rows of tied values, ±0.0 among them; every third y row is
+        # a permutation of its x row, so its statistic is 0
+        rng = np.random.default_rng(n * 101 + 7)
         cells = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
         for rows in (1, 3, 20):
-            xs = rng.choice(cells, size=(rows, m))
+            xs = rng.choice(cells, size=(rows, n))
             ys = rng.choice(cells, size=(rows, n))
-            if m == n:
-                ys[::3] = rng.permuted(xs[::3], axis=1)
+            ys[::3] = rng.permuted(xs[::3], axis=1)
             expected = [
                 empirical._w2t_from_sorted(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)
             ]

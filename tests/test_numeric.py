@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wcpd import numeric
 from wcpd.errors import NumericalError
 from wcpd.numeric import _lloyd, eigh_symmetric, hungarian, kmeans
 
@@ -103,13 +104,17 @@ class TestKMeans:
         with pytest.raises(ValueError, match="more clusters than points"):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
-    def test_lloyd_inertia_non_increasing(self):
+    def test_lloyd_inertia_non_increasing(self, monkeypatch):
+        # stop Lloyd after 1, 2, ... iterations: the inertia never rises
         rng = np.random.default_rng(47)
         points = rng.normal(size=(60, 3))
-        centers = points[rng.choice(60, size=4, replace=False)].copy()
+        init = points[rng.choice(60, size=4, replace=False)]
         history = []
-        _lloyd(points, centers, history=history)
+        for iterations in range(1, 15):
+            monkeypatch.setattr(numeric, "_MAX_LLOYD_ITERATIONS", iterations)
+            history.append(_lloyd(points, init.copy())[1])
         assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
+        assert history[-1] < history[0]
 
 
 class TestHungarian:
