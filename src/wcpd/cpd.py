@@ -10,13 +10,16 @@ local maxima of the filtered trace above a threshold.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .empirical import _CHUNK_ELEMENTS, NULL, _w2t_keys, _w2t_rows
+from .empirical import _CHUNK_ELEMENTS, NULL, _w2t_keys, _w2t_row
 from .errors import NumericalError
 from .series import TimeSeries
 from .simgen import DistSpec, SeriesSpec, generate
@@ -122,10 +125,15 @@ class DetectorConfig:
     filter: MatchedFilter | None = None
 
     def __post_init__(self):
-        if self.beta < 2:
+        try:
+            beta = operator.index(self.beta)
+        except TypeError:
+            raise ValueError(f"beta must be an integer, not {self.beta!r}") from None
+        if beta < 2:
             raise ValueError("beta must be at least 2")
-        if not np.isfinite(self.lam):
-            raise ValueError("threshold must be finite")
+        object.__setattr__(self, "beta", beta)
+        if not isinstance(self.lam, numbers.Real) or not math.isfinite(self.lam):
+            raise ValueError(f"lam must be a finite real number, not {self.lam!r}")
         if self.filter is not None and self.filter.beta != self.beta:
             raise ValueError("filter window size does not match beta")
 
@@ -309,6 +317,8 @@ class OnlineDetector:
         self._slack = 1 if taps[0] == 0.0 else 0
         self._beta = beta
         self._span = 2 * beta + 1
+        # (2, beta) columns of a span's before and after windows, centre skipped
+        self._pick = np.delete(np.arange(self._span), beta).reshape(2, beta)
         self._n = 0
         # Rings written twice, at slot and slot + span, so the last span
         # entries are always one contiguous view. _raw holds samples (one row
@@ -350,28 +360,35 @@ class OnlineDetector:
         """Feed one sample; returns a confirmed change point index or None."""
         if self._finalized:
             raise ValueError("finalized detector cannot accept more samples")
-        arr = np.atleast_1d(np.asarray(sample, dtype=float))
+        arr = np.asarray(sample, dtype=float)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
         if arr.ndim != 1:
             raise ValueError("sample must be a flat vector")
-        if not np.isfinite(arr).all():
+        if arr.size == 0:
+            raise ValueError("sample must have at least one dimension")
+        # one C call; ndarray.all is a ufunc reduction behind a Python wrapper
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise ValueError("non-finite sample")
         if self._raw is None:
             self._raw = np.empty((arr.size, 2 * self._span))
         elif arr.size != self._raw.shape[0]:
             raise ValueError("sample dimension changed mid-stream")
-        span, beta = self._span, self._beta
+        span = self._span
         slot = self._n % span
         self._raw[:, slot] = self._raw[:, slot + span] = arr
         self._n += 1
         if self._n < span:
             return None
 
-        window = self._raw[:, slot + 1 : slot + 1 + span]
-        per_dim = _w2t_rows(
-            np.sort(window[:, :beta], axis=1), np.sort(window[:, beta + 1 :], axis=1)
-        )
-        self._push_sigma(per_dim.mean())
-        if self._sigma_hi < self._next_t + beta - self._slack:
+        windows = self._raw[:, slot + 1 : slot + 1 + span].take(self._pick, axis=1)
+        windows.sort()
+        dim = len(windows)
+        # indexing makes two views per dimension; iterating would make three
+        per_dim = [_w2t_row(windows[i, 0], windows[i, 1]) for i in range(dim)]
+        # for d > 1 the pairwise sum and division of the offline per_dim.mean(axis=1)
+        self._push_sigma(per_dim[0] if dim == 1 else np.add.reduce(per_dim) / dim)
+        if self._sigma_hi < self._next_t + self._beta - self._slack:
             return None
         return self._filter_next()
 

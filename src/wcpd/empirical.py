@@ -151,12 +151,6 @@ def _ramp(n: int, step: int, start: int = 0) -> np.ndarray:
     return ramp
 
 
-def _gather_stats(index: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """Statistics of R rows from the flat piece indices c_j - j + n - 1 of their y's."""
-    pieces = _piece_table(n).take(index).reshape(rows, n)
-    return (n * n / (n + n)) * pieces.sum(axis=1) / 3.0
-
-
 def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_w2t_from_sorted` over windows given as integer rank keys.
 
@@ -173,7 +167,8 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
     merged = np.sort(np.concatenate((xk, yk), axis=1), axis=1)
     index = np.flatnonzero((merged & 1) != 0)
     index += _ramp(rows * n, -2, n - 1)
-    stats = _gather_stats(index, rows, n)
+    pieces = _piece_table(n).take(index).reshape(rows, n)
+    stats = (n * n / (n + n)) * pieces.sum(axis=1) / 3.0
     # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j) for
     # every j (c_j > j) and the rank sums agree: the per-j rank gaps are then
     # nonnegative and sum to zero. Only the (rare) rows passing the first
@@ -185,21 +180,21 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
     return stats
 
 
-def _w2t_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_w2t_from_sorted` over sorted rows xs and ys, both (R, n).
+def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> float:
+    """:func:`_w2t_from_sorted` for two sorted windows of n samples each.
 
-    Each row counts c_j = #x <= y_j with one searchsorted; adding a cached
-    n - 1 - j gives its index in the piece table, so the gather is the one
-    :func:`_w2t_keys` makes.
+    One searchsorted counts c_j = #x <= y_j; adding a cached n - 1 - j gives
+    its index in the piece table, so the gather and the scale are those of
+    :func:`_w2t_keys`.
     """
-    rows, n = xs.shape
-    index = np.empty((rows, n), dtype=np.intp)
-    for r in range(rows):
-        index[r] = xs[r].searchsorted(ys[r], side="right")
+    # see _w2t_from_sorted; equal first samples are the cheap necessary test
+    if xs[0] == ys[0] and (xs == ys).all():
+        return 0.0
+    n = xs.size
+    index = xs.searchsorted(ys, side="right")
     index += _ramp(n, -1, n - 1)
-    stats = _gather_stats(index.ravel(), rows, n)
-    stats[(xs == ys).all(axis=1)] = 0.0  # see _w2t_from_sorted
-    return stats
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    return (n * n / (n + n)) * float(np.add.reduce(_piece_table(n).take(index))) / 3.0
 
 
 def _w2_squared_rows(c: np.ndarray, x: np.ndarray, C: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -374,6 +374,24 @@ class TestDetect:
         with pytest.raises(ValueError, match="does not match"):
             DetectorConfig(beta=60, filter=filter_b50)
 
+    @pytest.mark.parametrize("beta", [3.0, 3.5, "3", None])
+    def test_config_rejects_non_integer_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            DetectorConfig(beta=beta)
+
+    @pytest.mark.parametrize("lam", ["0.4", None])
+    def test_config_rejects_non_real_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be a finite real number"):
+            DetectorConfig(beta=3, lam=lam)
+
+    def test_config_accepts_numpy_integer_beta(self):
+        config = DetectorConfig(beta=np.int64(3), lam=np.float64(0.4))
+        assert config.beta == 3 and type(config.beta) is int
+        series = mean_shift_series(seed=11, left=20, right=20)
+        assert detect(series, config).change_points == detect(
+            series, DetectorConfig(beta=3, lam=0.4)
+        ).change_points
+
 
 class TestOnlineDetector:
     def three_segment(self, seed):
@@ -460,6 +478,56 @@ class TestOnlineDetector:
         for value in np.linspace(0, 50, 50):
             assert detector.step([value]) is None
         assert detector.finalize() == []
+
+    def test_empty_sample_rejected_without_state_change(self):
+        series = self.three_segment(54)
+        config = DetectorConfig(beta=25, filter=None)
+        detector = OnlineDetector(config)
+        with pytest.raises(ValueError, match="at least one dimension"):
+            detector.step([])
+        emissions = []
+        for s in range(len(series)):
+            with pytest.raises(ValueError, match="at least one dimension"):
+                detector.step(np.empty(0))
+            out = detector.step(series.data[s])
+            if out is not None:
+                emissions.append(out)
+        assert emissions + detector.finalize() == detect(series, config).change_points
+
+    @staticmethod
+    def tricky_series(dim, beta, seed):
+        """Tied values, ±0.0, constant runs and, at index beta, an after window
+        that permutes the before window in every dimension (statistic 0)."""
+        rng = np.random.default_rng(seed)
+        cells = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+        columns = []
+        for _ in range(dim):
+            block = rng.choice(cells, beta)
+            ties = rng.choice(cells, 2 * beta)
+            wide = rng.normal(size=2 * beta) * 10.0 ** rng.integers(-3, 4, 2 * beta)
+            zeros = (np.full(beta, -0.0), np.zeros(beta + 1))
+            equal = (block, [7.0], rng.permutation(block))
+            columns.append(np.concatenate((*equal, ties, *zeros, wide)))
+        return TimeSeries(np.column_stack(columns))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    @pytest.mark.parametrize("beta", [2, 7, 50, 130])
+    def test_pushed_statistics_are_bitwise_offline(self, dim, beta):
+        # every statistic the step pushes has the bits of the offline trace
+        series = self.tricky_series(dim, beta, seed=dim * 1000 + beta)
+        detector = OnlineDetector(DetectorConfig(beta=beta))
+        span = 2 * beta + 1
+        pushed = []
+        for sample in series.data:
+            detector.step(sample)
+            if detector._sigma_hi >= beta:
+                assert detector._sigma_hi == beta + len(pushed)
+                pushed.append(detector._sigma[detector._sigma_hi % span])
+        offline = sliding_statistic(series, beta).values[beta : len(series) - beta]
+        assert offline[0] == 0.0  # the permuted window
+        np.testing.assert_array_equal(
+            np.array(pushed).view(np.uint64), offline.view(np.uint64)
+        )
 
     def test_step_after_finalize_rejected(self, filter_b25):
         detector = OnlineDetector(DetectorConfig(beta=25, filter=filter_b25))

@@ -155,19 +155,18 @@ class TestW2TFromSorted:
                 assert abs(Fraction(got) - expected) <= expected * Fraction(1, 10**14)
 
 
-class TestW2TRows:
+class TestW2TRow:
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_matches_scalar_kernel(self, n):
         # the piece table is bit-identical to the scalar kernel, ties and
-        # equal rows included; the ramp does not depend on the row count
-        # (the online step passes one row per dimension)
+        # equal rows included (the online step passes one row per dimension)
         rng = np.random.default_rng(n * 101)
         for rows in (1, 3, 20):
             xs = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
             ys = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
             ys[::3] = xs[::3]
-            expected = [empirical._w2t_from_sorted(x, y) for x, y in zip(xs, ys)]
-            np.testing.assert_array_equal(empirical._w2t_rows(xs, ys), expected)
+            for x, y in zip(xs, ys):
+                assert empirical._w2t_row(x, y) == empirical._w2t_from_sorted(x, y)
 
 
 def rank_keys(xs, ys):
