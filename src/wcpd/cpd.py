@@ -55,6 +55,17 @@ FILTER_VERSION = 1
 _UNIT_AREA_TOL = 1e-9
 
 
+def _window_size(beta, least: int) -> int:
+    """beta as a Python int, refusing non-integers and values below least."""
+    try:
+        size = operator.index(beta)
+    except TypeError:
+        raise ValueError(f"beta must be an integer, not {beta!r}") from None
+    if size < least:
+        raise ValueError(f"beta must be at least {least}")
+    return size
+
+
 @dataclass(frozen=True)
 class StatTrace:
     """Per-index change statistic; warm-up entries are flagged with NaN.
@@ -71,14 +82,14 @@ class StatTrace:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("trace values must be a nonempty flat array")
-        if self.beta < 1:
-            raise ValueError("beta must be at least 1")
-        head = values[: self.beta]
-        tail = values[values.size - self.beta :]
+        beta = _window_size(self.beta, 1)
+        head = values[:beta]
+        tail = values[values.size - beta :]
         if not (np.isnan(head).all() and np.isnan(tail).all()):
             raise ValueError("warm-up regions must be flagged invalid")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "beta", beta)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -102,9 +113,8 @@ class MatchedFilter:
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=float)
-        if self.beta < 1:
-            raise ValueError("beta must be at least 1")
-        if taps.ndim != 1 or taps.size != 2 * self.beta + 1:
+        beta = _window_size(self.beta, 1)
+        if taps.ndim != 1 or taps.size != 2 * beta + 1:
             raise ValueError("taps must cover offsets -beta..beta")
         if not np.all(np.isfinite(taps)):
             raise ValueError("non-finite tap")
@@ -114,6 +124,7 @@ class MatchedFilter:
             raise ValueError("source must be 'estimated' or 'loaded'")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -125,13 +136,7 @@ class DetectorConfig:
     filter: MatchedFilter | None = None
 
     def __post_init__(self):
-        try:
-            beta = operator.index(self.beta)
-        except TypeError:
-            raise ValueError(f"beta must be an integer, not {self.beta!r}") from None
-        if beta < 2:
-            raise ValueError("beta must be at least 2")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _window_size(self.beta, 2))
         if not isinstance(self.lam, numbers.Real) or not math.isfinite(self.lam):
             raise ValueError(f"lam must be a finite real number, not {self.lam!r}")
         if self.filter is not None and self.filter.beta != self.beta:
@@ -155,8 +160,7 @@ def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
     integer keys (2*rank before, 2*rank + 1 after) that :func:`_w2t_keys`
     merges with a plain sort; no window is sorted.
     """
-    if beta < 1:
-        raise ValueError("beta must be at least 1")
+    beta = _window_size(beta, 1)
     T = len(series)
     if T < 2 * beta + 1:
         raise ValueError("series too short for window")
@@ -213,8 +217,7 @@ def estimate_matched_filter(
     leading tap keeps the online confirmation delay at 2*beta), and scaled by
     gamma so the taps sum to one.
     """
-    if beta < 2:
-        raise ValueError("beta must be at least 2")
+    beta = _window_size(beta, 2)
     if ensemble_size < 1:
         raise ValueError("ensemble size must be at least 1")
     change_pairs = tuple(change_pairs)
@@ -444,7 +447,7 @@ def load_filter(path) -> MatchedFilter:
         )
         return MatchedFilter(
             taps=np.asarray(payload["taps"], dtype=float),
-            beta=int(payload["beta"]),
+            beta=payload["beta"],
             gamma=float(payload["gamma"]),
             ensemble_size=int(payload["ensemble_size"]),
             source="loaded",

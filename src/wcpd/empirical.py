@@ -197,26 +197,48 @@ def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> float:
     return (n * n / (n + n)) * float(np.add.reduce(_piece_table(n).take(index))) / 3.0
 
 
-def _w2_squared_rows(c: np.ndarray, x: np.ndarray, C: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Squared W2 between one distribution (c, x) and each row of (C, X).
+def _weight_keys(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted cumulative weights and the key 2*rank of each one.
 
-    Cumulative weights c, C and atoms x, X; rows are padded with 1.0 and their
-    last atom. Capped at 1 (a running sum can round past the pinned top), each
-    row of [c | C] is two sorted runs, which a stable sort merges. The piece
-    ending at merged position p takes atom i of x and atom p - i of the row, i
-    counting the c's ahead of p; both are clipped to the last atom. Summed
-    sequentially in merged order, zero-width pieces (ties, padding) add exactly
-    0, so the result has the same bits in either argument order and padding.
+    Capped at 1 (a running sum can round past the pinned top), so each
+    distribution's run stays sorted. rank is the min-rank, so equal weights
+    share a key and vals[key >> 1] is the weight itself; the low bit is left
+    for :func:`_w2_squared_rows` to mark a side. Keys are never narrower than
+    16 bits: numpy sorts 8-bit keys without SIMD.
     """
-    rows, m = C.shape
-    n = c.size
-    merged = np.minimum(np.concatenate((np.broadcast_to(c, (rows, n)), C), axis=1), 1.0)
-    order = merged.argsort(axis=1, kind="stable")
-    from_c = order < n
-    i = np.cumsum(from_c, axis=1) - from_c
-    j = np.minimum(np.arange(n + m) - i, m - 1)
-    gap = x[np.minimum(i, n - 1)] - np.take_along_axis(X, j, axis=1)
-    du = np.diff(np.take_along_axis(merged, order, axis=1), axis=1, prepend=0.0)
+    cum = np.minimum(cum, 1.0)
+    vals = np.sort(cum)
+    key_type = np.promote_types(np.uint16, np.min_scalar_type(2 * cum.size + 1))
+    return vals, vals.searchsorted(cum).astype(key_type) << 1
+
+
+def _w2_squared_rows(
+    vals: np.ndarray, own: np.ndarray, x: np.ndarray, rows: np.ndarray, atoms: np.ndarray,
+    first, last,
+) -> np.ndarray:
+    """Squared W2 between one distribution and each row of a block.
+
+    Capped cumulative weights come as keys of :func:`_weight_keys` over vals:
+    own for the distribution with atoms x, and each row of rows padded with
+    the row's last key. The atoms of row r are atoms[first[r]..last[r]]. The
+    row keys are made odd, so a plain sort of each [own | row] merges the two
+    sorted runs and puts own ahead of an equal row weight, the order a stable
+    sort of the weights gives. The piece ending at merged position p takes
+    atom i of x and atom p - i of the row, i counting the own keys ahead of
+    p; both are clipped to the last atom. Summed sequentially in merged
+    order, zero-width pieces (ties, padding) add exactly 0, so the result has
+    the same bits in either argument order and padding.
+    """
+    count, m = rows.shape
+    n = own.size
+    merged = np.concatenate((np.broadcast_to(own, (count, n)), rows), axis=1)
+    merged[:, n:] |= 1
+    merged.sort(axis=1)
+    from_own = (merged & 1) == 0
+    i = np.cumsum(from_own, axis=1) - from_own
+    j = np.minimum(first + (np.arange(n + m) - i), last)
+    gap = x.take(np.minimum(i, n - 1)) - atoms.take(j)
+    du = np.diff(vals.take(merged >> 1), axis=1, prepend=0.0)
     return np.cumsum(du * gap**2, axis=1)[:, -1]
 
 
@@ -264,5 +286,7 @@ def wasserstein2(a: EmpiricalDist, b: EmpiricalDist) -> float:
     du * (x_i - y_j)^2 over those pieces; the result is its root. This is the
     one-row case of the kernel :func:`wcpd.tssc.affinity_matrix` runs in blocks.
     """
-    squared = _w2_squared_rows(a.cum_weights, a.support, b.cum_weights[None], b.support[None])
+    n = len(a)
+    vals, keys = _weight_keys(np.concatenate((a.cum_weights, b.cum_weights)))
+    squared = _w2_squared_rows(vals, keys[:n], a.support, keys[None, n:], b.support, 0, len(b) - 1)
     return math.sqrt(squared[0])

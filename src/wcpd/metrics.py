@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpd import StatTrace
-from .numeric import hungarian
+from .numeric import _assignment_cost
 from .tssc import SegmentLabeling
 
 __all__ = ["cp_f1", "cp_auc", "label_accuracy"]
@@ -91,9 +91,9 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     """Best-mapping fraction of samples whose cluster id matches the truth.
 
     Predicted segment labels are expanded per sample, the K x K confusion
-    counts are built, and the assignment solver picks the label mapping that
-    maximizes agreement; the result is invariant to any permutation of the
-    predicted ids.
+    counts are built, and one assignment solve on max - counts gives the
+    agreement of the label mapping that maximizes it; the result is invariant
+    to any permutation of the predicted ids.
     """
     truths = np.asarray(truth_labels, dtype=int)
     if truths.ndim != 1 or truths.size == 0:
@@ -109,6 +109,5 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     truth_index = np.searchsorted(distinct, truths)
     counts = np.zeros((K, K))
     np.add.at(counts, (predicted, truth_index), 1.0)
-    mapping = hungarian(counts.max() - counts)
-    matched = sum(counts[i, mapping[i]] for i in range(K))
+    matched = K * counts.max() - _assignment_cost(counts.max() - counts)
     return float(matched / truths.size)

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _CHUNK_ELEMENTS, EmpiricalDist, _w2_squared_rows, build_empirical
+from .empirical import (
+    _CHUNK_ELEMENTS,
+    EmpiricalDist,
+    _w2_squared_rows,
+    _weight_keys,
+    build_empirical,
+)
 from .numeric import eigh_symmetric, kmeans
 from .series import TimeSeries
 
@@ -150,9 +156,12 @@ def segment_distribution(series: TimeSeries, start: int, end: int, beta: int) ->
 def affinity_matrix(segments) -> AffinityMatrix:
     """exp(-W2) similarity between all segment pairs; diagonal exactly one.
 
-    For d > 1 the distance is the mean of the per-dimension distances. Longest
-    first, each segment meets the shorter ones after it in bounded blocks of the
-    kernel behind :func:`wcpd.empirical.wasserstein2`, padded to their longest.
+    For d > 1 the distance is the mean of the per-dimension distances. Each
+    dimension's cumulative weights, over all segments at once, are ranked
+    once into the integer keys of :func:`wcpd.empirical._weight_keys`.
+    Longest first, each segment meets the shorter ones after it in bounded
+    blocks of the kernel behind :func:`wcpd.empirical.wasserstein2`, which
+    merges the keys with a plain sort; rows are padded to their longest.
     """
     segments = list(segments)
     n = len(segments)
@@ -165,18 +174,25 @@ def affinity_matrix(segments) -> AffinityMatrix:
     sizes = np.array([len(segments[s].dists[0]) for s in order])
     ends = sizes.cumsum()
     starts = ends - sizes
-    cums = [np.concatenate([segments[s].dists[d].cum_weights for s in order]) for d in range(dim)]
-    atoms = [np.concatenate([segments[s].dists[d].support for s in order]) for d in range(dim)]
+    keyed = []
+    for d in range(dim):
+        vals, keys = _weight_keys(np.concatenate([segments[s].dists[d].cum_weights for s in order]))
+        atoms = np.concatenate([segments[s].dists[d].support for s in order])
+        keyed.append((vals, keys, atoms))
     total = np.zeros((n, n))
     for a in range(n - 1):
         own = slice(starts[a], ends[a])
         step = max(1, _CHUNK_ELEMENTS // int(sizes[a] + sizes[a + 1]))
         for lo in range(a + 1, n, step):
             hi = min(lo + step, n)
-            # clipped at each row's end, the gather pads with 1.0 and the last atom
-            idx = np.minimum(starts[lo:hi, None] + np.arange(sizes[lo]), ends[lo:hi, None] - 1)
-            for c, x in zip(cums, atoms):
-                total[a, lo:hi] += np.sqrt(_w2_squared_rows(c[own], x[own], c[idx], x[idx]))
+            first = starts[lo:hi, None]
+            last = ends[lo:hi, None] - 1
+            # clipped at each row's end, the gather pads with the row's last key
+            idx = np.minimum(first + np.arange(sizes[lo]), last)
+            for vals, keys, atoms in keyed:
+                block = keys.take(idx)
+                squared = _w2_squared_rows(vals, keys[own], atoms[own], block, atoms, first, last)
+                total[a, lo:hi] += np.sqrt(squared)
     upper = np.triu_indices(n, 1)
     values = np.ones((n, n))
     similarity = np.exp(-total[upper] / dim)

@@ -71,8 +71,22 @@ class TestStatTrace:
         with pytest.raises(ValueError, match="warm-up"):
             StatTrace(np.ones(10), beta=2)
 
+    @pytest.mark.parametrize("beta", [3.0, "3", None])
+    def test_rejects_non_integer_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            StatTrace(np.full(10, np.nan), beta=beta)
+
+    def test_stores_numpy_integer_beta_as_int(self):
+        trace = StatTrace(np.full(10, np.nan), beta=np.int32(3))
+        assert trace.beta == 3 and type(trace.beta) is int
+
 
 class TestSlidingStatistic:
+    @pytest.mark.parametrize("beta", [3.0, 3.5, "3"])
+    def test_rejects_non_integer_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            sliding_statistic(TimeSeries(np.arange(20.0)), beta)
+
     def test_constant_series_zero(self):
         series = TimeSeries(np.full(40, 3.14))
         trace = sliding_statistic(series, beta=6)
@@ -253,6 +267,22 @@ class TestEstimateMatchedFilter:
         a = estimate_matched_filter(beta=10, ensemble_size=5, seed=4)
         b = estimate_matched_filter(beta=10, ensemble_size=5, seed=4)
         np.testing.assert_array_equal(a.taps, b.taps)
+
+    @pytest.mark.parametrize("beta", [3.0, "3"])
+    def test_rejects_non_integer_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            estimate_matched_filter(beta, ensemble_size=1)
+
+    @pytest.mark.parametrize("beta", [3.0, 3.5, "3"])
+    def test_filter_rejects_non_integer_beta(self, beta):
+        # 3.0 == 3, so a float beta used to pass DetectorConfig's match check
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            MatchedFilter(taps=np.full(7, 1 / 7), beta=beta, gamma=1.0, ensemble_size=1)
+
+    def test_filter_stores_numpy_integer_beta_as_int(self):
+        filt = MatchedFilter(taps=np.full(7, 1 / 7), beta=np.int64(3), gamma=1.0, ensemble_size=1)
+        assert filt.beta == 3 and type(filt.beta) is int
+        assert DetectorConfig(beta=3, filter=filt).filter is filt
 
     def test_no_signal_raises(self):
         flat = np.full(11, NULL.null_mean - 0.05)
@@ -616,6 +646,18 @@ class TestFilterSerialization:
         payload["taps"][60] += 0.25
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unit area"):
+            load_filter(path)
+
+    @pytest.mark.parametrize("beta", [50.0, 50.7, "50"])
+    def test_non_integer_beta_rejected(self, tmp_path, filter_b50, beta):
+        import json
+
+        path = tmp_path / "filter.json"
+        save_filter(filter_b50, path)
+        payload = json.loads(path.read_text())
+        payload["beta"] = beta
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="beta must be an integer"):
             load_filter(path)
 
     def test_unrecognized_file_rejected(self, tmp_path):

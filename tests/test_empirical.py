@@ -289,17 +289,18 @@ class TestWasserstein2Properties:
     @settings(max_examples=60, deadline=None)
     @given(tied_weighted_dist(), st.lists(tied_weighted_dist(), min_size=1, max_size=5))
     def test_padded_block_rows_equal_single_pairs(self, a, others):
-        # padding a row with its pinned top 1.0 and its last atom adds only
-        # zero-width pieces, which leave the sequential sum's bits unchanged
-        width = max(len(b) for b in others) + 2
-        C = np.ones((len(others), width))
-        X = np.empty((len(others), width))
-        for r, b in enumerate(others):
-            C[r, : len(b)] = b.cum_weights
-            X[r] = b.support[-1]
-            X[r, : len(b)] = b.support
-        block = np.sqrt(empirical._w2_squared_rows(a.cum_weights, a.support, C, X))
-        np.testing.assert_array_equal(block, [wasserstein2(a, b) for b in others])
+        # padding a row with its last key and atom adds only zero-width
+        # pieces, which leave the sequential sum's bits unchanged
+        n = len(a)
+        cums = np.concatenate([a.cum_weights, *(b.cum_weights for b in others)])
+        atoms = np.concatenate([a.support, *(b.support for b in others)])
+        vals, keys = empirical._weight_keys(cums)
+        sizes = np.array([len(b) for b in others])
+        last = (n + sizes.cumsum() - 1)[:, None]
+        first = last - sizes[:, None] + 1
+        rows = keys.take(np.minimum(first + np.arange(sizes.max() + 2), last))
+        squared = empirical._w2_squared_rows(vals, keys[:n], a.support, rows, atoms, first, last)
+        np.testing.assert_array_equal(np.sqrt(squared), [wasserstein2(a, b) for b in others])
 
 
 class TestNullConstants:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wcpd import tssc
 from wcpd.cli import _labeling_from_samples
-from wcpd.empirical import build_empirical
+from wcpd.empirical import build_empirical, wasserstein2
 from wcpd.metrics import label_accuracy
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
@@ -204,6 +204,69 @@ class TestBatchedAffinity:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+@st.composite
+def tied_segments(draw):
+    """2-6 segments of 1-8 tied integer atoms, with zero weights, at d = 1 or 3."""
+    dim = draw(st.sampled_from([1, 3]))
+    segments = []
+    for _ in range(draw(st.integers(2, 6))):
+        length = draw(st.integers(1, 8))
+        dists = []
+        for _ in range(dim):
+            atoms = draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+            weights = draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))
+            if not any(weights):
+                weights[draw(st.integers(0, length - 1))] = 1
+            dists.append(build_empirical(atoms, weights))
+        segments.append(Segment(start=0, end=length, dists=tuple(dists)))
+    return segments
+
+
+def pairwise_affinity(segments, pairs):
+    """exp(-mean W2) of each pair from wasserstein2, summed in order from 0.0."""
+    totals = []
+    for i, j in pairs:
+        total = 0.0
+        for a, b in zip(segments[i].dists, segments[j].dists):
+            total += wasserstein2(a, b)
+        totals.append(total)
+    return np.exp(-np.array(totals) / segments[0].dim)
+
+
+class TestAffinityKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(tied_segments())
+    def test_entries_equal_single_pair_distances(self, segments):
+        values = affinity_matrix(segments).values
+        upper = np.triu_indices(len(segments), 1)
+        expected = pairwise_affinity(segments, zip(*upper))
+        np.testing.assert_array_equal(values[upper], expected)
+
+    def test_wide_keys_past_uint16(self, monkeypatch):
+        # more than 32,767 samples in all: keys up to 2N + 1 need 32 bits
+        rng = np.random.default_rng(9)
+        segments = []
+        for length in (12000, 11000, 9000, 900, 1):
+            atoms = rng.integers(-4, 5, size=length).astype(float)
+            weights = rng.integers(0, 3, size=length).astype(float)
+            weights[0] = 1.0
+            dists = (build_empirical(atoms, weights),)
+            segments.append(Segment(start=0, end=length, dists=dists))
+        key_types = set()
+        kernel = tssc._w2_squared_rows
+
+        def spy(vals, own, *rest):
+            key_types.add(own.dtype)
+            return kernel(vals, own, *rest)
+
+        monkeypatch.setattr(tssc, "_w2_squared_rows", spy)
+        values = affinity_matrix(segments).values
+        assert key_types == {np.dtype(np.uint32)}
+        pairs = [(0, 1), (1, 2), (0, 3), (2, 4)]
+        expected = pairwise_affinity(segments, pairs)
+        np.testing.assert_array_equal([values[i, j] for i, j in pairs], expected)
 
 
 def planted_affinity(sizes, cross):
