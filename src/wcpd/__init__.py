@@ -6,85 +6,21 @@ peak extraction, and detected segments are clustered spectrally through
 exp(-W2) affinities between their empirical distributions.
 """
 
-from .cpd import (
-    DEFAULT_CHANGE_PAIRS,
-    DetectionResult,
-    DetectorConfig,
-    MatchedFilter,
-    OnlineDetector,
-    StatTrace,
-    apply_filter,
-    detect,
-    detect_peaks,
-    estimate_matched_filter,
-    load_filter,
-    save_filter,
-    sliding_statistic,
-)
-from .empirical import (
-    NULL,
-    EmpiricalDist,
-    NullConstants,
-    build_empirical,
-    w2t_statistic,
-    wasserstein2,
-)
-from .errors import NumericalError
-from .metrics import cp_auc, cp_f1, label_accuracy
-from .numeric import eigh_symmetric, hungarian, kmeans
-from .series import TimeSeries
-from .simgen import DistSpec, SeriesSpec, generate, sample
-from .tssc import (
-    AffinityMatrix,
-    Segment,
-    SegmentLabeling,
-    affinity_matrix,
-    boundary_weights,
-    cluster_segments,
-    segment_distribution,
-    spectral_cluster,
-)
+from . import cpd, empirical, errors, metrics, numeric, series, simgen, tssc
+from .cpd import *  # noqa: F403
+from .empirical import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .numeric import *  # noqa: F403
+from .series import *  # noqa: F403
+from .simgen import *  # noqa: F403
+from .tssc import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each name is declared once, in its module's __all__
 __all__ = [
-    "AffinityMatrix",
-    "DEFAULT_CHANGE_PAIRS",
-    "DetectionResult",
-    "DetectorConfig",
-    "DistSpec",
-    "EmpiricalDist",
-    "MatchedFilter",
-    "NULL",
-    "NullConstants",
-    "NumericalError",
-    "OnlineDetector",
-    "Segment",
-    "SegmentLabeling",
-    "SeriesSpec",
-    "StatTrace",
-    "TimeSeries",
-    "affinity_matrix",
-    "apply_filter",
-    "boundary_weights",
-    "build_empirical",
-    "cluster_segments",
-    "cp_auc",
-    "cp_f1",
-    "detect",
-    "detect_peaks",
-    "eigh_symmetric",
-    "estimate_matched_filter",
-    "generate",
-    "hungarian",
-    "kmeans",
-    "label_accuracy",
-    "load_filter",
-    "sample",
-    "save_filter",
-    "segment_distribution",
-    "sliding_statistic",
-    "spectral_cluster",
-    "w2t_statistic",
-    "wasserstein2",
+    name
+    for module in (cpd, empirical, errors, metrics, numeric, series, simgen, tssc)
+    for name in module.__all__
 ]

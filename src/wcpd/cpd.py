@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .empirical import _CHUNK_ELEMENTS, NULL, _w2t_keys, _w2t_row
 from .errors import NumericalError
 from .series import TimeSeries
-from .simgen import DistSpec, SeriesSpec, generate
+from .simgen import DistSpec, SeriesSpec, _integer, generate
 
 __all__ = [
     "StatTrace",
@@ -57,10 +56,7 @@ _UNIT_AREA_TOL = 1e-9
 
 def _window_size(beta, least: int) -> int:
     """beta as a Python int, refusing non-integers and values below least."""
-    try:
-        size = operator.index(beta)
-    except TypeError:
-        raise ValueError(f"beta must be an integer, not {beta!r}") from None
+    size = _integer(beta, "beta")
     if size < least:
         raise ValueError(f"beta must be at least {least}")
     return size
@@ -122,9 +118,24 @@ class MatchedFilter:
             raise ValueError("filter taps must have unit area")
         if self.source not in ("estimated", "loaded"):
             raise ValueError("source must be 'estimated' or 'loaded'")
+        gamma = self.gamma
+        real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
+        if not (real and math.isfinite(gamma) and gamma > 0.0):
+            raise ValueError(f"gamma must be a finite positive number, not {gamma!r}")
+        ensemble_size = _integer(self.ensemble_size, "ensemble size")
+        if ensemble_size < 1:
+            raise ValueError("ensemble size must be at least 1")
+        seed = self.seed
+        if seed is not None:
+            seed = _integer(seed, "seed")
+            if seed < 0:
+                raise ValueError("seed must be nonnegative")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "ensemble_size", ensemble_size)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -448,8 +459,8 @@ def load_filter(path) -> MatchedFilter:
         return MatchedFilter(
             taps=np.asarray(payload["taps"], dtype=float),
             beta=payload["beta"],
-            gamma=float(payload["gamma"]),
-            ensemble_size=int(payload["ensemble_size"]),
+            gamma=payload["gamma"],
+            ensemble_size=payload["ensemble_size"],
             source="loaded",
             change_pairs=pairs,
             seed=payload.get("seed"),

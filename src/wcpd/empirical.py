@@ -128,19 +128,12 @@ def build_empirical(values, weights=None) -> EmpiricalDist:
 _CHUNK_ELEMENTS = 1 << 14
 
 
-@lru_cache(maxsize=8)
-def _piece_table(n: int) -> np.ndarray:
-    """The pieces of :func:`_w2t_from_sorted` for two windows of n samples.
+def _scale_exponent(atoms: np.ndarray) -> int:
+    """Least k >= 0 with every |atom| / 2**k below 2**500: squared gaps stay finite.
 
-    With m = n the piece of y_j depends only on d = c_j - j, which runs over
-    1-n..n; it sits at index d + n - 1. The table is built with exactly the
-    scalar kernel's operations, so a gather from it matches that kernel bit
-    for bit.
+    Dividing the atoms by 2**k and multiplying the root back are both exact.
     """
-    d = np.arange(1 - n, n + 1)
-    table = (d * n / (n * n)) ** 3 - ((d - 1) * n / (n * n)) ** 3
-    table.setflags(write=False)
-    return table
+    return max(0, math.frexp(float(np.abs(atoms).max()))[1] - 500)
 
 
 @lru_cache(maxsize=16)
@@ -159,22 +152,22 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
     plain sort of each concatenated (x, y) row of xk and yk, both (R, n), then
     puts every x ahead of the equal y's and behind the larger ones, and equal
     keys are equal values, so no stable sort is needed. y_j of row r lands at
-    flat merged position 2*(r*n + j) + c_j - j with c_j = #x <= y_j; one
-    cached ramp turns that into its index in the piece table, so the gather
-    is a single take. The rows need not be sorted.
+    flat merged position 2*(r*n + j) + d_j, d_j = c_j - j with c_j = #x <= y_j,
+    so one cached ramp gives the d_j. Each row's exact integer
+    S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3 is divided once by 6*n^2; it
+    converts to float exactly below n ~ 1.4e5. The rows need not be sorted.
     """
     rows, n = xk.shape
     merged = np.sort(np.concatenate((xk, yk), axis=1), axis=1)
-    index = np.flatnonzero((merged & 1) != 0)
-    index += _ramp(rows * n, -2, n - 1)
-    pieces = _piece_table(n).take(index).reshape(rows, n)
-    stats = (n * n / (n + n)) * pieces.sum(axis=1) / 3.0
+    d = np.flatnonzero((merged & 1) != 0)
+    d += _ramp(rows * n, -2)
+    d = d.reshape(rows, n)
+    stats = (3 * (d * (d - 1)).sum(axis=1) + n) / (6 * n * n)
     # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j) for
     # every j (c_j > j) and the rank sums agree: the per-j rank gaps are then
     # nonnegative and sum to zero. Only the (rare) rows passing the first
     # test are summed.
-    dominated = (index.reshape(rows, n) >= n).all(axis=1)
-    cand = np.flatnonzero(dominated)
+    cand = np.flatnonzero((d > 0).all(axis=1))
     gap = yk[cand].sum(axis=1, dtype=np.int64) - xk[cand].sum(axis=1, dtype=np.int64)
     stats[cand[gap == n]] = 0.0
     return stats
@@ -183,18 +176,17 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
 def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> float:
     """:func:`_w2t_from_sorted` for two sorted windows of n samples each.
 
-    One searchsorted counts c_j = #x <= y_j; adding a cached n - 1 - j gives
-    its index in the piece table, so the gather and the scale are those of
-    :func:`_w2t_keys`.
+    One searchsorted counts c_j = #x <= y_j. With d_j = c_j - j the integer
+    S of :func:`_w2t_keys` expands to 3*sum_j c_j*(c_j - 2j - 1) + n^3, one
+    dot with a cached ramp and one fewer numpy call than forming the d_j; it
+    is divided once by 6*n^2, as there.
     """
     # see _w2t_from_sorted; equal first samples are the cheap necessary test
     if xs[0] == ys[0] and (xs == ys).all():
         return 0.0
     n = xs.size
-    index = xs.searchsorted(ys, side="right")
-    index += _ramp(n, -1, n - 1)
-    # np.add.reduce is ndarray.sum without its Python wrapper
-    return (n * n / (n + n)) * float(np.add.reduce(_piece_table(n).take(index))) / 3.0
+    c = xs.searchsorted(ys, side="right")
+    return (3 * np.dot(c, c - _ramp(n, 2, 1)) + n * n * n) / (6 * n * n)
 
 
 def _weight_keys(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,9 +239,11 @@ def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:
 
     On (j/n, (j+1)/n] the composed CDF is the constant k_j = c_j/m with
     c_j = #x <= y_j, so each piece integrates to
-    ((k_j - j/n)^3 - (k_j - (j+1)/n)^3)/3 in closed form. Both differences
-    are taken over the common denominator m*n, where their numerators are
-    exact integers, so each is rounded once.
+    ((k_j - j/n)^3 - (k_j - (j+1)/n)^3)/3 in closed form (Ramdas, Garcia
+    Trillos & Cuturi, Entropy 2017). With a_j = c_j*n - j*m the scaled sum is
+    S/(3*(m + n)*m*n^2) for the integer S = sum_j (3*a_j^2 - 3*a_j*m + m^2),
+    which is summed in Python integers (it outgrows int64 near m, n ~ 1e4)
+    and divided once, so the result is correctly rounded.
     """
     m = x.size
     n = y.size
@@ -258,10 +252,9 @@ def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:
         # bottoms out at 1/(6n) instead because the step CDF can never track
         # the identity exactly.
         return 0.0
-    c = np.searchsorted(x, y, side="right")
-    j = np.arange(n)
-    pieces = ((c * n - j * m) / (m * n)) ** 3 - ((c * n - (j + 1) * m) / (m * n)) ** 3
-    return (m * n / (m + n)) * float(pieces.sum()) / 3.0
+    a = np.searchsorted(x, y, side="right") * n - np.arange(n) * m
+    total = sum(v * (v - m) for v in a.tolist())
+    return (3 * total + n * m * m) / (3 * (m + n) * m * n * n)
 
 
 def w2t_statistic(p: EmpiricalDist, q: EmpiricalDist) -> float:
@@ -285,8 +278,11 @@ def wasserstein2(a: EmpiricalDist, b: EmpiricalDist) -> float:
     the merged cumulative weights, so the squared distance is the sum of
     du * (x_i - y_j)^2 over those pieces; the result is its root. This is the
     one-row case of the kernel :func:`wcpd.tssc.affinity_matrix` runs in blocks.
+    Atoms from 2**500 up are scaled by a power of two so no square overflows.
     """
     n = len(a)
     vals, keys = _weight_keys(np.concatenate((a.cum_weights, b.cum_weights)))
-    squared = _w2_squared_rows(vals, keys[:n], a.support, keys[None, n:], b.support, 0, len(b) - 1)
-    return math.sqrt(squared[0])
+    k = _scale_exponent(np.concatenate((a.support, b.support)))
+    x, y = np.ldexp(a.support, -k), np.ldexp(b.support, -k)
+    squared = _w2_squared_rows(vals, keys[:n], x, keys[None, n:], y, 0, len(b) - 1)
+    return math.sqrt(squared[0]) * 2.0**k

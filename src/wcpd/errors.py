@@ -1,2 +1,5 @@
+__all__ = ["NumericalError"]
+
+
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to produce a usable result."""

@@ -8,6 +8,8 @@ stream and generation order cannot change the result.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,16 @@ __all__ = ["DistSpec", "SeriesSpec", "sample", "generate"]
 FAMILIES = ("normal", "laplace")
 
 _TINY = 2.0 ** -60  # floor for log arguments when a uniform lands on 0
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int, refusing bools and non-integers."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +49,9 @@ class DistSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name, value in (("location", self.location), ("scale", self.scale)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
         if not np.isfinite(self.location):
             raise ValueError("non-finite location")
         if not (np.isfinite(self.scale) and self.scale > 0.0):
@@ -52,7 +67,11 @@ class SeriesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        segments = tuple((spec, int(length)) for spec, length in self.segments)
+        segments = tuple(
+            (spec, _integer(length, "segment length")) for spec, length in self.segments
+        )
+        dimension = _integer(self.dimension, "dimension")
+        seed = _integer(self.seed, "seed")
         if not segments:
             raise ValueError("series spec needs at least one segment")
         for spec, length in segments:
@@ -60,11 +79,13 @@ class SeriesSpec:
                 raise ValueError("segment specs must be DistSpec instances")
             if length < 1:
                 raise ValueError("segment lengths must be at least 1")
-        if self.dimension < 1:
+        if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "seed", seed)
 
 
 def _uniforms(n: int, entropy) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .empirical import (
     _CHUNK_ELEMENTS,
     EmpiricalDist,
+    _scale_exponent,
     _w2_squared_rows,
     _weight_keys,
     build_empirical,
@@ -162,6 +163,8 @@ def affinity_matrix(segments) -> AffinityMatrix:
     Longest first, each segment meets the shorter ones after it in bounded
     blocks of the kernel behind :func:`wcpd.empirical.wasserstein2`, which
     merges the keys with a plain sort; rows are padded to their longest.
+    Each dimension's atoms are scaled once by the power of two of
+    :func:`wcpd.empirical._scale_exponent`.
     """
     segments = list(segments)
     n = len(segments)
@@ -178,7 +181,8 @@ def affinity_matrix(segments) -> AffinityMatrix:
     for d in range(dim):
         vals, keys = _weight_keys(np.concatenate([segments[s].dists[d].cum_weights for s in order]))
         atoms = np.concatenate([segments[s].dists[d].support for s in order])
-        keyed.append((vals, keys, atoms))
+        k = _scale_exponent(atoms)
+        keyed.append((vals, keys, np.ldexp(atoms, -k), 2.0**k))
     total = np.zeros((n, n))
     for a in range(n - 1):
         own = slice(starts[a], ends[a])
@@ -189,10 +193,11 @@ def affinity_matrix(segments) -> AffinityMatrix:
             last = ends[lo:hi, None] - 1
             # clipped at each row's end, the gather pads with the row's last key
             idx = np.minimum(first + np.arange(sizes[lo]), last)
-            for vals, keys, atoms in keyed:
+            for vals, keys, atoms, scale in keyed:
                 block = keys.take(idx)
                 squared = _w2_squared_rows(vals, keys[own], atoms[own], block, atoms, first, last)
-                total[a, lo:hi] += np.sqrt(squared)
+                with np.errstate(over="ignore"):  # W2 past float max: inf, affinity 0
+                    total[a, lo:hi] += np.sqrt(squared) * scale
     upper = np.triu_indices(n, 1)
     values = np.ones((n, n))
     similarity = np.exp(-total[upper] / dim)

@@ -197,9 +197,8 @@ class TestSlidingProperties:
         assert np.array_equal(trace.values, reference_trace(data, 130), equal_nan=True)
 
     def test_windows_of_a_thousand_samples(self):
-        # beta = 1030: the piece table holds 2*beta values however wide the
-        # windows are, and every index matches the scalar kernel bitwise
-        from wcpd.empirical import _piece_table, _w2t_from_sorted
+        # beta = 1030: every index matches the scalar kernel bitwise
+        from wcpd.empirical import _w2t_from_sorted
 
         beta = 1030
         rng = np.random.default_rng(1030)
@@ -209,7 +208,6 @@ class TestSlidingProperties:
             before = np.sort(data[t - beta : t])
             after = np.sort(data[t + 1 : t + beta + 1])
             assert trace.values[t] == _w2t_from_sorted(before, after)
-        assert _piece_table(beta).size == 2 * beta
 
     @pytest.mark.parametrize(
         "data,beta,expected",
@@ -659,6 +657,47 @@ class TestFilterSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="beta must be an integer"):
             load_filter(path)
+
+    def write_with(self, tmp_path, filt, key, value):
+        import json
+
+        path = tmp_path / "filter.json"
+        save_filter(filt, path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [(2.9, "must be an integer"), (True, "must be an integer"), ("3", "must be an integer"),
+         (0, "must be at least 1")],
+    )
+    def test_bad_ensemble_size_rejected(self, tmp_path, filter_b50, value, message):
+        # 2.9 used to load as an ensemble of 2
+        path = self.write_with(tmp_path, filter_b50, "ensemble_size", value)
+        with pytest.raises(ValueError, match=f"filter.json: .*ensemble size {message}"):
+            load_filter(path)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [("x", "must be an integer"), (1.5, "must be an integer"), (False, "must be an integer"),
+         (-1, "must be nonnegative")],
+    )
+    def test_bad_seed_rejected(self, tmp_path, filter_b50, value, message):
+        path = self.write_with(tmp_path, filter_b50, "seed", value)
+        with pytest.raises(ValueError, match=f"filter.json: .*seed {message}"):
+            load_filter(path)
+
+    @pytest.mark.parametrize("value", ["1", True, 0.0, -2.0, float("inf")])
+    def test_bad_gamma_rejected(self, tmp_path, filter_b50, value):
+        path = self.write_with(tmp_path, filter_b50, "gamma", value)
+        with pytest.raises(ValueError, match="filter.json: .*gamma must be a finite positive"):
+            load_filter(path)
+
+    def test_unloaded_seed_may_be_absent(self, tmp_path, filter_b50):
+        path = self.write_with(tmp_path, filter_b50, "seed", None)
+        assert load_filter(path).seed is None
 
     def test_unrecognized_file_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -141,18 +141,51 @@ def exact_w2t(x, y):
 class TestW2TFromSorted:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9), (30, 30)])
     def test_matches_exact_arithmetic(self, m, n):
-        # tied values; the pieces are differences of cubes, so compare with a
-        # relative tolerance rather than bitwise
+        # tied values; the statistic is one exact integer divided once, so it
+        # is the correctly rounded rational value
         rng = np.random.default_rng(m * 100 + n + 3)
         for _ in range(20):
             x = np.sort(rng.integers(0, 4, size=m).astype(float))
             y = np.sort(rng.integers(0, 4, size=n).astype(float))
-            expected = exact_w2t(x, y)
-            got = empirical._w2t_from_sorted(x, y)
-            if expected == 0:
-                assert got == 0.0
-            else:
-                assert abs(Fraction(got) - expected) <= expected * Fraction(1, 10**14)
+            assert empirical._w2t_from_sorted(x, y) == float(exact_w2t(x, y))
+
+    @pytest.mark.parametrize("m,n", [(10007, 9973), (9973, 10007)])
+    def test_sums_beyond_int64(self, m, n):
+        # coprime sizes near 1e4: with x wholly below y every a_j is near m*n,
+        # and the integer sum passes 2**63
+        x = np.arange(m, dtype=float)
+        y = np.arange(n, dtype=float) + m
+        a = m * n - np.arange(n) * m
+        assert 3 * sum(v * (v - m) for v in a.tolist()) > 2**63
+        assert empirical._w2t_from_sorted(x, y) == float(exact_w2t(x, y))
+        rng = np.random.default_rng(m)
+        x = np.sort(rng.integers(0, 50, size=m).astype(float))
+        y = np.sort(rng.integers(10, 60, size=n).astype(float))
+        assert empirical._w2t_from_sorted(x, y) == float(exact_w2t(x, y))
+
+
+def exact_windows(n, seed):
+    """Tied and continuous (rows, n) window pairs; some y rows repeat their x row."""
+    rng = np.random.default_rng(seed)
+    rows = 3 if n > 100 else 8
+    tied = (rng.integers(0, 4, size=(rows, n)) * 1.0, rng.integers(0, 4, size=(rows, n)) * 1.0)
+    smooth = (rng.normal(size=(rows, n)), rng.normal(0.3, 1.0, size=(rows, n)))
+    for xs, ys in (tied, smooth):
+        ys[::3] = rng.permuted(xs[::3], axis=1)
+        yield xs, ys
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 100, 1030])
+class TestKernelsAreCorrectlyRounded:
+    def test_keys(self, n):
+        for xs, ys in exact_windows(n, n + 11):
+            expected = [float(exact_w2t(np.sort(x), np.sort(y))) for x, y in zip(xs, ys)]
+            np.testing.assert_array_equal(empirical._w2t_keys(*rank_keys(xs, ys)), expected)
+
+    def test_row(self, n):
+        for xs, ys in exact_windows(n, n + 13):
+            for x, y in zip(np.sort(xs, axis=1), np.sort(ys, axis=1)):
+                assert empirical._w2t_row(x, y) == float(exact_w2t(x, y))
 
 
 class TestW2TRow:
@@ -241,6 +274,23 @@ class TestWasserstein2:
             ]
             a, b, c = dists
             assert wasserstein2(a, c) <= wasserstein2(a, b) + wasserstein2(b, c) + 1e-9
+
+    def test_finite_at_large_magnitudes(self):
+        # the squared gaps overflow past ~1e154; W2^2 = (1e308 + 4e308) / 2
+        a = build_empirical([0.0, 1e154])
+        b = build_empirical([-1e154])
+        assert wasserstein2(a, b) == pytest.approx(np.sqrt(2.5) * 1e154, rel=1e-15)
+        assert wasserstein2(a, b) == wasserstein2(b, a)
+
+    def test_power_of_two_scaling_is_exact(self):
+        # scaled inputs take the 2**k path and must give the scaled distance
+        rng = np.random.default_rng(23)
+        for k in (400, 600, 1000):
+            a = build_empirical(rng.normal(size=6), weights=rng.random(6) + 0.01)
+            b = build_empirical(rng.normal(size=4), weights=rng.random(4) + 0.01)
+            big_a = EmpiricalDist(np.ldexp(a.support, k), a.weights)
+            big_b = EmpiricalDist(np.ldexp(b.support, k), b.weights)
+            assert wasserstein2(big_a, big_b) == np.ldexp(wasserstein2(a, b), k)
 
     def test_lp_oracle_equivalence(self):
         rng = np.random.default_rng(17)

@@ -14,6 +14,17 @@ class TestDistSpec:
             with pytest.raises(ValueError):
                 DistSpec("normal", 0.0, scale)
 
+    @pytest.mark.parametrize("field", ["location", "scale"])
+    @pytest.mark.parametrize("value", [True, "1", None])
+    def test_rejects_non_real_location_and_scale(self, field, value):
+        # a True location used to run silently at location 1.0
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            DistSpec("normal", **{field: value})
+
+    def test_accepts_numpy_and_integer_values(self):
+        spec = DistSpec("normal", np.float64(0.5), 2)
+        assert (spec.location, spec.scale) == (0.5, 2)
+
 
 class TestSample:
     def test_normal_moments(self):
@@ -101,3 +112,23 @@ class TestGenerate:
     def test_rejects_zero_length_segment(self):
         with pytest.raises(ValueError, match="at least 1"):
             SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 0),), seed=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("length", 30.9), ("length", True), ("length", "30"),
+         ("dimension", 2.0), ("dimension", True), ("seed", 1.5), ("seed", False)],
+    )
+    def test_rejects_non_integer_fields(self, field, value):
+        # a 30.9 length used to make 30 samples
+        length = value if field == "length" else 30
+        options = {field: value} if field != "length" else {}
+        name = "segment length" if field == "length" else field
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SeriesSpec(segments=((DistSpec("normal"), length),), **options)
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = SeriesSpec(
+            segments=((DistSpec("normal"), np.int64(30)),), dimension=np.int32(2), seed=np.uint8(3)
+        )
+        assert spec.segments[0][1] == 30 and type(spec.segments[0][1]) is int
+        assert (type(spec.dimension), type(spec.seed)) == (int, int)

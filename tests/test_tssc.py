@@ -139,6 +139,18 @@ class TestAffinityMatrix:
         result = affinity_matrix([atom_segment(0.0), atom_segment(1000.0)])
         np.testing.assert_array_equal(result.values, np.eye(2))
 
+    def test_large_magnitudes(self):
+        # squared gaps of these atoms overflow unless they are scaled first
+        segments = [
+            Segment(0, 2, (build_empirical([0.0, 1e154]), build_empirical([1.0, 2.0]))),
+            Segment(2, 3, (build_empirical([-1e154]), build_empirical([1e300]))),
+            Segment(3, 5, (build_empirical([-1e300, 1e300]), build_empirical([0.0, 1.0]))),
+        ]
+        np.testing.assert_array_equal(affinity_matrix(segments).values, np.eye(3))
+        # a distance beyond float max overflows to inf, without a warning
+        far = [Segment(0, 1, (build_empirical([s * 1.7e308]),)) for s in (-1, 1)]
+        np.testing.assert_array_equal(affinity_matrix(far).values, np.eye(2))
+
 
 def ragged_segments(seed, dim):
     """Segments of 1 to ~300 tied integer atoms with zero weights.
