@@ -53,8 +53,10 @@ def _fmt(value: float) -> str:
 
 
 def _write_text(path: Path, lines) -> None:
+    """Each of ``lines`` ended by a newline; no lines, an empty file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(f"{line}\n" for line in lines))
+    lines = list(lines)
+    path.write_text("\n".join(lines) + "\n" if lines else "")
 
 
 def _open_buffered(path) -> io.TextIOWrapper:
@@ -528,10 +530,12 @@ def _cmd_cluster(args) -> int:
         for i in range(labeling.labels.size)
     )
     _write_text(out_dir / "segments.csv", segment_lines)
-    per_sample = labeling.per_sample(len(series)).tolist()
-    _write_text(
-        out_dir / "labels.csv", ["t,label", *(f"{t},{label}" for t, label in enumerate(per_sample))]
+    # one join of the "t,label" lines per segment
+    blocks = (
+        f",{label}\n".join(map(str, range(lo, hi))) + f",{label}"
+        for lo, hi, label in zip(bounds[:-1].tolist(), bounds[1:].tolist(), labeling.labels.tolist())
     )
+    _write_text(out_dir / "labels.csv", ["t,label", *blocks])
     print(f"clustered {labeling.labels.size} segments into {k} classes")
     return 0
 

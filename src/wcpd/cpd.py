@@ -229,11 +229,13 @@ def estimate_matched_filter(
     gamma so the taps sum to one.
     """
     beta = _window_size(beta, 2)
+    ensemble_size = _integer(ensemble_size, "ensemble_size")
     if ensemble_size < 1:
         raise ValueError("ensemble size must be at least 1")
     change_pairs = tuple(change_pairs)
     if not change_pairs:
         raise ValueError("at least one change pair is required")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
 

@@ -217,21 +217,39 @@ def _w2_squared_rows(
     sorted runs and puts own ahead of an equal row weight, the order a stable
     sort of the weights gives. The piece ending at merged position p takes
     atom i of x and atom p - i of the row, i counting the own keys ahead of
-    p; both are clipped to the last atom. Summed sequentially in merged
-    order, zero-width pieces (ties, padding) add exactly 0, so the result has
-    the same bits in either argument order and padding.
+    p; both are clipped to the last atom (first and last are scalars or
+    (count, 1) columns). Summed sequentially in merged order, zero-width
+    pieces (ties, padding) add exactly 0, so the result has the same bits in
+    either argument order and padding.
+
+    After the sort the block is laid out merged-position-major, (n + m,
+    count), so the prefix count, the differences and the sum each add whole
+    rows of it at once. An axis-0 ``np.add.reduce`` is then one vector add
+    per merged position: every column is still summed sequentially in merged
+    order. numpy sums a lone contiguous column pairwise instead, so a block
+    of one row takes the last entry of a cumsum, which is sequential.
     """
     count, m = rows.shape
     n = own.size
     merged = np.concatenate((np.broadcast_to(own, (count, n)), rows), axis=1)
     merged[:, n:] |= 1
     merged.sort(axis=1)
-    from_own = (merged & 1) == 0
-    i = np.cumsum(from_own, axis=1) - from_own
-    j = np.minimum(first + (np.arange(n + m) - i), last)
-    gap = x.take(np.minimum(i, n - 1)) - atoms.take(j)
-    du = np.diff(vals.take(merged >> 1), axis=1, prepend=0.0)
-    return np.cumsum(du * gap**2, axis=1)[:, -1]
+    merged = np.ascontiguousarray(merged.T)
+    # i[p]: own keys ahead of merged position p
+    i = np.empty(merged.shape, dtype=np.intp)
+    i[0] = 0
+    np.cumsum((merged[:-1] & 1) == 0, axis=0, out=i[1:])
+    j = np.arange(n + m)[:, None] - i
+    j += np.transpose(first)
+    gap = x.take(i, mode="clip")
+    gap -= atoms.take(np.minimum(j, np.transpose(last), out=j))
+    du = vals.take(merged >> 1)
+    du[1:] -= du[:-1]
+    gap *= gap
+    gap *= du
+    if count == 1:
+        return np.cumsum(gap, axis=0)[-1]
+    return np.add.reduce(gap, axis=0)
 
 
 def _w2t_from_sorted(x: np.ndarray, y: np.ndarray) -> float:

@@ -162,7 +162,8 @@ def affinity_matrix(segments) -> AffinityMatrix:
     once into the integer keys of :func:`wcpd.empirical._weight_keys`.
     Longest first, each segment meets the shorter ones after it in bounded
     blocks of the kernel behind :func:`wcpd.empirical.wasserstein2`, which
-    merges the keys with a plain sort; rows are padded to their longest.
+    merges the keys with a plain sort and sums each pair sequentially in
+    merged order across the whole block; rows are padded to their longest.
     Each dimension's atoms are scaled once by the power of two of
     :func:`wcpd.empirical._scale_exponent`.
     """

@@ -279,6 +279,34 @@ def test_labels_csv_bytes_match_the_row_formatter(small_run, tmp_path):
     assert (tmp_path / "labels.csv").read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("cps, k", [([], 1), ([1, 2, 5, 6], 2), ([3], 2)],
+                         ids=["one-segment", "length-one-segments", "two-segments"])
+def test_cluster_csv_bytes_match_the_row_formatters(configs, tmp_path, cps, k):
+    data = configs["cluster"]["input"]
+    cps_path = tmp_path / "case.cps"
+    cps_path.write_text("".join(f"{cp}\n" for cp in cps))
+    out = tmp_path / "clustered"
+    assert run(["cluster", "--input", data, "--time-column", "t", "--beta", 2, "--k", k,
+                "--change-points", cps_path, "--out-dir", out]) == 0
+
+    series = ingest_csv(data, time_column="t")
+    labeling = cluster_segments(series, cps, K=k, beta=2, seed=0)
+    bounds = [0, *cps, len(series)]
+    segments = "".join(f"{i},{bounds[i]},{bounds[i + 1]},{label}\n"
+                       for i, label in enumerate(labeling.labels.tolist()))
+    per_sample = labeling.per_sample(len(series)).tolist()
+    labels = "".join(f"{t},{label}\n" for t, label in enumerate(per_sample))
+    assert (out / "segments.csv").read_bytes() == f"segment_index,start,end,label\n{segments}".encode()
+    assert (out / "labels.csv").read_bytes() == f"t,label\n{labels}".encode()
+
+
+def test_change_points_txt_is_empty_when_nothing_is_detected(configs, tmp_path):
+    out = tmp_path / "quiet"
+    assert run(["detect", "--input", configs["detect"]["input"], "--time-column", "t",
+                "--beta", 2, "--lambda", 1e300, "--out-dir", out]) == 0
+    assert (out / "change_points.txt").read_bytes() == b""
+
+
 @pytest.fixture()
 def configs(tmp_path):
     data = tmp_path / "seven.csv"

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -270,6 +271,25 @@ class TestEstimateMatchedFilter:
     def test_rejects_non_integer_beta(self, beta):
         with pytest.raises(ValueError, match="beta must be an integer"):
             estimate_matched_filter(beta, ensemble_size=1)
+
+    @pytest.mark.parametrize("field, value", [("ensemble_size", 2.5), ("ensemble_size", "x"),
+                                              ("ensemble_size", True), ("seed", 2.5),
+                                              ("seed", "x"), ("seed", True)])
+    def test_rejects_non_integer_ensemble_size_and_seed(self, monkeypatch, field, value):
+        def refuse(spec):
+            raise AssertionError("a member was simulated")
+
+        monkeypatch.setattr(cpd, "generate", refuse)
+        options = {"ensemble_size": 1, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {value!r}")):
+            estimate_matched_filter(5, **options)
+
+    def test_accepts_numpy_integer_ensemble_size_and_seed(self):
+        filt = estimate_matched_filter(5, ensemble_size=np.int64(3), seed=np.int64(4))
+        assert (filt.ensemble_size, filt.seed) == (3, 4)
+        assert type(filt.ensemble_size) is int and type(filt.seed) is int
+        expected = estimate_matched_filter(5, ensemble_size=3, seed=4)
+        np.testing.assert_array_equal(filt.taps, expected.taps)
 
     @pytest.mark.parametrize("beta", [3.0, 3.5, "3"])
     def test_filter_rejects_non_integer_beta(self, beta):

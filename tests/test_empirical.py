@@ -353,6 +353,70 @@ class TestWasserstein2Properties:
         np.testing.assert_array_equal(np.sqrt(squared), [wasserstein2(a, b) for b in others])
 
 
+def walked_w2_squared(a, b):
+    """Squared W2 from a plain float walk over the merged breakpoints.
+
+    The capped cumulative weights of a and b are merged with a's first on a
+    tie. The piece ending at each breakpoint pairs the atoms of a and b
+    counted before it, each clipped to its last atom, and du * gap**2 is
+    added in merged order.
+    """
+    ua = np.minimum(a.cum_weights, 1.0).tolist()
+    ub = np.minimum(b.cum_weights, 1.0).tolist()
+    x, y = a.support.tolist(), b.support.tolist()
+    n, m = len(x), len(y)
+    total = prev = 0.0
+    i = j = 0
+    while i < n or j < m:
+        gap = x[min(i, n - 1)] - y[min(j, m - 1)]
+        if j == m or (i < n and ua[i] <= ub[j]):
+            u, i = ua[i], i + 1
+        else:
+            u, j = ub[j], j + 1
+        total += (u - prev) * (gap * gap)
+        prev = u
+    return total
+
+
+def random_dist(rng):
+    """Up to 40 atoms: tied integers or spread floats, uniform or with zero weights."""
+    n = int(rng.integers(1, 41))
+    atoms = rng.integers(-3, 4, size=n) if rng.random() < 0.5 else rng.normal(size=n) * 1e3
+    if rng.random() < 0.3:
+        return build_empirical(atoms)
+    weights = rng.integers(0, 4, size=n)
+    weights[rng.integers(n)] = 1
+    return build_empirical(atoms, weights=weights)
+
+
+class TestKernelSummationOrder:
+    # numpy sums a contiguous run pairwise, which gives other bits than the
+    # sequential walk on rows of more than 8 breakpoints
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_block_rows_equal_the_sequential_walk(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(60):
+            a, *others = (random_dist(rng) for _ in range(count + 1))
+            n = len(a)
+            cums = np.concatenate([a.cum_weights, *(b.cum_weights for b in others)])
+            atoms = np.concatenate([a.support, *(b.support for b in others)])
+            vals, keys = empirical._weight_keys(cums)
+            sizes = np.array([len(b) for b in others])
+            last = (n + sizes.cumsum() - 1)[:, None]
+            first = last - sizes[:, None] + 1
+            # each row padded with its last key, two beyond the longest row
+            rows = keys.take(np.minimum(first + np.arange(sizes.max() + 2), last))
+            squared = empirical._w2_squared_rows(vals, keys[:n], a.support, rows, atoms, first, last)
+            assert squared.tolist() == [walked_w2_squared(a, b) for b in others]
+
+    def test_wasserstein2_is_the_root_of_the_walk(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a, b = random_dist(rng), random_dist(rng)
+            assert wasserstein2(a, b) == np.sqrt(walked_w2_squared(a, b))
+
+
 class TestNullConstants:
     def test_defaults(self):
         constants = NullConstants()
