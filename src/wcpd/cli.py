@@ -494,7 +494,10 @@ def _cmd_detect(args) -> int:
     filt = load_filter(filter_path) if filter_path else None
     config = DetectorConfig(beta=beta, lam=lam, filter=filt)
 
-    result = detect(series, config)
+    try:
+        result = detect(series, config)
+    except ValueError as exc:
+        raise ValueError(f"{_resolve(args, config_file, 'input', _text)}: {exc}") from None
     out_dir = Path(_resolve(args, config_file, "out-dir", _text, required=True))
     _write_text(out_dir / "change_points.txt", [str(cp) for cp in result.change_points])
     raw = result.raw.values.tolist()
@@ -520,6 +523,11 @@ def _cmd_cluster(args) -> int:
         series = replace(series, change_points=cps)
     except ValueError as exc:
         raise ValueError(f"{cps_path}: {exc}") from None
+    segments = len(cps) + 1
+    if k > segments:
+        raise ValueError(
+            f"--k {k} exceeds the {segments} segments that the change points in {cps_path} give"
+        )
 
     labeling = cluster_segments(series, series.change_points, K=k, beta=beta, seed=seed)
     out_dir = Path(_resolve(args, config_file, "out-dir", _text, required=True))

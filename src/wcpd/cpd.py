@@ -2,9 +2,10 @@
 
 The change statistic at time t is the two-sample transport statistic between
 the beta samples before t and the beta samples after t (t itself excluded),
-averaged over dimensions. Convolving that trace with a simulation-calibrated
-unit-area filter suppresses spurious maxima; change points are the strict
-local maxima of the filtered trace above a threshold.
+averaged over dimensions: one exact integer divided once, so the offline and
+online paths give the same correctly rounded value. Convolving that trace with
+a simulation-calibrated unit-area filter suppresses spurious maxima; change
+points are the strict local maxima of the filtered trace above a threshold.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .empirical import _CHUNK_ELEMENTS, NULL, _w2t_keys, _w2t_row
+from .empirical import _CHUNK_ELEMENTS, NULL, _rank_keys, _w2t_keys, _w2t_row
 from .errors import NumericalError
 from .series import TimeSeries
 from .simgen import DistSpec, SeriesSpec, _integer, generate
@@ -165,33 +166,35 @@ def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
     """Per-index change statistic over windows of beta samples on each side.
 
     The before window holds X[t-beta..t-1] and the after window X[t+1..t+beta];
-    the sample at t belongs to neither. For d > 1 the per-dimension statistics
-    are averaged. The statistic depends only on the ranks of the pooled
-    samples, so each dimension is ranked once and the windows are read as
-    integer keys (2*rank before, 2*rank + 1 after) that :func:`_w2t_keys`
-    merges with a plain sort; no window is sorted.
+    the sample at t belongs to neither. The statistic depends only on the
+    ranks of the pooled samples, so each dimension is ranked once and the
+    windows are read as integer keys (2*rank before, 2*rank + 1 after) that
+    :func:`_w2t_keys` merges with a plain sort; no window is sorted. The
+    per-dimension integers S are added and the mean S/(6*beta^2*d) is
+    divided once; the summed S stays below 3*beta^3*d, so it converts to
+    float exactly while that is below 2**53.
     """
     beta = _window_size(beta, 1)
     T = len(series)
     if T < 2 * beta + 1:
-        raise ValueError("series too short for window")
+        raise ValueError(
+            f"series too short for window: {T} samples, but beta={beta} "
+            f"needs at least {2 * beta + 1}"
+        )
     valid = T - 2 * beta
-    per_dim = np.empty((valid, series.dim))
+    total = np.zeros(valid, dtype=np.int64)
     step = max(1, _CHUNK_ELEMENTS // beta)
-    # never narrower than 16 bits: numpy sorts 8-bit keys without SIMD
-    key_type = np.promote_types(np.uint16, np.min_scalar_type(2 * T + 1))
-    for dim in range(series.dim):
-        col = series.data[:, dim]
-        keys = np.sort(col).searchsorted(col).astype(key_type) << 1
+    for col in series.data.T:
+        keys = _rank_keys(col)[1]
         # row r is the window starting at sample r: position beta + i reads
         # its before window at row i and its after window at row i + beta + 1
         before = sliding_window_view(keys, beta)
         after = sliding_window_view(keys | 1, beta)
         for lo in range(0, valid, step):
             hi = min(lo + step, valid)
-            per_dim[lo:hi, dim] = _w2t_keys(before[lo:hi], after[lo + beta + 1 : hi + beta + 1])
+            total[lo:hi] += _w2t_keys(before[lo:hi], after[lo + beta + 1 : hi + beta + 1])
     values = np.full(T, np.nan)
-    values[beta : T - beta] = per_dim.mean(axis=1)
+    values[beta : T - beta] = total / (6 * beta * beta * series.dim)
     return StatTrace(values, beta, filtered=False)
 
 
@@ -401,9 +404,8 @@ class OnlineDetector:
         windows.sort()
         dim = len(windows)
         # indexing makes two views per dimension; iterating would make three
-        per_dim = [_w2t_row(windows[i, 0], windows[i, 1]) for i in range(dim)]
-        # for d > 1 the pairwise sum and division of the offline per_dim.mean(axis=1)
-        self._push_sigma(per_dim[0] if dim == 1 else np.add.reduce(per_dim) / dim)
+        total = sum([_w2t_row(windows[i, 0], windows[i, 1]) for i in range(dim)])
+        self._push_sigma(total / (6 * self._beta * self._beta * dim))
         if self._sigma_hi < self._next_t + self._beta - self._slack:
             return None
         return self._filter_next()

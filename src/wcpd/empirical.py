@@ -144,64 +144,64 @@ def _ramp(n: int, step: int, start: int = 0) -> np.ndarray:
     return ramp
 
 
-def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_w2t_from_sorted` over windows given as integer rank keys.
+def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values and the key 2*min-rank of each value, low bit left for a side.
 
-    Each sample v of the pooled series has min-rank rank(v), so v <= w exactly
-    when rank(v) <= rank(w); x's carry the key 2*rank and y's 2*rank + 1. A
-    plain sort of each concatenated (x, y) row of xk and yk, both (R, n), then
-    puts every x ahead of the equal y's and behind the larger ones, and equal
-    keys are equal values, so no stable sort is needed. y_j of row r lands at
-    flat merged position 2*(r*n + j) + d_j, d_j = c_j - j with c_j = #x <= y_j,
-    so one cached ramp gives the d_j. Each row's exact integer
-    S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3 is divided once by 6*n^2; it
-    converts to float exactly below n ~ 1.4e5. The rows need not be sorted.
+    Equal values share a key, v <= w exactly when key(v) <= key(w), and
+    sorted[key >> 1] is the value. Keys are never narrower than 16 bits: numpy
+    sorts 8-bit keys without SIMD.
+    """
+    vals = np.sort(values)
+    key_type = np.promote_types(np.uint16, np.min_scalar_type(2 * values.size + 1))
+    return vals, vals.searchsorted(values).astype(key_type) << 1
+
+
+def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_w2t_from_sorted` over rank-key windows, as the int64 S of S/(6*n^2).
+
+    x's carry the keys of :func:`_rank_keys` over the pooled series, y's the
+    key + 1. A plain sort of each concatenated (x, y) row of xk and yk, both
+    (R, n), then puts every x ahead of the equal y's and behind the larger
+    ones; no stable sort is needed. y_j of row r lands at flat merged position
+    2*(r*n + j) + d_j, d_j = c_j - j with c_j = #x <= y_j, so one cached ramp
+    gives the d_j and S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3, or 0 for equal
+    windows. The rows need not be sorted.
     """
     rows, n = xk.shape
     merged = np.sort(np.concatenate((xk, yk), axis=1), axis=1)
     d = np.flatnonzero((merged & 1) != 0)
     d += _ramp(rows * n, -2)
     d = d.reshape(rows, n)
-    stats = (3 * (d * (d - 1)).sum(axis=1) + n) / (6 * n * n)
+    total = 3 * (d * (d - 1)).sum(axis=1) + n
     # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j) for
     # every j (c_j > j) and the rank sums agree: the per-j rank gaps are then
     # nonnegative and sum to zero. Only the (rare) rows passing the first
     # test are summed.
     cand = np.flatnonzero((d > 0).all(axis=1))
     gap = yk[cand].sum(axis=1, dtype=np.int64) - xk[cand].sum(axis=1, dtype=np.int64)
-    stats[cand[gap == n]] = 0.0
-    return stats
+    total[cand[gap == n]] = 0
+    return total
 
 
-def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> float:
-    """:func:`_w2t_from_sorted` for two sorted windows of n samples each.
+def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> int:
+    """Integer S of :func:`_w2t_keys` for two sorted windows of n samples each.
 
-    One searchsorted counts c_j = #x <= y_j. With d_j = c_j - j the integer
-    S of :func:`_w2t_keys` expands to 3*sum_j c_j*(c_j - 2j - 1) + n^3, one
-    dot with a cached ramp and one fewer numpy call than forming the d_j; it
-    is divided once by 6*n^2, as there.
+    One searchsorted counts c_j = #x <= y_j. With d_j = c_j - j, S expands to
+    3*sum_j c_j*(c_j - 2j - 1) + n^3, one dot with a cached ramp and one
+    fewer numpy call than forming the d_j. Equal windows give 0.
     """
     # see _w2t_from_sorted; equal first samples are the cheap necessary test
     if xs[0] == ys[0] and (xs == ys).all():
-        return 0.0
+        return 0
     n = xs.size
     c = xs.searchsorted(ys, side="right")
-    return (3 * np.dot(c, c - _ramp(n, 2, 1)) + n * n * n) / (6 * n * n)
+    return 3 * np.dot(c, c - _ramp(n, 2, 1)) + n * n * n
 
 
 def _weight_keys(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted cumulative weights and the key 2*rank of each one.
-
-    Capped at 1 (a running sum can round past the pinned top), so each
-    distribution's run stays sorted. rank is the min-rank, so equal weights
-    share a key and vals[key >> 1] is the weight itself; the low bit is left
-    for :func:`_w2_squared_rows` to mark a side. Keys are never narrower than
-    16 bits: numpy sorts 8-bit keys without SIMD.
-    """
-    cum = np.minimum(cum, 1.0)
-    vals = np.sort(cum)
-    key_type = np.promote_types(np.uint16, np.min_scalar_type(2 * cum.size + 1))
-    return vals, vals.searchsorted(cum).astype(key_type) << 1
+    """:func:`_rank_keys` of cumulative weights capped at 1 (a running sum can
+    round past the pinned top), so each distribution's run stays sorted."""
+    return _rank_keys(np.minimum(cum, 1.0))
 
 
 def _w2_squared_rows(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
+from .simgen import _integer
 
 __all__ = ["eigh_symmetric", "kmeans", "hungarian"]
 
@@ -105,11 +106,12 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n = pts.shape[0]
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("cluster count must be at least 1")
     if k > n:
         raise ValueError("more clusters than points")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     best_labels = None
     best_inertia = np.inf
     for _ in range(_KMEANS_RESTARTS):

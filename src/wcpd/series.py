@@ -35,7 +35,10 @@ class TimeSeries:
         object.__setattr__(self, "data", data)
 
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=int)
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu":
+                raise ValueError(f"labels must be integers, not {labels.dtype}")
+            labels = labels.astype(int)
             if labels.shape != (data.shape[0],):
                 raise ValueError("labels must have one entry per sample")
             labels.setflags(write=False)

@@ -23,6 +23,7 @@ from .empirical import (
 )
 from .numeric import eigh_symmetric, kmeans
 from .series import TimeSeries
+from .simgen import _integer
 
 __all__ = [
     "Segment",
@@ -98,18 +99,20 @@ class SegmentLabeling:
     def __post_init__(self):
         cps = np.array(self.change_points, dtype=int)
         labels = np.array(self.labels, dtype=int)
+        K = _integer(self.K, "K")
         if cps.ndim != 1 or labels.ndim != 1:
             raise ValueError("change points and labels must be flat sequences")
         if cps.size and np.any(np.diff(cps) <= 0):
             raise ValueError("change points must be strictly increasing")
         if labels.size != cps.size + 1:
             raise ValueError("need exactly one label per segment")
-        if self.K < 1 or np.any(labels < 0) or np.any(labels >= self.K):
+        if K < 1 or np.any(labels < 0) or np.any(labels >= K):
             raise ValueError("labels must lie in [0, K)")
         cps.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "change_points", cps)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "K", K)
 
     def per_sample(self, total: int) -> np.ndarray:
         """Expand segment labels to one label per sample index in [0, total)."""
@@ -130,7 +133,7 @@ def boundary_weights(length: int, beta: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("empty segment")
-    if beta < 1:
+    if _integer(beta, "beta") < 1:
         raise ValueError("beta must be at least 1")
     positions = np.arange(length, dtype=float)
     edge_distance = np.minimum(positions, length - 1 - positions)
@@ -215,6 +218,7 @@ def spectral_cluster(affinity: AffinityMatrix, K: int, seed: int) -> np.ndarray:
     """
     A = affinity.values
     n = len(affinity)
+    K = _integer(K, "K")
     if not 1 <= K <= n:
         raise ValueError("cluster count must lie between 1 and the segment count")
     inv_sqrt_degree = 1.0 / np.sqrt(A.sum(axis=1))
@@ -232,6 +236,8 @@ def cluster_segments(
     series: TimeSeries, change_points, K: int, beta: int, seed: int
 ) -> SegmentLabeling:
     """Segment the series at the change points and cluster the segments."""
+    K = _integer(K, "K")
+    beta = _integer(beta, "beta")
     cps = np.array(sorted(int(cp) for cp in change_points), dtype=int)
     T = len(series)
     if cps.size and (cps[0] <= 0 or cps[-1] >= T or np.any(np.diff(cps) <= 0)):

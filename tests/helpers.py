@@ -1,12 +1,30 @@
-"""Shared test oracles: LP transport, exhaustive assignment, adjusted Rand."""
+"""Shared test oracles: exact two-sample statistic, LP transport, exhaustive
+assignment, adjusted Rand."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+
+
+def exact_w2t(x, y) -> Fraction:
+    """Two-sample statistic of sorted samples x and y in exact rational arithmetic.
+
+    On (j/n, (j+1)/n] the composed CDF is the constant c_j/m, c_j = #x <= y_j,
+    and each piece of the squared gap integrates to a difference of cubes.
+    """
+    m, n = len(x), len(y)
+    if m == n and np.array_equal(x, y):
+        return Fraction(0)
+    total = Fraction(0)
+    for j, c in enumerate(np.searchsorted(x, y, side="right").tolist()):
+        k = Fraction(c, m)
+        total += (k - Fraction(j, n)) ** 3 - (k - Fraction(j + 1, n)) ** 3
+    return Fraction(m * n, m + n) * total / 3
 
 
 def lp_wasserstein2(a, b) -> float:

@@ -228,6 +228,15 @@ class TestDetect:
         ) == 0
         assert (tmp_path / "out/change_points.txt").read_text() == ""
 
+    def test_short_series_names_file_length_and_beta(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("t,x0\n0,1.0\n1,2.0\n2,3.0\n")
+        code = run(["detect", "--input", tmp_path / "s.csv", "--time-column", "t",
+                    "--beta", 5, "--out-dir", tmp_path / "out"])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert f"{tmp_path / 's.csv'}: " in message
+        assert "3 samples" in message and "beta=5 needs at least 11" in message
+
     def test_huge_threshold_empty_output(self, workspace, tmp_path):
         assert run(
             [
@@ -400,6 +409,17 @@ class TestCluster:
             ]
         )
         assert code == 2
+
+    def test_k_above_segment_count_names_flag_and_file(self, workspace, tmp_path, capsys):
+        (tmp_path / "two.cps").write_text("150\n300\n")
+        code = run(["cluster", "--input", workspace / "data.csv", "--time-column", "t",
+                    "--label-column", "label", "--beta", 30, "--k", 5,
+                    "--change-points", tmp_path / "two.cps", "--out-dir", tmp_path / "c5"])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert "--k 5 exceeds the 3 segments" in message
+        assert str(tmp_path / "two.cps") in message
+        assert not (tmp_path / "c5").exists()
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from wcpd.errors import NumericalError
 from wcpd.metrics import cp_f1
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
+
+from helpers import exact_w2t
 
 
 def make_trace(values, beta, filtered=False):
@@ -108,6 +111,25 @@ class TestSlidingStatistic:
         trace_1d = sliding_statistic(base, beta=30)
         np.testing.assert_array_equal(trace_2d.values, trace_1d.values / 2.0)
 
+    def test_mean_over_dimensions_is_rounded_once(self):
+        # the statistics 1/24, 2/3 and 1/24 average to exactly 1/4; rounding
+        # each one and then their float sum gives 0.24999999999999997
+        data = np.array([
+            [0, 2, 4, 4, 0, 4, 3, 2, 0],
+            [1, 1, 1, 0, 0, 1, 3, 2, 1],
+            [0, 3, 2, 3, 2, 3, 1, 1, 2],
+        ], dtype=float).T
+        per_dim = [
+            exact_w2t(np.sort(data[:4, k]), np.sort(data[5:, k])) for k in range(3)
+        ]
+        assert per_dim == [Fraction(1, 24), Fraction(2, 3), Fraction(1, 24)]
+        assert np.mean([float(v) for v in per_dim]) != 0.25
+        assert sliding_statistic(TimeSeries(data), beta=4).values[4] == 0.25
+        detector = OnlineDetector(DetectorConfig(beta=4))
+        for sample in data:
+            detector.step(sample)
+        assert detector._sigma[4] == 0.25
+
     def test_too_short(self):
         with pytest.raises(ValueError, match="series too short"):
             sliding_statistic(TimeSeries(np.zeros(20)), beta=10)
@@ -133,20 +155,21 @@ class TestSlidingStatistic:
             assert trace.values[t] == _w2t_from_sorted(before, after)
 
 
+def exact_mean(data, t, beta):
+    """Exact mean over dimensions of the statistic at t, independently sorted windows."""
+    dim = data.shape[1]
+    return sum(
+        exact_w2t(np.sort(data[t - beta : t, k]), np.sort(data[t + 1 : t + beta + 1, k]))
+        for k in range(dim)
+    ) / dim
+
+
 def reference_trace(data, beta):
-    """Mean over dimensions of w2t_statistic on independently sorted windows."""
+    """The correctly rounded exact mean over dimensions at every valid index."""
     T = data.shape[0]
     values = np.full(T, np.nan)
     for t in range(beta, T - beta):
-        values[t] = np.mean(
-            [
-                w2t_statistic(
-                    build_empirical(data[t - beta : t, k]),
-                    build_empirical(data[t + 1 : t + beta + 1, k]),
-                )
-                for k in range(data.shape[1])
-            ]
-        )
+        values[t] = float(exact_mean(data, t, beta))
     return values
 
 

@@ -16,7 +16,7 @@ from wcpd.empirical import (
 )
 from wcpd.simgen import DistSpec, sample
 
-from helpers import lp_wasserstein2
+from helpers import exact_w2t, lp_wasserstein2
 
 
 def uniform(values):
@@ -126,18 +126,6 @@ class TestW2TStatistic:
 
 
 
-def exact_w2t(x, y):
-    """_w2t_from_sorted in exact rational arithmetic."""
-    m, n = len(x), len(y)
-    if m == n and np.array_equal(x, y):
-        return Fraction(0)
-    total = Fraction(0)
-    for j, c in enumerate(np.searchsorted(x, y, side="right").tolist()):
-        k = Fraction(c, m)
-        total += (k - Fraction(j, n)) ** 3 - (k - Fraction(j + 1, n)) ** 3
-    return Fraction(m * n, m + n) * total / 3
-
-
 class TestW2TFromSorted:
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (6, 2), (7, 7), (12, 9), (30, 30)])
     def test_matches_exact_arithmetic(self, m, n):
@@ -175,31 +163,37 @@ def exact_windows(n, seed):
         yield xs, ys
 
 
+def statistics(totals, n):
+    """The exact statistics S/(6*n^2) of the int64 row totals of _w2t_keys."""
+    assert totals.dtype == np.int64
+    return [Fraction(s, 6 * n * n) for s in totals.tolist()]
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 12, 100, 1030])
 class TestKernelsAreCorrectlyRounded:
     def test_keys(self, n):
         for xs, ys in exact_windows(n, n + 11):
-            expected = [float(exact_w2t(np.sort(x), np.sort(y))) for x, y in zip(xs, ys)]
-            np.testing.assert_array_equal(empirical._w2t_keys(*rank_keys(xs, ys)), expected)
+            expected = [exact_w2t(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)]
+            assert statistics(empirical._w2t_keys(*rank_keys(xs, ys)), n) == expected
 
     def test_row(self, n):
         for xs, ys in exact_windows(n, n + 13):
             for x, y in zip(np.sort(xs, axis=1), np.sort(ys, axis=1)):
-                assert empirical._w2t_row(x, y) == float(exact_w2t(x, y))
+                assert Fraction(empirical._w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
 
 
 class TestW2TRow:
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     def test_matches_scalar_kernel(self, n):
-        # the piece table is bit-identical to the scalar kernel, ties and
-        # equal rows included (the online step passes one row per dimension)
+        # the integer is exact, ties and equal rows included (the online step
+        # passes one row per dimension)
         rng = np.random.default_rng(n * 101)
         for rows in (1, 3, 20):
             xs = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
             ys = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
             ys[::3] = xs[::3]
             for x, y in zip(xs, ys):
-                assert empirical._w2t_row(x, y) == empirical._w2t_from_sorted(x, y)
+                assert Fraction(empirical._w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
 
 
 def rank_keys(xs, ys):
@@ -207,6 +201,21 @@ def rank_keys(xs, ys):
     pooled = np.concatenate((xs.ravel(), ys.ravel()))
     ranks = np.sort(pooled).searchsorted(pooled).astype(np.uint16) << 1
     return ranks[: xs.size].reshape(xs.shape), (ranks[xs.size :] | 1).reshape(ys.shape)
+
+
+class TestRankKeys:
+    def test_min_rank_keys_index_the_sorted_values(self):
+        # -0.0 and 0.0 are equal values and share a key
+        values = np.array([2.0, -0.0, 5.0, 0.0, 2.0])
+        vals, keys = empirical._rank_keys(values)
+        np.testing.assert_array_equal(keys, [4, 0, 8, 0, 4])
+        np.testing.assert_array_equal(vals[keys >> 1], values)
+
+    def test_keys_widen_past_16_bits(self):
+        # 2*rank + 1 must fit the key type; it is never narrower than 16 bits
+        assert empirical._rank_keys(np.zeros(3))[1].dtype == np.uint16
+        assert empirical._rank_keys(np.zeros((1 << 15) - 1))[1].dtype == np.uint16
+        assert empirical._rank_keys(np.zeros(1 << 15))[1].dtype == np.uint32
 
 
 class TestW2TKeys:
@@ -220,10 +229,8 @@ class TestW2TKeys:
             xs = rng.choice(cells, size=(rows, n))
             ys = rng.choice(cells, size=(rows, n))
             ys[::3] = rng.permuted(xs[::3], axis=1)
-            expected = [
-                empirical._w2t_from_sorted(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)
-            ]
-            np.testing.assert_array_equal(empirical._w2t_keys(*rank_keys(xs, ys)), expected)
+            expected = [exact_w2t(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)]
+            assert statistics(empirical._w2t_keys(*rank_keys(xs, ys)), n) == expected
 
     def test_flatnonzero_reads_a_bool_mask(self, monkeypatch):
         # on the raw key array flatnonzero finds the same positions but runs

@@ -104,6 +104,15 @@ class TestKMeans:
         with pytest.raises(ValueError, match="more clusters than points"):
             kmeans(np.zeros((3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize(
+        "k,seed,message",
+        [(2.0, 0, "k must be an integer"), (True, 0, "k must be an integer"),
+         (2, 0.5, "seed must be an integer")],
+    )
+    def test_rejects_non_integer_k_and_seed(self, k, seed, message):
+        with pytest.raises(ValueError, match=message):
+            kmeans(np.zeros((3, 2)), k, seed)
+
     def test_lloyd_inertia_non_increasing(self, monkeypatch):
         # stop Lloyd after 1, 2, ... iterations: the inertia never rises
         rng = np.random.default_rng(47)

@@ -62,6 +62,11 @@ class TestBoundaryWeights:
         with pytest.raises(ValueError, match="empty segment"):
             boundary_weights(0, beta=3)
 
+    @pytest.mark.parametrize("beta", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be an integer"):
+            boundary_weights(10, beta=beta)
+
 
 class TestSegmentDistribution:
     def test_single_sample(self):
@@ -316,6 +321,12 @@ class TestSpectralCluster:
         with pytest.raises(ValueError):
             spectral_cluster(affinity, K=0, seed=0)
 
+    @pytest.mark.parametrize("K", [2.0, 2.5, True])
+    def test_rejects_non_integer_k(self, K):
+        affinity, _ = planted_affinity([2, 2], np.exp(-2.0))
+        with pytest.raises(ValueError, match="K must be an integer"):
+            spectral_cluster(affinity, K=K, seed=0)
+
     def test_deterministic(self):
         affinity, _ = planted_affinity([4, 4, 4], np.exp(-4.0))
         a = spectral_cluster(affinity, K=3, seed=5)
@@ -374,6 +385,22 @@ class TestClusterSegments:
         with pytest.raises(ValueError):
             cluster_segments(series, [], K=2, beta=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "K,beta,message",
+        [
+            (2, 2.5, "beta must be an integer"),
+            (2, True, "beta must be an integer"),
+            (2.0, 50, "K must be an integer"),
+            (True, 50, "K must be an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("cps", [[], [50, 100, 150]])
+    def test_rejects_non_integer_k_and_beta(self, K, beta, message, cps):
+        # one segment takes a shortcut past the distributions and the clustering
+        series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 200),), seed=5))
+        with pytest.raises(ValueError, match=message):
+            cluster_segments(series, cps, K=K, beta=beta, seed=0)
+
     def test_multidimensional_recovery(self):
         a = DistSpec("normal", 0.0, 1.0)
         b = DistSpec("normal", 4.0, 1.0)
@@ -412,6 +439,11 @@ class TestSegmentLabeling:
     def test_labels_bounded_by_k(self):
         with pytest.raises(ValueError, match=r"\[0, K\)"):
             SegmentLabeling(change_points=[3], labels=[0, 5], K=2)
+
+    def test_rejects_non_integer_k(self):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            SegmentLabeling(change_points=[3], labels=[0, 1], K=2.0)
+        assert type(SegmentLabeling([3], [0, 1], K=np.int64(2)).K) is int
 
     @settings(max_examples=60, deadline=None)
     @given(
