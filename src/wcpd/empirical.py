@@ -66,16 +66,7 @@ class EmpiricalDist:
             raise ValueError("empty distribution")
         if support.shape != weights.shape:
             raise ValueError("support and weights must have equal length")
-        if not np.all(np.isfinite(support)):
-            raise ValueError("non-finite sample")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("non-finite weight")
-        if np.any(weights < 0.0):
-            raise ValueError("negative weight")
-        if support.size > 1 and np.any(np.diff(support) < 0.0):
-            raise ValueError("support must be non-decreasing")
-        if abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to one")
+        _check_runs(support, weights, np.zeros(1, dtype=int))
         support.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "support", support)
@@ -90,6 +81,28 @@ class EmpiricalDist:
         cum[-1] = 1.0  # pin the top so quantile lookups at u = 1 cannot fall off
         cum.setflags(write=False)
         return cum
+
+
+def _check_runs(atoms: np.ndarray, weights: np.ndarray, starts: np.ndarray) -> None:
+    """The checks of :class:`EmpiricalDist` on many distributions at once.
+
+    Along the last axis of atoms and weights, distribution r runs from
+    starts[r] (starts[0] is 0) up to the next start: its atoms must be finite
+    and non-decreasing, its weights nonnegative with a sum within
+    _WEIGHT_SUM_TOL of one, summed sequentially.
+    """
+    if not np.isfinite(atoms).all():
+        raise ValueError("non-finite sample")
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite weight")
+    if (weights < 0.0).any():
+        raise ValueError("negative weight")
+    drops = atoms[..., 1:] < atoms[..., :-1]
+    drops[..., starts[1:] - 1] = False  # a run may start below the one before
+    if drops.any():
+        raise ValueError("support must be non-decreasing")
+    if (abs(np.add.reduceat(weights, starts, axis=-1) - 1.0) > _WEIGHT_SUM_TOL).any():
+        raise ValueError("weights must sum to one")
 
 
 def build_empirical(values, weights=None) -> EmpiricalDist:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .cpd import StatTrace
 from .numeric import _assignment_cost
+from .simgen import _integer
 from .tssc import SegmentLabeling
 
 __all__ = ["cp_f1", "cp_auc", "label_accuracy"]
@@ -27,7 +28,7 @@ def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:
     has precision 1, an empty truth list has recall 1, so two empty lists
     score (1, 1, 1).
     """
-    if delta < 0:
+    if _integer(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
     preds = sorted(int(p) for p in predicted)
     truths = sorted(int(t) for t in truth)
@@ -66,7 +67,7 @@ def cp_auc(filtered_trace: StatTrace, truth, delta: int) -> float:
     that a random positive index carries a strictly larger trace value than a
     random negative one, with ties counting one half.
     """
-    if delta < 0:
+    if _integer(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
     truths = np.asarray(sorted(int(t) for t in truth), dtype=int)
     valid = np.flatnonzero(filtered_trace.valid_mask)
@@ -98,7 +99,7 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     truths = np.asarray(truth_labels, dtype=int)
     if truths.ndim != 1 or truths.size == 0:
         raise ValueError("truth labels must be a nonempty flat sequence")
-    if K < 1:
+    if _integer(K, "K") < 1:
         raise ValueError("K must be at least 1")
     predicted = predicted_labeling.per_sample(truths.size)
     if predicted_labeling.K > K:

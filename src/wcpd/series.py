@@ -9,6 +9,14 @@ import numpy as np
 __all__ = ["TimeSeries"]
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """A new int array of values, refusing floats and bools; empty passes."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, not {array.dtype}")
+    return array.astype(int)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """t-indexed, d-dimensional samples with optional ground truth.
@@ -35,17 +43,14 @@ class TimeSeries:
         object.__setattr__(self, "data", data)
 
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.dtype.kind not in "iu":
-                raise ValueError(f"labels must be integers, not {labels.dtype}")
-            labels = labels.astype(int)
+            labels = _integers(self.labels, "labels")
             if labels.shape != (data.shape[0],):
                 raise ValueError("labels must have one entry per sample")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
 
         if self.change_points is not None:
-            cps = np.array(self.change_points, dtype=int)
+            cps = _integers(self.change_points, "change points")
             if cps.ndim != 1:
                 raise ValueError("change points must be a flat index sequence")
             if cps.size:

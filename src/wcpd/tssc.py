@@ -5,6 +5,14 @@ distributions whose boundary samples are tapered by half-Hamming ramps, so a
 mislocated change point contaminates a segment's distribution only weakly.
 Transport distances between all pairs of them, batched in blocks, feed an
 exp(-W2) affinity matrix that is clustered spectrally.
+
+:func:`cluster_segments` builds no per-segment objects: per dimension, one
+array holds every segment's sorted atoms and another their cumulative
+weights, and the affinity is computed from those. The object-level API stays
+for callers that want single segments: :func:`segment_distribution` returns a
+:class:`Segment` of :class:`~wcpd.empirical.EmpiricalDist`, and
+:func:`affinity_matrix` takes such segments. Both run through the same array
+code, so either route gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,13 +24,13 @@ import numpy as np
 from .empirical import (
     _CHUNK_ELEMENTS,
     EmpiricalDist,
+    _check_runs,
     _scale_exponent,
     _w2_squared_rows,
     _weight_keys,
-    build_empirical,
 )
 from .numeric import eigh_symmetric, kmeans
-from .series import TimeSeries
+from .series import TimeSeries, _integers
 from .simgen import _integer
 
 __all__ = [
@@ -97,8 +105,8 @@ class SegmentLabeling:
     K: int
 
     def __post_init__(self):
-        cps = np.array(self.change_points, dtype=int)
-        labels = np.array(self.labels, dtype=int)
+        cps = _integers(self.change_points, "change points")
+        labels = _integers(self.labels, "labels")
         K = _integer(self.K, "K")
         if cps.ndim != 1 or labels.ndim != 1:
             raise ValueError("change points and labels must be flat sequences")
@@ -145,16 +153,99 @@ def boundary_weights(length: int, beta: int) -> np.ndarray:
     return weights
 
 
+def _sorted_segments(block: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted atoms and their weights for segments of one length.
+
+    The last axis of block holds the samples of one segment in one dimension.
+    Each row gets the bits :func:`wcpd.empirical.build_empirical` gives it
+    under :func:`boundary_weights`: one stable argsort, and weights
+    normalized by their float sum.
+    """
+    order = np.argsort(block, axis=-1, kind="stable")
+    weights = boundary_weights(block.shape[-1], beta)
+    return np.take_along_axis(block, order, axis=-1), (weights / float(weights.sum()))[order]
+
+
+def _segment_arrays(
+    data: np.ndarray, bounds: np.ndarray, beta: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per dimension, every segment's sorted atoms and pinned cumulative weights.
+
+    Segment s holds data[bounds[s]:bounds[s + 1]]. Each result is a (d, N)
+    array over rows bounds[0]..bounds[-1], segments in order; the segments
+    of one length go through :func:`_sorted_segments` together, in all
+    dimensions at once. Cumulative weights run along each segment with the
+    top pinned to 1, as :attr:`EmpiricalDist.cum_weights` does. The checks
+    of :class:`EmpiricalDist` run once on the whole.
+    """
+    columns = np.ascontiguousarray(data[bounds[0] : bounds[-1]].T)
+    starts = bounds[:-1] - bounds[0]
+    sizes = np.diff(bounds)
+    atoms = np.empty_like(columns)
+    weights = np.empty_like(columns)
+    cums = np.empty_like(columns)
+    for size in set(sizes.tolist()):
+        rows = starts[sizes == size, None] + np.arange(size)
+        sorted_atoms, w = _sorted_segments(columns[:, rows], beta)
+        atoms[:, rows] = sorted_atoms
+        weights[:, rows] = w
+        cum = np.cumsum(w, axis=-1)
+        cum[..., -1] = 1.0
+        cums[:, rows] = cum
+    _check_runs(atoms, weights, starts)
+    return atoms, cums
+
+
 def segment_distribution(series: TimeSeries, start: int, end: int, beta: int) -> Segment:
     """Weighted per-dimension distribution of the samples in [start, end)."""
     if not 0 <= start < end <= len(series):
         raise ValueError("empty segment")
-    weights = boundary_weights(end - start, beta)
-    dists = tuple(
-        build_empirical(series.data[start:end, dim], weights)
-        for dim in range(series.dim)
-    )
+    atoms, weights = _sorted_segments(series.data[start:end].T, beta)
+    dists = tuple(EmpiricalDist(a, w) for a, w in zip(atoms, weights))
     return Segment(start=start, end=end, dists=dists)
+
+
+def _affinity(sizes: np.ndarray, cums: np.ndarray, atoms: np.ndarray) -> AffinityMatrix:
+    """:func:`affinity_matrix` of n >= 2 segments of the given sizes, from (d, N) arrays.
+
+    Row t of cums and atoms holds dimension t of every segment in order, as
+    :func:`_segment_arrays` lays them out.
+    """
+    n = sizes.size
+    dim = cums.shape[0]
+    offsets = sizes.cumsum() - sizes
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    # the columns of the segments, longest first
+    gather = np.repeat(offsets[order] - starts, sizes) + np.arange(ends[-1])
+    keyed = []
+    for d in range(dim):
+        vals, keys = _weight_keys(cums[d, gather])
+        row = atoms[d, gather]
+        k = _scale_exponent(row)
+        keyed.append((vals, keys, np.ldexp(row, -k), 2.0**k))
+    total = np.zeros((n, n))
+    for a in range(n - 1):
+        own = slice(starts[a], ends[a])
+        step = max(1, _CHUNK_ELEMENTS // int(sizes[a] + sizes[a + 1]))
+        for lo in range(a + 1, n, step):
+            hi = min(lo + step, n)
+            first = starts[lo:hi, None]
+            last = ends[lo:hi, None] - 1
+            # clipped at each row's end, the gather pads with the row's last key
+            idx = np.minimum(first + np.arange(sizes[lo]), last)
+            for vals, keys, row, scale in keyed:
+                block = keys.take(idx)
+                squared = _w2_squared_rows(vals, keys[own], row[own], block, row, first, last)
+                with np.errstate(over="ignore"):  # W2 past float max: inf, affinity 0
+                    total[a, lo:hi] += np.sqrt(squared) * scale
+    upper = np.triu_indices(n, 1)
+    values = np.ones((n, n))
+    similarity = np.exp(-total[upper] / dim)
+    values[order[upper[0]], order[upper[1]]] = values[order[upper[1]], order[upper[0]]] = similarity
+    return AffinityMatrix(values)
 
 
 def affinity_matrix(segments) -> AffinityMatrix:
@@ -168,45 +259,21 @@ def affinity_matrix(segments) -> AffinityMatrix:
     merges the keys with a plain sort and sums each pair sequentially in
     merged order across the whole block; rows are padded to their longest.
     Each dimension's atoms are scaled once by the power of two of
-    :func:`wcpd.empirical._scale_exponent`.
+    :func:`wcpd.empirical._scale_exponent`. :func:`cluster_segments` runs the
+    same computation on arrays without building the segments.
     """
     segments = list(segments)
-    n = len(segments)
-    if n < 2:
+    if len(segments) < 2:
         raise ValueError("need at least two segments")
     dim = segments[0].dim
     if any(seg.dim != dim for seg in segments):
         raise ValueError("dimension mismatch")
-    order = np.argsort([-len(seg.dists[0]) for seg in segments], kind="stable")
-    sizes = np.array([len(segments[s].dists[0]) for s in order])
-    ends = sizes.cumsum()
-    starts = ends - sizes
-    keyed = []
-    for d in range(dim):
-        vals, keys = _weight_keys(np.concatenate([segments[s].dists[d].cum_weights for s in order]))
-        atoms = np.concatenate([segments[s].dists[d].support for s in order])
-        k = _scale_exponent(atoms)
-        keyed.append((vals, keys, np.ldexp(atoms, -k), 2.0**k))
-    total = np.zeros((n, n))
-    for a in range(n - 1):
-        own = slice(starts[a], ends[a])
-        step = max(1, _CHUNK_ELEMENTS // int(sizes[a] + sizes[a + 1]))
-        for lo in range(a + 1, n, step):
-            hi = min(lo + step, n)
-            first = starts[lo:hi, None]
-            last = ends[lo:hi, None] - 1
-            # clipped at each row's end, the gather pads with the row's last key
-            idx = np.minimum(first + np.arange(sizes[lo]), last)
-            for vals, keys, atoms, scale in keyed:
-                block = keys.take(idx)
-                squared = _w2_squared_rows(vals, keys[own], atoms[own], block, atoms, first, last)
-                with np.errstate(over="ignore"):  # W2 past float max: inf, affinity 0
-                    total[a, lo:hi] += np.sqrt(squared) * scale
-    upper = np.triu_indices(n, 1)
-    values = np.ones((n, n))
-    similarity = np.exp(-total[upper] / dim)
-    values[order[upper[0]], order[upper[1]]] = values[order[upper[1]], order[upper[0]]] = similarity
-    return AffinityMatrix(values)
+    sizes = np.array([len(seg.dists[0]) for seg in segments])
+    cums = np.array([np.concatenate([seg.dists[d].cum_weights for seg in segments])
+                     for d in range(dim)])
+    atoms = np.array([np.concatenate([seg.dists[d].support for seg in segments])
+                      for d in range(dim)])
+    return _affinity(sizes, cums, atoms)
 
 
 def spectral_cluster(affinity: AffinityMatrix, K: int, seed: int) -> np.ndarray:
@@ -238,7 +305,7 @@ def cluster_segments(
     """Segment the series at the change points and cluster the segments."""
     K = _integer(K, "K")
     beta = _integer(beta, "beta")
-    cps = np.array(sorted(int(cp) for cp in change_points), dtype=int)
+    cps = np.sort(_integers(change_points, "change points"))
     T = len(series)
     if cps.size and (cps[0] <= 0 or cps[-1] >= T or np.any(np.diff(cps) <= 0)):
         raise ValueError("change points must be strictly increasing inside (0, T)")
@@ -248,9 +315,6 @@ def cluster_segments(
         if K != 1:
             raise ValueError("cluster count must lie between 1 and the segment count")
         return SegmentLabeling(change_points=cps, labels=np.zeros(1, dtype=int), K=1)
-    segments = [
-        segment_distribution(series, int(bounds[i]), int(bounds[i + 1]), beta)
-        for i in range(n_segments)
-    ]
-    labels = spectral_cluster(affinity_matrix(segments), K, seed)
+    atoms, cums = _segment_arrays(series.data, bounds, beta)
+    labels = spectral_cluster(_affinity(np.diff(bounds), cums, atoms), K, seed)
     return SegmentLabeling(change_points=cps, labels=labels, K=K)

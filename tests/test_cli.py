@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import wcpd
-from wcpd.cli import ingest_csv, main
+from wcpd.cli import build_parser, ingest_csv, main
 
 
 def run(args):
@@ -774,3 +774,36 @@ def test_python_m_wcpd_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: wcpd")
+
+
+def test_one_parser_serves_a_process_like_fresh_ones(tmp_path, capsys):
+    # main reuses one parser per process; a run of commands, errors among
+    # them, must exit and print exactly as one fresh process per command
+    write_spec(tmp_path / "spec.json", THREE_SEGMENTS)
+    (tmp_path / "pred.txt").write_text("150\n300\n")
+    (tmp_path / "truth.txt").write_text("150\n302\n")
+    scores = ["evaluate", "--predicted", tmp_path / "pred.txt", "--truth", tmp_path / "truth.txt"]
+    commands = [
+        ["simulate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "x.csv"],
+        ["cluster", "--beta", "x"],
+        [*scores, "--delta", 1],
+        ["detect", "--input", tmp_path / "missing.csv", "--beta", 5, "--out-dir", tmp_path / "o"],
+        scores,
+        [*scores, "--delta", 2, "--k", 3],
+        ["calibrate-filter", "--beta", 1, "--out", tmp_path / "f.json"],
+    ]
+    in_process = []
+    for argv in commands:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        in_process.append((code, out, err))
+    src = str(Path(wcpd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = []
+    for argv in commands:
+        result = subprocess.run([sys.executable, "-m", "wcpd", *map(str, argv)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        fresh.append((result.returncode, result.stdout, result.stderr))
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 2, 1, 0, 1]
+    assert in_process == fresh
+    assert build_parser() is not build_parser()

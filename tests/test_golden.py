@@ -1,0 +1,70 @@
+"""A seeded CLI round trip whose outputs are pinned byte for byte.
+
+simulate -> calibrate-filter -> detect -> cluster -> evaluate on a small d = 2
+series. The digests were recorded before the clustering stage moved to
+per-dimension arrays, so any change to an output's bytes fails here. Two
+outputs are not pinned: ``trace.csv``, whose filtered column comes from BLAS
+``ddot`` and differs between CPU core types, and the simulated CSV, whose
+``log``/``exp`` rounding differs between numpy's CPU dispatch targets. The
+report scores the raw trace column, which is exact. The digests held under
+five OpenBLAS core types and with numpy's AVX-512 dispatch switched off; a
+machine that disagrees is a finding to report, not a digest to update.
+"""
+
+import hashlib
+import json
+
+from wcpd.cli import main
+
+SEGMENTS = [
+    {"family": "normal", "location": 0, "scale": 1, "length": 90},
+    {"family": "laplace", "location": 2, "scale": 0.7, "length": 60},
+    {"family": "normal", "location": 0, "scale": 3, "length": 110},
+    {"family": "normal", "location": 0, "scale": 1, "length": 35},
+    {"family": "laplace", "location": 2, "scale": 0.7, "length": 120},
+    {"family": "normal", "location": 0, "scale": 3, "length": 80},
+]
+
+GOLDEN = {
+    "data.csv.cps": "d1e5e2c9211387f8e3a51504b8939c25e82403548c375c9e9050700c357cf21e",
+    "data.csv.labels": "64537f31503133ad6d122d149913bb32d8c3f7a894df6fddc139fbdabce00cd9",
+    "filter.json": "e4d851c3983afafb46da4227fbc40d42f2bdfd1b3f944906d6e489b435e70ebb",
+    "change_points.txt": "db92a231cf2a7f80bd0ea2422141db99bb0211b79daf6baade36670ede10bfa2",
+    "segments.csv": "fcf381ecf98f0a446b4aa25b857e6d4c308e5e2da1ba0df248911784ab1ab4c3",
+    "labels.csv": "d6913905b4707d4afb9a2ba7a1bcbf7fd8e5e15f30e9f9871a8a535f733a05e4",
+    "report.txt": "8847827f4bb58a7bac871e64fe691f5917a42a86df302b4f86310dc3febc54a6",
+}
+
+
+def run(*args):
+    assert main([str(a) for a in args]) == 0, args
+
+
+def test_round_trip_outputs_are_pinned(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 11, "dimension": 2, "segments": SEGMENTS}))
+    data = tmp_path / "data.csv"
+    ingest = ["--input", data, "--time-column", "t", "--label-column", "label"]
+    run("simulate", "--spec", spec, "--out", data)
+    run("calibrate-filter", "--beta", 15, "--ensemble", 30, "--seed", 4,
+        "--out", tmp_path / "filter.json")
+    run("detect", *ingest, "--beta", 15, "--filter", tmp_path / "filter.json",
+        "--out-dir", tmp_path / "det")
+    run("cluster", *ingest, "--beta", 15, "--k", 3, "--seed", 2,
+        "--change-points", tmp_path / "det" / "change_points.txt", "--out-dir", tmp_path / "clu")
+    run("evaluate", "--predicted", tmp_path / "det" / "change_points.txt",
+        "--truth", f"{data}.cps", "--delta", 10,
+        "--trace", tmp_path / "det" / "trace.csv", "--trace-column", "raw",
+        "--predicted-labels", tmp_path / "clu" / "labels.csv", "--truth-labels", f"{data}.labels",
+        "--k", 3, "--beta", 15, "--out", tmp_path / "report.txt")
+    paths = {
+        "data.csv.cps": tmp_path / "data.csv.cps",
+        "data.csv.labels": tmp_path / "data.csv.labels",
+        "filter.json": tmp_path / "filter.json",
+        "change_points.txt": tmp_path / "det" / "change_points.txt",
+        "segments.csv": tmp_path / "clu" / "segments.csv",
+        "labels.csv": tmp_path / "clu" / "labels.csv",
+        "report.txt": tmp_path / "report.txt",
+    }
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == GOLDEN

@@ -166,3 +166,25 @@ class TestLabelAccuracy:
         labeling = SegmentLabeling(change_points=[5], labels=[0, 1], K=2)
         with pytest.raises(ValueError, match="more distinct truth labels"):
             label_accuracy(labeling, np.arange(10) % 3, 2)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+class TestIntegerParameters:
+    def test_cp_f1_delta(self, value):
+        with pytest.raises(ValueError, match="delta must be an integer"):
+            cp_f1([2], [2], value)
+
+    def test_cp_auc_delta(self, value):
+        with pytest.raises(ValueError, match="delta must be an integer"):
+            cp_auc(make_trace([0.0, 1.0, 0.0, 0.0]), [3], value)
+
+    def test_label_accuracy_k(self, value):
+        labeling = SegmentLabeling(change_points=[2], labels=[0, 1], K=2)
+        with pytest.raises(ValueError, match="K must be an integer"):
+            label_accuracy(labeling, [0, 0, 1, 1], value)
+
+
+def test_numpy_integer_parameters_are_accepted():
+    labeling = SegmentLabeling(change_points=[2], labels=[0, 1], K=2)
+    assert cp_f1([2], [3], np.int64(1)) == (1.0, 1.0, 1.0)
+    assert label_accuracy(labeling, [0, 0, 1, 1], np.int64(2)) == 1.0

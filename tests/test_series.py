@@ -24,3 +24,20 @@ class TestLabels:
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="one entry per sample"):
             TimeSeries(np.zeros(3), labels=[0, 1])
+
+
+class TestChangePoints:
+    @pytest.mark.parametrize("cps", [[1.5, 3.7], [1.0, 3.0], [True], np.array([2.9])])
+    def test_rejects_non_integer_change_points(self, cps):
+        # np.array(..., dtype=int) would truncate [1.5, 3.7] to [1, 3]
+        with pytest.raises(ValueError, match="change points must be integers"):
+            TimeSeries(np.zeros(5), change_points=cps)
+
+    def test_integer_and_empty_change_points(self):
+        source = np.array([1, 3], dtype=np.uint8)
+        series = TimeSeries(np.zeros(5), change_points=source)
+        assert series.change_points.tolist() == [1, 3]
+        assert series.change_points.dtype == np.dtype(int)
+        assert not series.change_points.flags.writeable
+        assert source.flags.writeable
+        assert TimeSeries(np.zeros(5), change_points=[]).change_points.tolist() == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wcpd import tssc
 from wcpd.cli import _labeling_from_samples
-from wcpd.empirical import build_empirical, wasserstein2
+from wcpd.empirical import _check_runs, build_empirical, wasserstein2
 from wcpd.metrics import label_accuracy
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
@@ -286,6 +286,73 @@ class TestAffinityKernel:
         np.testing.assert_array_equal([values[i, j] for i, j in pairs], expected)
 
 
+@st.composite
+def segmented_series(draw):
+    """A d = 1 or 3 series of 2-7 segments of 1-12 samples with many ties, and a beta
+    up to 6, so segments shorter than 2*beta and of one sample are common."""
+    dim = draw(st.sampled_from([1, 3]))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=7))
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+    data = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                         min_size=sum(sizes), max_size=sum(sizes)))
+    beta = draw(st.integers(1, 6))
+    return TimeSeries(np.array(data)), np.cumsum(sizes)[:-1], beta
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestArrayPath:
+    @settings(max_examples=80, deadline=None)
+    @given(segmented_series(), st.integers(1, 3), st.integers(0, 2**31))
+    def test_equals_object_path(self, case, K, seed):
+        series, cps, beta = case
+        bounds = np.concatenate(([0], cps, [len(series)]))
+        segments = [segment_distribution(series, int(a), int(b), beta)
+                    for a, b in zip(bounds[:-1], bounds[1:])]
+        atoms, cums = tssc._segment_arrays(series.data, bounds, beta)
+        for segment, a, b in zip(segments, bounds[:-1], bounds[1:]):
+            for d, dist in enumerate(segment.dists):
+                # the distribution build_empirical makes from the same samples
+                built = build_empirical(series.data[a:b, d], boundary_weights(b - a, beta))
+                for got, want in ((atoms[d, a:b], built.support), (cums[d, a:b], built.cum_weights),
+                                  (dist.support, built.support), (dist.weights, built.weights)):
+                    np.testing.assert_array_equal(bits(got), bits(want))
+        expected = affinity_matrix(segments)
+        values = tssc._affinity(np.diff(bounds), cums, atoms).values
+        np.testing.assert_array_equal(bits(values), bits(expected.values))
+        K = min(K, len(segments))
+        labeling = cluster_segments(series, cps, K=K, beta=beta, seed=seed)
+        np.testing.assert_array_equal(labeling.labels, spectral_cluster(expected, K, seed))
+
+    def test_checks_run_on_the_arrays(self, monkeypatch):
+        series = TimeSeries(np.arange(12.0))
+        ramps = {
+            "negative weight": lambda size, beta: np.r_[-1.0, np.full(size - 1, 2.0)],
+            "non-finite weight": lambda size, beta: np.r_[np.nan, np.ones(size - 1)],
+        }
+        for message, ramp in ramps.items():
+            monkeypatch.setattr(tssc, "boundary_weights", ramp)
+            with pytest.raises(ValueError, match=message):
+                cluster_segments(series, [5], K=2, beta=2, seed=0)
+
+    def test_run_checks(self):
+        # runs [0, 2), [2, 3) and [3, 5) along the last axis of two rows
+        starts = np.array([0, 2, 3])
+        atoms = [1.0, 2.0, -5.0, 0.0, 0.0]  # each run sorted; a run may start lower
+        weights = [0.5, 0.5, 1.0, 0.25, 0.75]
+        _check_runs(np.array([atoms, atoms]), np.array([weights, weights]), starts)
+        cases = [
+            ("support must be non-decreasing", [1.0, 2.0, -5.0, 1.0, 0.0], weights),
+            ("non-finite sample", [1.0, 2.0, np.nan, 0.0, 0.0], weights),
+            ("weights must sum to one", atoms, [0.5, 0.5, 1.0, 0.25, 0.5]),
+        ]
+        for message, bad_atoms, bad_weights in cases:
+            with pytest.raises(ValueError, match=message):
+                _check_runs(np.array([atoms, bad_atoms]), np.array([weights, bad_weights]), starts)
+
+
 def planted_affinity(sizes, cross):
     n = sum(sizes)
     values = np.full((n, n), cross)
@@ -380,6 +447,13 @@ class TestClusterSegments:
         labeling = cluster_segments(series, series.change_points, K=2, beta=20, seed=0)
         assert label_accuracy(labeling, series.labels, 2) == 1.0
 
+    @pytest.mark.parametrize("cps", [[20.5], [20.0], [True]])
+    def test_rejects_non_integer_change_points(self, cps):
+        # int() would cut 20.5 to 20 and read True as 1
+        series = TimeSeries(np.arange(40.0))
+        with pytest.raises(ValueError, match="change points must be integers"):
+            cluster_segments(series, cps, K=2, beta=5, seed=0)
+
     def test_too_few_segments(self):
         series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 50),), seed=5))
         with pytest.raises(ValueError):
@@ -444,6 +518,16 @@ class TestSegmentLabeling:
         with pytest.raises(ValueError, match="K must be an integer"):
             SegmentLabeling(change_points=[3], labels=[0, 1], K=2.0)
         assert type(SegmentLabeling([3], [0, 1], K=np.int64(2)).K) is int
+
+    @pytest.mark.parametrize(
+        "cps,labels,field",
+        [([2.9], [0, 1], "change points"), ([True], [0, 1], "change points"),
+         ([2], [0.5, 1.9], "labels"), ([2], [1.0, 0.0], "labels"), ([2], [True, False], "labels")],
+    )
+    def test_rejects_non_integer_change_points_and_labels(self, cps, labels, field):
+        # np.array(..., dtype=int) would store [2.9] as [2] and [0.5, 1.9] as [0, 1]
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            SegmentLabeling(change_points=cps, labels=labels, K=2)
 
     @settings(max_examples=60, deadline=None)
     @given(
