@@ -244,11 +244,19 @@ def _read_json(path):
 
 
 def _load_config(path) -> dict:
+    """The config file's object; a key that no command reads is a data error.
+
+    One file may serve detect, cluster and evaluate, so a key that only
+    another of them reads passes.
+    """
     if path is None:
         return {}
     payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = [key for key in payload if key not in _config_keys()]
+    if unknown:
+        raise ValueError(f"{path}: {unknown[0]!r} is not an option of any wcpd command")
     return payload
 
 
@@ -473,7 +481,12 @@ def _cmd_calibrate_filter(args) -> int:
     ensemble = _resolve(args, {}, "ensemble", _at_least(1))
     seed = _resolve(args, {}, "seed", _at_least(0))
     pairs = _load_pairs(args.pairs) if args.pairs else DEFAULT_CHANGE_PAIRS
-    filt = estimate_matched_filter(beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed)
+    try:
+        filt = estimate_matched_filter(
+            beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed
+        )
+    except ValueError as exc:  # the options are checked, so only a custom pair fails
+        raise ValueError(f"{args.pairs}: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(filt, out)
@@ -605,8 +618,9 @@ def _cmd_evaluate(args) -> int:
         f"cp_auc={_fmt(auc)}",
         f"label_accuracy={_fmt(accuracy)}",
     ]
-    if args.out:
-        _write_text(Path(args.out), lines)
+    out = _resolve(args, config_file, "out", _text)
+    if out:
+        _write_text(Path(out), lines)
     else:
         for line in lines:
             print(line)
@@ -673,6 +687,22 @@ def build_parser() -> _Parser:
 def _shared_parser() -> _Parser:
     """One parser per process: parsing leaves no state in it."""
     return build_parser()
+
+
+@functools.cache
+def _config_keys() -> frozenset:
+    """The options, without their dashes, of every command that takes --config."""
+    # argparse lists sub-parsers and their flags only in private attributes
+    parser = _shared_parser()
+    commands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices.values()
+    keys = set()
+    for command in commands:
+        flags = command._option_string_actions
+        if "--config" in flags:
+            keys.update(flag[2:] for flag in flags if flag.startswith("--"))
+    return frozenset(keys - {"config", "help"})
 
 
 def main(argv=None) -> int:

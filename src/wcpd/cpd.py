@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .empirical import _CHUNK_ELEMENTS, NULL, _rank_keys, _w2t_keys, _w2t_row
 from .errors import NumericalError
 from .series import TimeSeries
-from .simgen import DistSpec, SeriesSpec, _integer, generate
+from .simgen import DistSpec, _draw, _integer
 
 __all__ = [
     "StatTrace",
@@ -162,6 +162,34 @@ class DetectionResult:
     filtered: StatTrace | None
 
 
+def _window_sums(keys: np.ndarray, beta: int) -> np.ndarray:
+    """The int64 S of every full window position in each row of rank keys.
+
+    keys is (rows, span), each row keyed by :func:`_rank_keys` on its own;
+    column i of the (rows, span - 2*beta) result is the position beta + i,
+    whose before window is keys[i..i+beta-1] and after window
+    keys[i+beta+1..i+2*beta] (made odd). Chunks of whole rows, or of one
+    row's positions when a row alone is too long, each hold at most
+    _CHUNK_ELEMENTS // beta windows, so temporaries stay flat in input size.
+    """
+    rows, span = keys.shape
+    valid = span - 2 * beta
+    before = sliding_window_view(keys, beta, axis=1)
+    after = sliding_window_view(keys | 1, beta, axis=1)
+    step = max(1, _CHUNK_ELEMENTS // beta)
+    height, width = max(1, step // valid), min(step, valid)
+    sums = np.empty((rows, valid), dtype=np.int64)
+    for r in range(0, rows, height):
+        for lo in range(0, valid, width):
+            hi = min(lo + width, valid)
+            chunk = sums[r : r + height, lo:hi]
+            chunk[...] = _w2t_keys(
+                before[r : r + height, lo:hi].reshape(-1, beta),
+                after[r : r + height, lo + beta + 1 : hi + beta + 1].reshape(-1, beta),
+            ).reshape(chunk.shape)
+    return sums
+
+
 def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
     """Per-index change statistic over windows of beta samples on each side.
 
@@ -181,18 +209,7 @@ def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
             f"series too short for window: {T} samples, but beta={beta} "
             f"needs at least {2 * beta + 1}"
         )
-    valid = T - 2 * beta
-    total = np.zeros(valid, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMENTS // beta)
-    for col in series.data.T:
-        keys = _rank_keys(col)[1]
-        # row r is the window starting at sample r: position beta + i reads
-        # its before window at row i and its after window at row i + beta + 1
-        before = sliding_window_view(keys, beta)
-        after = sliding_window_view(keys | 1, beta)
-        for lo in range(0, valid, step):
-            hi = min(lo + step, valid)
-            total[lo:hi] += _w2t_keys(before[lo:hi], after[lo + beta + 1 : hi + beta + 1])
+    total = _window_sums(_rank_keys(series.data.T)[1], beta).sum(axis=0)
     values = np.full(T, np.nan)
     values[beta : T - beta] = total / (6 * beta * beta * series.dim)
     return StatTrace(values, beta, filtered=False)
@@ -230,6 +247,12 @@ def estimate_matched_filter(
     extreme offsets (the windows there straddle no mixed samples, and a zero
     leading tap keeps the online confirmation delay at 2*beta), and scaled by
     gamma so the taps sum to one.
+
+    The members of a pair are drawn, ranked and scanned in groups of at most
+    _CHUNK_ELEMENTS samples, so memory does not grow with ensemble_size.
+    Each member keeps the streams and the statistic of its own
+    :func:`wcpd.simgen.generate` series, and the rows are summed in member
+    order, so the taps have the bits of a one-member-at-a-time calibration.
     """
     beta = _window_size(beta, 2)
     ensemble_size = _integer(ensemble_size, "ensemble_size")
@@ -238,23 +261,35 @@ def estimate_matched_filter(
     change_pairs = tuple(change_pairs)
     if not change_pairs:
         raise ValueError("at least one change pair is required")
+    if not all(isinstance(spec, DistSpec) for pair in change_pairs for spec in pair):
+        raise ValueError("change pairs must hold DistSpec instances")
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
 
+    group = max(1, _CHUNK_ELEMENTS // (4 * beta + 1))
     accum = np.zeros(2 * beta + 1)
     for pair_index, (before_spec, after_spec) in enumerate(change_pairs):
-        for member in range(ensemble_size):
-            member_series = generate(
-                SeriesSpec(
-                    segments=((before_spec, 2 * beta), (after_spec, 2 * beta + 1)),
-                    dimension=1,
-                    seed=_derive_seed(seed, pair_index, member),
-                )
-            )
-            trace = sliding_statistic(member_series, beta)
-            # change point sits at index 2*beta; offsets -beta..beta are all valid
-            accum += trace.values[beta : 3 * beta + 1]
+        segments = ((before_spec, 2 * beta), (after_spec, 2 * beta + 1))
+        for lo in range(0, ensemble_size, group):
+            seeds = [
+                _derive_seed(seed, pair_index, member)
+                for member in range(lo, min(lo + group, ensemble_size))
+            ]
+            parts = []
+            for segment, (spec, length) in enumerate(segments):
+                # generate's stream of (member seed, segment, dimension 0)
+                try:
+                    parts.append(_draw(spec, length, [[s, segment, 0] for s in seeds]))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"change pair {pair_index}, segment {segment}: {exc}"
+                    ) from None
+            members = np.concatenate(parts, axis=1)
+            # the change sits at index 2*beta, so offsets -beta..beta are a
+            # member's whole valid trace
+            for sums in _window_sums(_rank_keys(members)[1], beta):
+                accum += sums / (6 * beta * beta)
     mean_signature = accum / (len(change_pairs) * ensemble_size)
     taps, gamma = _taps_from_signature(mean_signature)
     return MatchedFilter(

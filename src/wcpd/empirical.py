@@ -160,13 +160,26 @@ def _ramp(n: int, step: int, start: int = 0) -> np.ndarray:
 def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted values and the key 2*min-rank of each value, low bit left for a side.
 
-    Equal values share a key, v <= w exactly when key(v) <= key(w), and
-    sorted[key >> 1] is the value. Keys are never narrower than 16 bits: numpy
-    sorts 8-bit keys without SIMD.
+    Rows along the last axis are ranked apart. Equal values share a key,
+    v <= w exactly when key(v) <= key(w), and sorted[key >> 1] is the value.
+    One argsort gives both: a sorted position keeps twice its index where a
+    run of equal values starts, a running maximum hands that on through the
+    run, and the order scatters it back. Keys are never narrower than 16
+    bits: numpy sorts 8-bit keys without SIMD.
     """
-    vals = np.sort(values)
-    key_type = np.promote_types(np.uint16, np.min_scalar_type(2 * values.size + 1))
-    return vals, vals.searchsorted(values).astype(key_type) << 1
+    n = values.shape[-1]
+    key_type = np.promote_types(np.uint16, np.min_scalar_type(2 * n + 1))
+    # flat indices of each row's sorted order, rows laid end to end
+    order = np.argsort(values, axis=-1)
+    order += np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,))
+    vals = values.reshape(-1)[order]
+    starts = np.ones(vals.shape, dtype=bool)
+    np.not_equal(vals[..., 1:], vals[..., :-1], out=starts[..., 1:])
+    sorted_keys = np.arange(0, 2 * n, 2, dtype=key_type) * starts
+    np.maximum.accumulate(sorted_keys, axis=-1, out=sorted_keys)
+    keys = np.empty(values.shape, dtype=key_type)
+    keys.reshape(-1)[order] = sorted_keys
+    return vals, keys
 
 
 def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:

@@ -13,10 +13,19 @@ import numpy as np
 
 from .cpd import StatTrace
 from .numeric import _assignment_cost
+from .series import _integers
 from .simgen import _integer
 from .tssc import SegmentLabeling
 
 __all__ = ["cp_f1", "cp_auc", "label_accuracy"]
+
+
+def _indices(values, name: str) -> np.ndarray:
+    """values as a flat int array, refusing floats and bools."""
+    array = _integers(values, name)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a flat sequence")
+    return array
 
 
 def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:
@@ -30,8 +39,8 @@ def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:
     """
     if _integer(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
-    preds = sorted(int(p) for p in predicted)
-    truths = sorted(int(t) for t in truth)
+    preds = sorted(_indices(predicted, "predicted change points").tolist())
+    truths = sorted(_indices(truth, "true change points").tolist())
     used = [False] * len(preds)
     matches = 0
     for t in truths:
@@ -69,7 +78,7 @@ def cp_auc(filtered_trace: StatTrace, truth, delta: int) -> float:
     """
     if _integer(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
-    truths = np.asarray(sorted(int(t) for t in truth), dtype=int)
+    truths = np.sort(_indices(truth, "true change points"))
     valid = np.flatnonzero(filtered_trace.valid_mask)
     if truths.size == 0 or valid.size == 0:
         raise ValueError("degenerate AUC")
@@ -96,7 +105,7 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     agreement of the label mapping that maximizes it; the result is invariant
     to any permutation of the predicted ids.
     """
-    truths = np.asarray(truth_labels, dtype=int)
+    truths = _integers(truth_labels, "truth labels")
     if truths.ndim != 1 or truths.size == 0:
         raise ValueError("truth labels must be a nonempty flat sequence")
     if _integer(K, "K") < 1:

@@ -88,26 +88,34 @@ class SeriesSpec:
         object.__setattr__(self, "seed", seed)
 
 
-def _uniforms(n: int, entropy) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    return rng.random(n)
+def _uniforms(n: int, entropies) -> np.ndarray:
+    """n uniforms on [0, 1) per entropy, one row each from its own PCG64 stream."""
+    u = np.empty((len(entropies), n))
+    for row, entropy in zip(u, entropies):
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy))).random(out=row)
+    return u
 
 
-def _draw(spec: DistSpec, n: int, entropy) -> np.ndarray:
-    """n draws of the spec; a ValueError if location and scale overflow float64."""
+def _draw(spec: DistSpec, n: int, entropies) -> np.ndarray:
+    """n draws of the spec per stream entropy, one row each.
+
+    Each row equals the one-stream draw of its entropy: the transforms act
+    elementwise on all rows at once. A ValueError if location and scale
+    overflow float64.
+    """
     if spec.family == "normal":
         pairs = (n + 1) // 2
-        u = _uniforms(2 * pairs, entropy)
-        u1 = 1.0 - u[:pairs]  # maps [0, 1) onto (0, 1] so the log stays finite
-        u2 = u[pairs:]
+        u = _uniforms(2 * pairs, entropies)
+        u1 = 1.0 - u[:, :pairs]  # maps [0, 1) onto (0, 1] so the log stays finite
+        u2 = u[:, pairs:]
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = 2.0 * np.pi * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        z = z[:n]
+        z = np.empty(u.shape)
+        z[:, 0::2] = radius * np.cos(angle)
+        z[:, 1::2] = radius * np.sin(angle)
+        z = z[:, :n]
     else:
-        u = _uniforms(n, entropy)
+        u = _uniforms(n, entropies)
         centered = u - 0.5
         body = np.maximum(1.0 - 2.0 * np.abs(centered), _TINY)
         z = -np.sign(centered) * np.log(body)
@@ -124,7 +132,7 @@ def sample(spec: DistSpec, n: int, seed: int) -> np.ndarray:
         raise ValueError("sample count must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return _draw(spec, n, seed)
+    return _draw(spec, n, [seed])[0]
 
 
 def generate(series_spec: SeriesSpec) -> TimeSeries:
@@ -145,13 +153,12 @@ def generate(series_spec: SeriesSpec) -> TimeSeries:
     for seg_idx, (spec, length) in enumerate(series_spec.segments):
         if spec not in spec_ids:
             spec_ids[spec] = len(spec_ids)
-        for dim in range(d):
-            try:
-                data[offset : offset + length, dim] = _draw(
-                    spec, length, [series_spec.seed, seg_idx, dim]
-                )
-            except ValueError as exc:
-                raise ValueError(f"segment {seg_idx}: {exc}") from None
+        try:
+            data[offset : offset + length] = _draw(
+                spec, length, [[series_spec.seed, seg_idx, dim] for dim in range(d)]
+            ).T
+        except ValueError as exc:
+            raise ValueError(f"segment {seg_idx}: {exc}") from None
         labels[offset : offset + length] = spec_ids[spec]
         offset += length
         if offset < total:

@@ -1,5 +1,6 @@
 """Shared test oracles: exact two-sample statistic, LP transport, exhaustive
-assignment, adjusted Rand."""
+assignment, adjusted Rand, one-stream draws and member-by-member filter
+calibration."""
 
 from __future__ import annotations
 
@@ -9,6 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+
+from wcpd.cpd import _derive_seed, _taps_from_signature, sliding_statistic
+from wcpd.simgen import SeriesSpec, generate
 
 
 def exact_w2t(x, y) -> Fraction:
@@ -81,3 +85,34 @@ def adjusted_rand(labels_a, labels_b) -> float:
     if max_index == expected:
         return 1.0
     return (sum_cells - expected) / (max_index - expected)
+
+
+def one_stream_draw(spec, n, entropy) -> np.ndarray:
+    """n draws of the spec from the one PCG64 stream of entropy, transformed alone."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    if spec.family == "normal":
+        pairs = (n + 1) // 2
+        u = rng.random(2 * pairs)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
+        angle = 2.0 * np.pi * u[pairs:]
+        z = np.empty(2 * pairs)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        z = z[:n]
+    else:
+        centered = rng.random(n) - 0.5
+        z = -np.sign(centered) * np.log(np.maximum(1.0 - 2.0 * np.abs(centered), 2.0**-60))
+    return spec.location + spec.scale * z
+
+
+def member_by_member_filter(beta, ensemble_size, change_pairs, seed):
+    """(taps, gamma) of a calibration that simulates and scans one member at a time."""
+    accum = np.zeros(2 * beta + 1)
+    for pair_index, (before, after) in enumerate(change_pairs):
+        for member in range(ensemble_size):
+            series = generate(SeriesSpec(
+                segments=((before, 2 * beta), (after, 2 * beta + 1)),
+                seed=_derive_seed(seed, pair_index, member),
+            ))
+            accum += sliding_statistic(series, beta).values[beta : 3 * beta + 1]
+    return _taps_from_signature(accum / (len(change_pairs) * ensemble_size))

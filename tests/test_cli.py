@@ -179,6 +179,20 @@ class TestCalibrateFilter:
         assert code == 2
         assert str(tmp_path / "pairs.json") in capsys.readouterr().err
 
+    def test_overflowing_pair_names_file_and_pair(self, tmp_path, capsys):
+        normal = {"family": "normal", "location": 0.0, "scale": 1.0}
+        huge = {"family": "normal", "location": 1e308, "scale": 1e308}
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[normal, normal], [normal, huge]]))
+        argv = ["calibrate-filter", "--beta", 5, "--ensemble", 3, "--pairs", pairs,
+                "--out", tmp_path / "f.json"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: change pair 1, segment 1: "
+            "location and scale overflow to a non-finite sample\n"
+        )
+        assert not (tmp_path / "f.json").exists()
+
     def test_unwritable_out_path(self, workspace):
         code = run(
             [
@@ -763,6 +777,38 @@ def test_config_value_of_wrong_type_names_file_and_key(workspace, tmp_path, caps
             "--truth", workspace / "data.csv.cps"]
     assert run(argv) == 2
     assert f"error: {config}: {key!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "cluster", "evaluate"])
+def test_config_key_no_command_reads_names_file_and_key(workspace, tmp_path, capsys, command):
+    # a misspelt key used to be ignored: {"lamda": 5.0} ran detect with the default threshold
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"beta": 30, "lamda": 5.0}))
+    assert run([command, "--config", config]) == 2
+    assert f"error: {config}: 'lamda' is not an option" in capsys.readouterr().err
+
+
+def test_config_key_of_another_command_is_allowed(workspace, tmp_path):
+    # one config file serves detect, cluster and evaluate
+    shared = {"delta": 50, "k": 3, "seed": 0, "change-points": "cps.txt", "truth": "t.txt",
+              "label-column": "label", "time-column": "t"}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(shared))
+    argv = [arg.format(ws=workspace, tmp=tmp_path) for arg in DETECT]
+    assert run([*argv, "--config", config]) == 0
+    assert run([*argv[:-1], tmp_path / "plain"]) == 0
+    assert (tmp_path / "out/change_points.txt").read_bytes() == (
+        tmp_path / "plain/change_points.txt"
+    ).read_bytes()
+
+
+def test_config_out_key_writes_the_report(workspace, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"delta": 5, "out": str(tmp_path / "report.txt")}))
+    cps = workspace / "data.csv.cps"
+    assert run(["evaluate", "--config", config, "--predicted", cps, "--truth", cps]) == 0
+    assert capsys.readouterr().out == ""
+    assert "cp_f1=1.0\n" in (tmp_path / "report.txt").read_text()
 
 
 def test_python_m_wcpd_runs_the_cli():

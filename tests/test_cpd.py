@@ -29,7 +29,7 @@ from wcpd.metrics import cp_f1
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
 
-from helpers import exact_w2t
+from helpers import exact_w2t, member_by_member_filter
 
 
 def make_trace(values, beta, filtered=False):
@@ -285,6 +285,45 @@ class TestEstimateMatchedFilter:
         filt = estimate_matched_filter(beta=20, ensemble_size=1, change_pairs=pair, seed=2)
         assert abs(int(np.argmax(filt.taps)) - 20) <= 2
 
+    ODD_PAIRS = (
+        (DistSpec("laplace", 0.0, 2.0), DistSpec("normal", 1.0, 0.5)),
+        (DistSpec("normal", 0.0, 1.0), DistSpec("normal", 1e300, 1.0)),
+        (DistSpec("laplace", 3.0, 1e-3), DistSpec("laplace", 3.0, 1e-3)),
+    )
+
+    @pytest.mark.parametrize("beta", [2, 3, 5, 17, 50])
+    @pytest.mark.parametrize("ensemble_size", [1, 2, 7, 41])
+    @pytest.mark.parametrize("pairs", ["default", "odd"])
+    @pytest.mark.parametrize("group", [None, 3])
+    def test_batched_calibration_equals_member_by_member(
+        self, monkeypatch, beta, ensemble_size, pairs, group
+    ):
+        # groups of three members put group boundaries inside a pair
+        if group is not None:
+            monkeypatch.setattr(cpd, "_CHUNK_ELEMENTS", group * (4 * beta + 1) + 1)
+        change_pairs = DEFAULT_CHANGE_PAIRS if pairs == "default" else self.ODD_PAIRS
+        filt = estimate_matched_filter(beta, ensemble_size, change_pairs, seed=beta)
+        taps, gamma = member_by_member_filter(beta, ensemble_size, change_pairs, seed=beta)
+        assert filt.taps.tobytes() == taps.tobytes()
+        assert filt.gamma == gamma
+
+    def test_calibration_memory_does_not_grow_with_the_ensemble(self):
+        # members go through in groups: at these settings a calibration that
+        # holds every member's windows at once peaks near 17.6 MiB, and one
+        # that takes one member at a time near 0.54 MiB
+        estimate_matched_filter(100, 1, seed=0)
+        tracemalloc.start()
+        try:
+            estimate_matched_filter(100, 200, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2**20
+
+    def test_rejects_a_pair_of_non_specs(self):
+        with pytest.raises(ValueError, match="DistSpec instances"):
+            estimate_matched_filter(5, 1, [(DistSpec("normal"), "normal")])
+
     def test_deterministic(self):
         a = estimate_matched_filter(beta=10, ensemble_size=5, seed=4)
         b = estimate_matched_filter(beta=10, ensemble_size=5, seed=4)
@@ -299,10 +338,10 @@ class TestEstimateMatchedFilter:
                                               ("ensemble_size", True), ("seed", 2.5),
                                               ("seed", "x"), ("seed", True)])
     def test_rejects_non_integer_ensemble_size_and_seed(self, monkeypatch, field, value):
-        def refuse(spec):
+        def refuse(spec, n, entropies):
             raise AssertionError("a member was simulated")
 
-        monkeypatch.setattr(cpd, "generate", refuse)
+        monkeypatch.setattr(cpd, "_draw", refuse)
         options = {"ensemble_size": 1, "seed": 0, field: value}
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {value!r}")):
             estimate_matched_filter(5, **options)

@@ -14,7 +14,13 @@ machine that disagrees is a finding to report, not a digest to update.
 import hashlib
 import json
 
+import numpy as np
+import pytest
+
 from wcpd.cli import main
+from wcpd.simgen import DistSpec
+
+from helpers import one_stream_draw
 
 SEGMENTS = [
     {"family": "normal", "location": 0, "scale": 1, "length": 90},
@@ -68,3 +74,34 @@ def test_round_trip_outputs_are_pinned(tmp_path):
     }
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == GOLDEN
+
+
+# filter.json at the bench's settings (ensemble 50, seed 0), recorded while
+# calibration still simulated and scanned one member at a time
+BENCH_FILTERS = {
+    50: "c29b72f7f7cf70f658e423fe64b3909a13c26d430418385c73d019a8fe50a1da",
+    100: "5d3c0a9bb3366fdb70f6df5107bfc0670acded845d54516d8fb96e77473d51c9",
+}
+
+
+@pytest.mark.parametrize("beta", sorted(BENCH_FILTERS))
+def test_bench_filters_are_pinned(tmp_path, beta):
+    out = tmp_path / "filter.json"
+    run("calibrate-filter", "--beta", beta, "--ensemble", 50, "--seed", 0, "--out", out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_FILTERS[beta]
+
+
+def test_simulated_csv_is_one_stream_per_segment_and_dimension(tmp_path):
+    # the CSV is not pinned (see above), so it is rebuilt here from the
+    # one-stream draw of each (seed, segment, dimension)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 11, "dimension": 2, "segments": SEGMENTS}))
+    run("simulate", "--spec", spec, "--out", tmp_path / "data.csv")
+    columns = np.concatenate([
+        np.stack([one_stream_draw(DistSpec(seg["family"], seg["location"], seg["scale"]),
+                                  seg["length"], [11, index, dim]) for dim in range(2)], axis=1)
+        for index, seg in enumerate(SEGMENTS)
+    ])
+    labels = (tmp_path / "data.csv.labels").read_text().split()
+    rows = [f"{t},{x!r},{y!r},{label}" for t, ((x, y), label) in enumerate(zip(columns.tolist(), labels))]
+    assert (tmp_path / "data.csv").read_text() == "\n".join(["t,x0,x1,label", *rows]) + "\n"

@@ -188,3 +188,33 @@ def test_numpy_integer_parameters_are_accepted():
     labeling = SegmentLabeling(change_points=[2], labels=[0, 1], K=2)
     assert cp_f1([2], [3], np.int64(1)) == (1.0, 1.0, 1.0)
     assert label_accuracy(labeling, [0, 0, 1, 1], np.int64(2)) == 1.0
+
+
+class TestIntegerInputs:
+    """Change points and truth labels are refused, not truncated, when not integers."""
+
+    @pytest.mark.parametrize("predicted, truth", [([2.9], [2]), ([True], [1]), ([2], [2.0]),
+                                                  ([2], [False])])
+    def test_cp_f1(self, predicted, truth):
+        with pytest.raises(ValueError, match="change points must be integers"):
+            cp_f1(predicted, truth, 0)
+
+    @pytest.mark.parametrize("truth", [[1.7], [True]])
+    def test_cp_auc(self, truth):
+        with pytest.raises(ValueError, match="true change points must be integers"):
+            cp_auc(make_trace([0.0, 1.0, 0.0, 0.0]), truth, 0)
+
+    @pytest.mark.parametrize("truth", [[0.7, 1.2], [False, True]])
+    def test_label_accuracy(self, truth):
+        labeling = SegmentLabeling(change_points=[1], labels=[0, 1], K=2)
+        with pytest.raises(ValueError, match="truth labels must be integers"):
+            label_accuracy(labeling, truth, 2)
+
+    def test_nested_change_points(self):
+        with pytest.raises(ValueError, match="must be a flat sequence"):
+            cp_f1([[2, 3]], [2], 0)
+
+    def test_integer_arrays_score_as_lists(self):
+        assert cp_f1(np.array([3, 9], dtype=np.uint16), np.array([2], dtype=np.int32), 1) == (
+            cp_f1([3, 9], [2], 1)
+        )

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wcpd.simgen import DistSpec, SeriesSpec, generate, sample
+from wcpd.simgen import DistSpec, SeriesSpec, _draw, generate, sample
+
+from helpers import one_stream_draw
 
 
 class TestDistSpec:
@@ -132,3 +136,35 @@ class TestGenerate:
         )
         assert spec.segments[0][1] == 30 and type(spec.segments[0][1]) is int
         assert (type(spec.dimension), type(spec.seed)) == (int, int)
+
+
+class TestBatchedDraw:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["normal", "laplace"]),
+        location=st.floats(-1e3, 1e3),
+        scale=st.floats(1e-3, 1e3),
+        n=st.integers(1, 1001),
+        entropies=st.lists(
+            st.one_of(st.integers(0, 2**70), st.lists(st.integers(0, 2**64), min_size=1,
+                                                     max_size=3)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_each_row_is_its_one_stream_draw(self, family, location, scale, n, entropies):
+        spec = DistSpec(family, location, scale)
+        rows = _draw(spec, n, entropies)
+        assert rows.shape == (len(entropies), n)
+        for row, entropy in zip(rows, entropies):
+            assert row.tobytes() == one_stream_draw(spec, n, entropy).tobytes()
+
+    def test_sample_is_the_one_row_case(self):
+        spec = DistSpec("normal", 1.0, 2.0)
+        assert sample(spec, 9, 4).tobytes() == one_stream_draw(spec, 9, 4).tobytes()
+
+    def test_generate_draws_stream_seed_segment_dimension(self):
+        spec = DistSpec("laplace", 0.5, 1.5)
+        series = generate(SeriesSpec(((DistSpec("normal"), 4), (spec, 7)), dimension=3, seed=8))
+        for dim in range(3):
+            expected = one_stream_draw(spec, 7, [8, 1, dim])
+            assert series.data[4:, dim].tobytes() == expected.tobytes()
