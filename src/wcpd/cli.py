@@ -18,6 +18,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -254,32 +255,39 @@ def _load_config(path) -> dict:
     payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = [key for key in payload if key not in _config_keys()]
+    unknown = [key for key in payload if key not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"{path}: {unknown[0]!r} is not an option of any wcpd command")
     return payload
 
 
-def _resolve(args, config: dict, name: str, convert, default=None, required=False):
-    """A flag's value, else the config file's, else ``default``.
+def _options(args):
+    """``read(name)``: a command option from its flag, else the config file, else its default.
 
-    ``convert`` checks and converts the first two: a value it rejects is a
-    usage error from a flag and a data error naming the file and key from the
-    config file.
+    An option is resolved when the command reads it, so an input error met
+    before (an unreadable series, say) wins over a bad option read after.
+    The row's converter checks flags and config values alike: a value it
+    rejects is a usage error from a flag and a data error naming the file and
+    key from the config file.
     """
-    value = getattr(args, name.replace("-", "_"), None)
-    where, error = f"--{name}", _UsageError
-    if value is None:
-        value = config.get(name)
-        where, error = f"{args.config}: {name!r}", ValueError
-    if value is None:
-        if required:
-            raise _UsageError(f"missing required option --{name}")
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{where}: {exc}") from None
+    path = getattr(args, "config", None)
+    config = _load_config(path)
+    rows = {row.name: row for row in _OPTIONS if args.command in row.commands}
+
+    def read(name: str):
+        value, where, error = getattr(args, name.replace("-", "_")), f"--{name}", _UsageError
+        if value is None:
+            value, where, error = config.get(name), f"{path}: {name!r}", ValueError
+        if value is None:
+            if rows[name].default is _REQUIRED:
+                raise _UsageError(f"missing required option --{name}")
+            return rows[name].default
+        try:
+            return rows[name].convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{where}: {exc}") from None
+
+    return read
 
 
 def _one_char(value) -> str:
@@ -310,8 +318,7 @@ def _at_least(low: int):
     """A converter to an integer no smaller than ``low``."""
 
     def convert(value) -> int:
-        value = _integer(value)
-        if value < low:
+        if _integer(value) < low:
             raise ValueError(f"must be at least {low}, not {value}")
         return value
 
@@ -338,6 +345,66 @@ def _column_names(value) -> list:
     if isinstance(value, list) and all(isinstance(name, str) for name in value):
         return value
     raise ValueError(f"must be a comma-separated string or a list of strings, not {value!r}")
+
+
+_REQUIRED = object()  # a default the flag or the config file must override
+
+
+class _Option(NamedTuple):
+    """A flag of ``commands``; for detect, cluster and evaluate also a config key."""
+
+    name: str
+    commands: tuple
+    parse: type  # argparse's type for the flag; bool makes a switch
+    convert: Callable  # checks and converts the flag's or the config file's value
+    default: object
+    help: str
+
+
+_SIM, _CAL, _DET, _CLU, _EVAL = (
+    ("simulate",), ("calibrate-filter",), ("detect",), ("cluster",), ("evaluate",)
+)
+_INGEST = _DET + _CLU
+_CONFIGURED = _DET + _CLU + _EVAL
+_OPTIONS = (
+    _Option("spec", _SIM, str, _text, _REQUIRED, "JSON series spec"),
+    _Option("out", _SIM, str, _text, _REQUIRED, "output CSV path"),
+    _Option("truth-out", _SIM, str, _text, None, "change point sidecar (default <out>.cps)"),
+    _Option("labels-out", _SIM, str, _text, None, "label sidecar (default <out>.labels)"),
+    _Option("beta", _CAL, int, _at_least(2), 50, "window size"),
+    _Option("ensemble", _CAL, int, _at_least(1), 200, "simulated sequences per change pair"),
+    _Option("pairs", _CAL, str, _text, None, "JSON list of [before, after] distribution pairs"),
+    _Option("out", _CAL, str, _text, _REQUIRED, "filter file path"),
+    _Option("config", _CONFIGURED, str, _text, None, "JSON config; flags override its values"),
+    _Option("input", _INGEST, str, _text, _REQUIRED, "delimited series file with a header row"),
+    _Option("value-columns", _INGEST, str, _column_names, None, "comma-separated value columns"),
+    _Option("label-column", _INGEST, str, _text, None, "ground-truth label column name"),
+    _Option("time-column", _INGEST, str, _text, None, "column to ignore as a time axis"),
+    _Option("delimiter", _INGEST, str, _one_char, ",", "field delimiter (default ',')"),
+    _Option("difference", _INGEST, bool, _boolean, False, "first-difference the values"),
+    _Option("beta", _DET, int, _at_least(2), _REQUIRED, "window size"),
+    _Option("lambda", _DET, float, _number, NULL.reject_threshold_05, "detection threshold"),
+    _Option("filter", _DET, str, _text, None, "matched filter file from calibrate-filter"),
+    _Option("out-dir", _DET, str, _text, _REQUIRED, "directory for change_points.txt, trace.csv"),
+    _Option("beta", _CLU, int, _at_least(1), _REQUIRED, "window size"),
+    _Option("k", _CLU, int, _at_least(1), _REQUIRED, "number of clusters"),
+    _Option("seed", _CAL + _CLU, int, _at_least(0), 0, "random seed"),
+    _Option("change-points", _CLU, str, _text, _REQUIRED, "file of change point indices"),
+    _Option("out-dir", _CLU, str, _text, _REQUIRED, "directory for segments.csv, labels.csv"),
+    _Option("predicted", _EVAL, str, _text, _REQUIRED, "file of predicted change point indices"),
+    _Option("truth", _EVAL, str, _text, _REQUIRED, "file of true change point indices"),
+    _Option("delta", _EVAL, int, _at_least(0), _REQUIRED, "matching margin in samples"),
+    _Option("trace", _EVAL, str, _text, None, "trace.csv from detect, enables AUC"),
+    _Option("trace-column", _EVAL, str, _trace_column, "filtered", "raw or filtered (default)"),
+    _Option("predicted-labels", _EVAL, str, _text, None, "labels.csv from cluster"),
+    _Option("truth-labels", _EVAL, str, _text, None, "file of true labels, one per line"),
+    _Option("k", _EVAL, int, _at_least(1), None, "number of clusters, to score labels"),
+    _Option("beta", _EVAL, int, _at_least(1), None, "window size, for the report"),
+    _Option("lambda", _EVAL, float, _number, None, "detection threshold, for the report"),
+    _Option("out", _EVAL, str, _text, None, "report path (default stdout)"),
+)
+# one config file may serve every command that takes one, so it takes any of their options
+_CONFIG_KEYS = frozenset(o.name for o in _OPTIONS if set(_CONFIGURED) & set(o.commands)) - {"config"}
 
 
 def _spec_value(entry: dict, key: str, convert, default=None):
@@ -425,69 +492,43 @@ def _labeling_from_samples(sample_labels: np.ndarray, K: int) -> SegmentLabeling
     return SegmentLabeling(change_points=changes, labels=labels, K=K)
 
 
-def _add_ingest_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="delimited series file (header row required)")
-    parser.add_argument("--value-columns", help="comma-separated value column names")
-    parser.add_argument("--label-column", help="ground-truth label column name")
-    parser.add_argument("--time-column", help="column to ignore as a time axis")
-    parser.add_argument("--delimiter", help="field delimiter (default ',')")
-    parser.add_argument(
-        "--difference",
-        action="store_true",
-        default=None,
-        help="first-difference the values before processing",
-    )
+def _ingest(opt) -> TimeSeries:
+    path = opt("input")
+    keys = ("value-columns", "label-column", "time-column", "delimiter", "difference")
+    return ingest_csv(path, **{key.replace("-", "_"): opt(key) for key in keys})
 
 
-def _ingest_from_args(args, config: dict) -> TimeSeries:
-    return ingest_csv(
-        _resolve(args, config, "input", _text, required=True),
-        value_columns=_resolve(args, config, "value-columns", _column_names),
-        label_column=_resolve(args, config, "label-column", _text),
-        time_column=_resolve(args, config, "time-column", _text),
-        delimiter=_resolve(args, config, "delimiter", _one_char, default=","),
-        difference=_resolve(args, config, "difference", _boolean, default=False),
-    )
-
-
-def _cmd_simulate(args) -> int:
-    spec = _load_series_spec(args.spec)
+def _cmd_simulate(opt) -> int:
+    spec_path, out = opt("spec"), Path(opt("out"))
+    spec = _load_series_spec(spec_path)
     try:
         series = generate(spec)
     except ValueError as exc:
-        raise ValueError(f"{args.spec}: {exc}") from None
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+        raise ValueError(f"{spec_path}: {exc}") from None
 
     labels = series.labels.tolist()
     header = "t," + ",".join(f"x{d}" for d in range(series.dim)) + ",label"
     rows = (",".join([str(t), *map(repr, values), str(label)])
             for t, (values, label) in enumerate(zip(series.data.tolist(), labels)))
     _write_text(out, [header, *rows])
-
-    cps_path = Path(args.truth_out) if args.truth_out else out.with_suffix(out.suffix + ".cps")
-    _write_text(cps_path, map(str, series.change_points.tolist()))
-    labels_path = (
-        Path(args.labels_out) if args.labels_out else out.with_suffix(out.suffix + ".labels")
-    )
-    _write_text(labels_path, map(str, labels))
+    _write_text(Path(opt("truth-out") or out.with_suffix(out.suffix + ".cps")),
+                map(str, series.change_points.tolist()))
+    _write_text(Path(opt("labels-out") or out.with_suffix(out.suffix + ".labels")),
+                map(str, labels))
     print(f"wrote {out} ({len(series)} samples, {series.change_points.size} change points)")
     return 0
 
 
-def _cmd_calibrate_filter(args) -> int:
-    # no config file here: every option has a default, so only flags are read
-    beta = _resolve(args, {}, "beta", _at_least(2))
-    ensemble = _resolve(args, {}, "ensemble", _at_least(1))
-    seed = _resolve(args, {}, "seed", _at_least(0))
-    pairs = _load_pairs(args.pairs) if args.pairs else DEFAULT_CHANGE_PAIRS
+def _cmd_calibrate_filter(opt) -> int:
+    beta, ensemble, seed, pairs_path = opt("beta"), opt("ensemble"), opt("seed"), opt("pairs")
+    out = Path(opt("out"))
+    pairs = _load_pairs(pairs_path) if pairs_path else DEFAULT_CHANGE_PAIRS
     try:
         filt = estimate_matched_filter(
             beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed
         )
     except ValueError as exc:  # the options are checked, so only a custom pair fails
-        raise ValueError(f"{args.pairs}: {exc}") from None
-    out = Path(args.out)
+        raise ValueError(f"{pairs_path}: {exc}") from None
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(filt, out)
     peak_offset = int(np.argmax(filt.taps)) - filt.beta
@@ -499,20 +540,17 @@ def _cmd_calibrate_filter(args) -> int:
     return 0
 
 
-def _cmd_detect(args) -> int:
-    config_file = _load_config(args.config)
-    series = _ingest_from_args(args, config_file)
-    beta = _resolve(args, config_file, "beta", _at_least(2), required=True)
-    lam = _resolve(args, config_file, "lambda", _number, default=NULL.reject_threshold_05)
-    filter_path = _resolve(args, config_file, "filter", _text)
+def _cmd_detect(opt) -> int:
+    series = _ingest(opt)
+    beta, lam, filter_path = opt("beta"), opt("lambda"), opt("filter")
     filt = load_filter(filter_path) if filter_path else None
     config = DetectorConfig(beta=beta, lam=lam, filter=filt)
+    out_dir = Path(opt("out-dir"))
 
     try:
         result = detect(series, config)
     except ValueError as exc:
-        raise ValueError(f"{_resolve(args, config_file, 'input', _text)}: {exc}") from None
-    out_dir = Path(_resolve(args, config_file, "out-dir", _text, required=True))
+        raise ValueError(f"{opt('input')}: {exc}") from None
     _write_text(out_dir / "change_points.txt", [str(cp) for cp in result.change_points])
     raw = result.raw.values.tolist()
     filtered = [np.nan] * len(raw) if result.filtered is None else result.filtered.values.tolist()
@@ -525,13 +563,9 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_cluster(args) -> int:
-    config_file = _load_config(args.config)
-    series = _ingest_from_args(args, config_file)
-    beta = _resolve(args, config_file, "beta", _at_least(1), required=True)
-    k = _resolve(args, config_file, "k", _at_least(1), required=True)
-    seed = _resolve(args, config_file, "seed", _at_least(0), default=0)
-    cps_path = _resolve(args, config_file, "change-points", _text, required=True)
+def _cmd_cluster(opt) -> int:
+    series = _ingest(opt)
+    beta, k, seed, cps_path = opt("beta"), opt("k"), opt("seed"), opt("change-points")
     cps = sorted(_read_indices(cps_path))
     try:  # TimeSeries checks the change points against the series length
         series = replace(series, change_points=cps)
@@ -542,9 +576,9 @@ def _cmd_cluster(args) -> int:
         raise ValueError(
             f"--k {k} exceeds the {segments} segments that the change points in {cps_path} give"
         )
+    out_dir = Path(opt("out-dir"))
 
     labeling = cluster_segments(series, series.change_points, K=k, beta=beta, seed=seed)
-    out_dir = Path(_resolve(args, config_file, "out-dir", _text, required=True))
     bounds = np.concatenate(([0], labeling.change_points, [len(series)]))
     segment_lines = ["segment_index,start,end,label"]
     segment_lines.extend(
@@ -562,17 +596,15 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    config_file = _load_config(args.config)
-    delta = _resolve(args, config_file, "delta", _at_least(0), required=True)
-    predicted = _read_indices(_resolve(args, config_file, "predicted", _text, required=True))
-    truth = _read_indices(_resolve(args, config_file, "truth", _text, required=True))
+def _cmd_evaluate(opt) -> int:
+    delta = opt("delta")
+    predicted = _read_indices(opt("predicted"))
+    truth = _read_indices(opt("truth"))
     precision, recall, f1 = cp_f1(predicted, truth, delta)
 
     auc = float("nan")
-    trace_path = _resolve(args, config_file, "trace", _text)
+    trace_path, column = opt("trace"), opt("trace-column")
     if trace_path:
-        column = _resolve(args, config_file, "trace-column", _trace_column, default="filtered")
         values = _read_column(trace_path, 1 if column == "raw" else 2, float, "trace")
         if values.size == 0 or np.all(np.isnan(values)):
             raise ValueError(f"{trace_path}: trace column {column!r} contains no values")
@@ -584,9 +616,7 @@ def _cmd_evaluate(args) -> int:
         auc = cp_auc(trace, truth, delta)
 
     accuracy = float("nan")
-    k = _resolve(args, config_file, "k", _at_least(1))
-    predicted_labels = _resolve(args, config_file, "predicted-labels", _text)
-    truth_labels = _resolve(args, config_file, "truth-labels", _text)
+    k, predicted_labels, truth_labels = opt("k"), opt("predicted-labels"), opt("truth-labels")
     if predicted_labels and truth_labels:
         if k is None:
             raise _UsageError("--k is required to score labels")
@@ -605,8 +635,7 @@ def _cmd_evaluate(args) -> int:
             raise ValueError(f"{predicted_labels}: {exc}") from None
         accuracy = label_accuracy(labeling, truth_ids, k)
 
-    beta = _resolve(args, config_file, "beta", _integer)
-    lam = _resolve(args, config_file, "lambda", _number)
+    beta, lam = opt("beta"), opt("lambda")
     lines = [
         f"k={k if k is not None else 'none'}",
         f"beta={beta if beta is not None else 'none'}",
@@ -618,7 +647,7 @@ def _cmd_evaluate(args) -> int:
         f"cp_auc={_fmt(auc)}",
         f"label_accuracy={_fmt(accuracy)}",
     ]
-    out = _resolve(args, config_file, "out", _text)
+    out = opt("out")
     if out:
         _write_text(Path(out), lines)
     else:
@@ -627,59 +656,25 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "generate a synthetic series from a spec file"),
+    "calibrate-filter": (_cmd_calibrate_filter, "estimate and save a matched filter"),
+    "detect": (_cmd_detect, "run change point detection on a series"),
+    "cluster": (_cmd_cluster, "cluster the segments between change points"),
+    "evaluate": (_cmd_evaluate, "score predictions against ground truth"),
+}
+
+
 def build_parser() -> _Parser:
+    """A fresh parser: one sub-parser per command, one flag per row of ``_OPTIONS``."""
     parser = _Parser(prog="wcpd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic series from a spec file")
-    p_sim.add_argument("--spec", required=True, help="JSON series spec")
-    p_sim.add_argument("--out", required=True, help="output CSV path")
-    p_sim.add_argument("--truth-out", help="change point sidecar (default <out>.cps)")
-    p_sim.add_argument("--labels-out", help="per-sample label sidecar (default <out>.labels)")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_cal = sub.add_parser("calibrate-filter", help="estimate and save a matched filter")
-    p_cal.add_argument("--beta", type=int, default=50)
-    p_cal.add_argument("--ensemble", type=int, default=200)
-    p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.add_argument("--pairs", help="JSON list of [before, after] distribution pairs")
-    p_cal.add_argument("--out", required=True, help="filter file path")
-    p_cal.set_defaults(func=_cmd_calibrate_filter)
-
-    p_det = sub.add_parser("detect", help="run change point detection on a series")
-    p_det.add_argument("--config", help="JSON config; flags override its values")
-    _add_ingest_options(p_det)
-    p_det.add_argument("--beta", type=int)
-    p_det.add_argument("--lambda", type=float, help="detection threshold")
-    p_det.add_argument("--filter", help="matched filter file from calibrate-filter")
-    p_det.add_argument("--out-dir", help="directory for change_points.txt and trace.csv")
-    p_det.set_defaults(func=_cmd_detect)
-
-    p_clu = sub.add_parser("cluster", help="cluster the segments between change points")
-    p_clu.add_argument("--config", help="JSON config; flags override its values")
-    _add_ingest_options(p_clu)
-    p_clu.add_argument("--beta", type=int)
-    p_clu.add_argument("--k", type=int)
-    p_clu.add_argument("--seed", type=int)
-    p_clu.add_argument("--change-points", help="file of change point indices, one per line")
-    p_clu.add_argument("--out-dir", help="directory for segments.csv and labels.csv")
-    p_clu.set_defaults(func=_cmd_cluster)
-
-    p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
-    p_eval.add_argument("--config", help="JSON config; flags override its values")
-    p_eval.add_argument("--predicted", help="file of predicted change point indices")
-    p_eval.add_argument("--truth", help="file of true change point indices")
-    p_eval.add_argument("--delta", type=int, help="matching margin in samples")
-    p_eval.add_argument("--trace", help="trace.csv from detect, enables AUC")
-    p_eval.add_argument("--trace-column", choices=("raw", "filtered"))
-    p_eval.add_argument("--predicted-labels", help="labels.csv from cluster")
-    p_eval.add_argument("--truth-labels", help="file of true labels, one per line")
-    p_eval.add_argument("--k", type=int)
-    p_eval.add_argument("--beta", type=int)
-    p_eval.add_argument("--lambda", type=float)
-    p_eval.add_argument("--out", help="report path (default stdout)")
-    p_eval.set_defaults(func=_cmd_evaluate)
-
+    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    for row in _OPTIONS:
+        kind = ({"action": "store_true", "default": None} if row.parse is bool
+                else {"type": row.parse})
+        for command in row.commands:
+            commands[command].add_argument(f"--{row.name}", help=row.help, **kind)
     return parser
 
 
@@ -689,26 +684,12 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-@functools.cache
-def _config_keys() -> frozenset:
-    """The options, without their dashes, of every command that takes --config."""
-    # argparse lists sub-parsers and their flags only in private attributes
-    parser = _shared_parser()
-    commands = next(
-        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
-    ).choices.values()
-    keys = set()
-    for command in commands:
-        flags = command._option_string_actions
-        if "--config" in flags:
-            keys.update(flag[2:] for flag in flags if flag.startswith("--"))
-    return frozenset(keys - {"config", "help"})
-
-
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](_options(args))
+    except SystemExit as exc:  # argparse exits only once it has printed --help
+        return exc.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

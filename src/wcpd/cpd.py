@@ -55,14 +55,6 @@ FILTER_VERSION = 1
 _UNIT_AREA_TOL = 1e-9
 
 
-def _window_size(beta, least: int) -> int:
-    """beta as a Python int, refusing non-integers and values below least."""
-    size = _integer(beta, "beta")
-    if size < least:
-        raise ValueError(f"beta must be at least {least}")
-    return size
-
-
 @dataclass(frozen=True)
 class StatTrace:
     """Per-index change statistic; warm-up entries are flagged with NaN.
@@ -79,7 +71,7 @@ class StatTrace:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("trace values must be a nonempty flat array")
-        beta = _window_size(self.beta, 1)
+        beta = _integer(self.beta, "beta", 1)
         head = values[:beta]
         tail = values[values.size - beta :]
         if not (np.isnan(head).all() and np.isnan(tail).all()):
@@ -110,7 +102,7 @@ class MatchedFilter:
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=float)
-        beta = _window_size(self.beta, 1)
+        beta = _integer(self.beta, "beta", 1)
         if taps.ndim != 1 or taps.size != 2 * beta + 1:
             raise ValueError("taps must cover offsets -beta..beta")
         if not np.all(np.isfinite(taps)):
@@ -123,14 +115,8 @@ class MatchedFilter:
         real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
         if not (real and math.isfinite(gamma) and gamma > 0.0):
             raise ValueError(f"gamma must be a finite positive number, not {gamma!r}")
-        ensemble_size = _integer(self.ensemble_size, "ensemble size")
-        if ensemble_size < 1:
-            raise ValueError("ensemble size must be at least 1")
-        seed = self.seed
-        if seed is not None:
-            seed = _integer(seed, "seed")
-            if seed < 0:
-                raise ValueError("seed must be nonnegative")
+        ensemble_size = _integer(self.ensemble_size, "ensemble size", 1)
+        seed = None if self.seed is None else _integer(self.seed, "seed", 0)
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "beta", beta)
@@ -148,9 +134,11 @@ class DetectorConfig:
     filter: MatchedFilter | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _window_size(self.beta, 2))
-        if not isinstance(self.lam, numbers.Real) or not math.isfinite(self.lam):
-            raise ValueError(f"lam must be a finite real number, not {self.lam!r}")
+        object.__setattr__(self, "beta", _integer(self.beta, "beta", 2))
+        lam = self.lam
+        real = isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+        if not (real and math.isfinite(lam)):
+            raise ValueError(f"lam must be a finite real number, not {lam!r}")
         if self.filter is not None and self.filter.beta != self.beta:
             raise ValueError("filter window size does not match beta")
 
@@ -202,7 +190,7 @@ def sliding_statistic(series: TimeSeries, beta: int) -> StatTrace:
     divided once; the summed S stays below 3*beta^3*d, so it converts to
     float exactly while that is below 2**53.
     """
-    beta = _window_size(beta, 1)
+    beta = _integer(beta, "beta", 1)
     T = len(series)
     if T < 2 * beta + 1:
         raise ValueError(
@@ -254,18 +242,14 @@ def estimate_matched_filter(
     :func:`wcpd.simgen.generate` series, and the rows are summed in member
     order, so the taps have the bits of a one-member-at-a-time calibration.
     """
-    beta = _window_size(beta, 2)
-    ensemble_size = _integer(ensemble_size, "ensemble_size")
-    if ensemble_size < 1:
-        raise ValueError("ensemble size must be at least 1")
+    beta = _integer(beta, "beta", 2)
+    ensemble_size = _integer(ensemble_size, "ensemble_size", 1)
     change_pairs = tuple(change_pairs)
     if not change_pairs:
         raise ValueError("at least one change pair is required")
     if not all(isinstance(spec, DistSpec) for pair in change_pairs for spec in pair):
         raise ValueError("change pairs must hold DistSpec instances")
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = _integer(seed, "seed", 0)
 
     group = max(1, _CHUNK_ELEMENTS // (4 * beta + 1))
     accum = np.zeros(2 * beta + 1)

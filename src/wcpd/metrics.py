@@ -37,8 +37,7 @@ def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:
     has precision 1, an empty truth list has recall 1, so two empty lists
     score (1, 1, 1).
     """
-    if _integer(delta, "delta") < 0:
-        raise ValueError("delta must be nonnegative")
+    _integer(delta, "delta", 0)
     preds = sorted(_indices(predicted, "predicted change points").tolist())
     truths = sorted(_indices(truth, "true change points").tolist())
     used = [False] * len(preds)
@@ -76,8 +75,7 @@ def cp_auc(filtered_trace: StatTrace, truth, delta: int) -> float:
     that a random positive index carries a strictly larger trace value than a
     random negative one, with ties counting one half.
     """
-    if _integer(delta, "delta") < 0:
-        raise ValueError("delta must be nonnegative")
+    _integer(delta, "delta", 0)
     truths = np.sort(_indices(truth, "true change points"))
     valid = np.flatnonzero(filtered_trace.valid_mask)
     if truths.size == 0 or valid.size == 0:
@@ -108,8 +106,7 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     truths = _integers(truth_labels, "truth labels")
     if truths.ndim != 1 or truths.size == 0:
         raise ValueError("truth labels must be a nonempty flat sequence")
-    if _integer(K, "K") < 1:
-        raise ValueError("K must be at least 1")
+    _integer(K, "K", 1)
     predicted = predicted_labeling.per_sample(truths.size)
     if predicted_labeling.K > K:
         raise ValueError("predicted labeling uses more than K clusters")

@@ -106,12 +106,10 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     n = pts.shape[0]
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError("cluster count must be at least 1")
+    k = _integer(k, "k", 1)
     if k > n:
         raise ValueError("more clusters than points")
-    rng = np.random.default_rng(_integer(seed, "seed"))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     best_labels = None
     best_inertia = np.inf
     for _ in range(_KMEANS_RESTARTS):

@@ -23,14 +23,17 @@ FAMILIES = ("normal", "laplace")
 _TINY = 2.0 ** -60  # floor for log arguments when a uniform lands on 0
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int, refusing bools and non-integers."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, not {value!r}")
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as a Python int, refusing bools, non-integers and values below least."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'nonnegative' if least == 0 else f'at least {least}'}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,21 +71,14 @@ class SeriesSpec:
 
     def __post_init__(self):
         segments = tuple(
-            (spec, _integer(length, "segment length")) for spec, length in self.segments
+            (spec, _integer(length, "segment length", 1)) for spec, length in self.segments
         )
-        dimension = _integer(self.dimension, "dimension")
-        seed = _integer(self.seed, "seed")
+        dimension = _integer(self.dimension, "dimension", 1)
+        seed = _integer(self.seed, "seed", 0)
         if not segments:
             raise ValueError("series spec needs at least one segment")
-        for spec, length in segments:
-            if not isinstance(spec, DistSpec):
-                raise ValueError("segment specs must be DistSpec instances")
-            if length < 1:
-                raise ValueError("segment lengths must be at least 1")
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not all(isinstance(spec, DistSpec) for spec, _ in segments):
+            raise ValueError("segment specs must be DistSpec instances")
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "seed", seed)
@@ -128,11 +124,8 @@ def _draw(spec: DistSpec, n: int, entropies) -> np.ndarray:
 
 def sample(spec: DistSpec, n: int, seed: int) -> np.ndarray:
     """Draw n IID values from the spec, deterministically for a given seed."""
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    return _draw(spec, n, [seed])[0]
+    n = _integer(n, "sample count", 1)
+    return _draw(spec, n, [_integer(seed, "seed", 0)])[0]
 
 
 def generate(series_spec: SeriesSpec) -> TimeSeries:

@@ -141,8 +141,7 @@ def boundary_weights(length: int, beta: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("empty segment")
-    if _integer(beta, "beta") < 1:
-        raise ValueError("beta must be at least 1")
+    _integer(beta, "beta", 1)
     positions = np.arange(length, dtype=float)
     edge_distance = np.minimum(positions, length - 1 - positions)
     weights = np.ones(length)
@@ -304,7 +303,8 @@ def cluster_segments(
 ) -> SegmentLabeling:
     """Segment the series at the change points and cluster the segments."""
     K = _integer(K, "K")
-    beta = _integer(beta, "beta")
+    beta = _integer(beta, "beta", 1)
+    seed = _integer(seed, "seed", 0)
     cps = np.sort(_integers(change_points, "change points"))
     T = len(series)
     if cps.size and (cps[0] <= 0 or cps[-1] >= T or np.any(np.diff(cps) <= 0)):

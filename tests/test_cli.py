@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import wcpd
+from wcpd import cli
 from wcpd.cli import build_parser, ingest_csv, main
 
 
@@ -853,3 +855,51 @@ def test_one_parser_serves_a_process_like_fresh_ones(tmp_path, capsys):
     assert [code for code, _, _ in in_process] == [0, 1, 0, 2, 1, 0, 1]
     assert in_process == fresh
     assert build_parser() is not build_parser()
+
+
+# each command's flags, as they were before one table declared them all
+FLAGS = {
+    "simulate": {"spec", "out", "truth-out", "labels-out"},
+    "calibrate-filter": {"beta", "ensemble", "seed", "pairs", "out"},
+    "detect": {"config", "input", "value-columns", "label-column", "time-column", "delimiter",
+               "difference", "beta", "lambda", "filter", "out-dir"},
+    "cluster": {"config", "input", "value-columns", "label-column", "time-column", "delimiter",
+                "difference", "beta", "k", "seed", "change-points", "out-dir"},
+    "evaluate": {"config", "predicted", "truth", "delta", "trace", "trace-column",
+                 "predicted-labels", "truth-labels", "k", "beta", "lambda", "out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_returns_zero_and_lists_every_flag(capsys, command):
+    # main used to let argparse's SystemExit(0) through to in-process callers
+    assert main([command, "--help"]) == 0
+    assert set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) == FLAGS[command] | {"help"}
+    assert {option.name for option in cli._OPTIONS if command in option.commands} == FLAGS[command]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("wcpd ")]
+    assert [shlex.split(line)[1] for line in lines] == [
+        "simulate", "calibrate-filter", "detect", "cluster", "evaluate"
+    ]
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+@pytest.mark.parametrize(
+    "work,argv",
+    [("detect", DETECT[:-2]),
+     ("cluster_segments", ["cluster", "--input", "{ws}/data.csv", "--time-column", "t",
+                           "--beta", "30", "--k", "2", "--change-points", "{ws}/data.csv.cps"])],
+)
+def test_missing_out_dir_is_reported_before_the_work(workspace, capsys, monkeypatch, work, argv):
+    # the whole detection or clustering used to run before this usage error
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, refuse)
+    assert run([arg.format(ws=workspace) for arg in argv]) == 1
+    assert "usage error: missing required option --out-dir" in capsys.readouterr().err

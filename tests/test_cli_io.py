@@ -416,6 +416,7 @@ def test_non_finite_lambda_names_flag_or_file_and_key(configs, tmp_path, capsys,
         ("cluster", "seed", -1, 0),
         ("evaluate", "delta", -1, 0),
         ("evaluate", "k", 0, 1),
+        ("evaluate", "beta", -7, 1),  # used to be written into the report
     ],
 )
 def test_integer_below_its_bound_names_flag_or_file_and_key(configs, tmp_path, capsys,
@@ -436,6 +437,14 @@ def test_calibrate_option_below_its_bound_is_a_usage_error(tmp_path, capsys, key
     assert run(["calibrate-filter", f"--{key}", value, "--out", out]) == 1
     assert f"usage error: --{key}: must be at least {low}, not {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_trace_column_flag_is_checked_by_its_converter(configs, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(configs["evaluate"]))
+    assert run(["evaluate", "--config", config, "--trace-column", "bogus"]) == 1
+    assert ("usage error: --trace-column: must be 'raw' or 'filtered', not 'bogus'"
+            in capsys.readouterr().err)
 
 
 def test_cluster_k_above_segment_count_stays_a_data_error(configs, tmp_path, capsys):

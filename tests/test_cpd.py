@@ -489,7 +489,7 @@ class TestDetect:
         with pytest.raises(ValueError, match="beta must be an integer"):
             DetectorConfig(beta=beta)
 
-    @pytest.mark.parametrize("lam", ["0.4", None])
+    @pytest.mark.parametrize("lam", ["0.4", None, True, False])  # True used to run as 1.0
     def test_config_rejects_non_real_lam(self, lam):
         with pytest.raises(ValueError, match="lam must be a finite real number"):
             DetectorConfig(beta=3, lam=lam)

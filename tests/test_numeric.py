@@ -107,7 +107,8 @@ class TestKMeans:
     @pytest.mark.parametrize(
         "k,seed,message",
         [(2.0, 0, "k must be an integer"), (True, 0, "k must be an integer"),
-         (2, 0.5, "seed must be an integer")],
+         (2, 0.5, "seed must be an integer"), (0, 0, "k must be at least 1"),
+         (2, -1, "seed must be nonnegative")],  # -1 used to fail in numpy, naming no seed
     )
     def test_rejects_non_integer_k_and_seed(self, k, seed, message):
         with pytest.raises(ValueError, match=message):

@@ -138,6 +138,26 @@ class TestGenerate:
         assert (type(spec.dimension), type(spec.seed)) == (int, int)
 
 
+class TestSample:
+    @pytest.mark.parametrize(
+        "n,seed,message",
+        [(2.5, 0, "sample count must be an integer, not 2.5"),
+         (True, 0, "sample count must be an integer, not True"),
+         (0, 0, "sample count must be at least 1"),
+         (3, 1.5, "seed must be an integer, not 1.5"),
+         (3, True, "seed must be an integer, not True"),
+         (3, -1, "seed must be nonnegative")],
+    )
+    def test_rejects_bad_count_and_seed(self, n, seed, message):
+        # 2.5 and 1.5 used to raise a bare TypeError, and True ran as 1
+        with pytest.raises(ValueError, match=message):
+            sample(DistSpec("normal"), n, seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = DistSpec("laplace")
+        assert sample(spec, np.int64(5), np.uint8(2)).tobytes() == sample(spec, 5, 2).tobytes()
+
+
 class TestBatchedDraw:
     @settings(max_examples=60, deadline=None)
     @given(

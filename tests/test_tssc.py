@@ -466,6 +466,7 @@ class TestClusterSegments:
             (2, True, "beta must be an integer"),
             (2.0, 50, "K must be an integer"),
             (True, 50, "K must be an integer"),
+            (1, 0, "beta must be at least 1"),  # one segment used to take any beta
         ],
     )
     @pytest.mark.parametrize("cps", [[], [50, 100, 150]])
@@ -474,6 +475,12 @@ class TestClusterSegments:
         series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 200),), seed=5))
         with pytest.raises(ValueError, match=message):
             cluster_segments(series, cps, K=K, beta=beta, seed=0)
+
+    @pytest.mark.parametrize("cps", [[], [50, 100, 150]])
+    def test_rejects_negative_seed(self, cps):
+        series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 200),), seed=5))
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            cluster_segments(series, cps, K=1, beta=10, seed=-1)
 
     def test_multidimensional_recovery(self):
         a = DistSpec("normal", 0.0, 1.0)
