@@ -617,7 +617,10 @@ def _cmd_evaluate(opt) -> int:
 
     accuracy = float("nan")
     k, predicted_labels, truth_labels = opt("k"), opt("predicted-labels"), opt("truth-labels")
-    if predicted_labels and truth_labels:
+    if bool(predicted_labels) != bool(truth_labels):
+        missing = "truth-labels" if predicted_labels else "predicted-labels"
+        raise _UsageError(f"--{missing} is required to score labels")
+    if predicted_labels:
         if k is None:
             raise _UsageError("--k is required to score labels")
         sample_labels = _read_column(predicted_labels, 1, int, "label")

@@ -3,9 +3,9 @@
 The change statistic at time t is the two-sample transport statistic between
 the beta samples before t and the beta samples after t (t itself excluded),
 averaged over dimensions: one exact integer divided once, so the offline and
-online paths give the same correctly rounded value. Convolving that trace with
-a simulation-calibrated unit-area filter suppresses spurious maxima; change
-points are the strict local maxima of the filtered trace above a threshold.
+online paths give the same correctly rounded value. A tap-order correlation
+with a simulation-calibrated unit-area filter suppresses spurious maxima;
+change points are the filtered trace's strict local maxima above a threshold.
 """
 
 from __future__ import annotations
@@ -288,10 +288,12 @@ def estimate_matched_filter(
 
 
 def apply_filter(trace: StatTrace, filt: MatchedFilter) -> StatTrace:
-    """Same-length convolution of the trace with the filter taps.
+    """Same-length correlation of the trace with the filter, summed in tap order.
 
-    Warm-up entries feeding a window are padded with the null mean 0.166, the
-    statistic's resting level, so edges do not fabricate peaks.
+    out[t] = sum_k taps[k] * sigma[t - k] over offsets k in -beta..beta, one
+    multiply-add of the whole trace per tap, so every CPU and the online twin
+    round each sum alike. Warm-up entries feeding a window are padded with the
+    null mean 0.166, so edges do not fabricate peaks.
     """
     if trace.filtered:
         raise ValueError("trace is already filtered")
@@ -301,8 +303,10 @@ def apply_filter(trace: StatTrace, filt: MatchedFilter) -> StatTrace:
     beta = trace.beta
     padded = np.where(np.isnan(trace.values), NULL.null_mean, trace.values)
     out = np.full(T, np.nan)
-    # out[t] = sum_k taps[k] * sigma[t - k] over offsets k in -beta..beta
-    out[beta : T - beta] = np.correlate(padded, filt.taps[::-1], "valid")
+    acc = out[beta : T - beta]
+    acc[...] = 0.0
+    for k, tap in enumerate(filt.taps[::-1].tolist()):
+        acc += tap * padded[k : k + acc.size]
     return StatTrace(out, beta, filtered=True)
 
 
@@ -318,12 +322,8 @@ def detect_peaks(trace: StatTrace, lam: float) -> list[int]:
 def detect(series: TimeSeries, config: DetectorConfig) -> DetectionResult:
     """Full offline pass: statistic, optional filtering, peak extraction."""
     raw = sliding_statistic(series, config.beta)
-    if config.filter is not None:
-        filtered = apply_filter(raw, config.filter)
-        peaks = detect_peaks(filtered, config.lam)
-    else:
-        filtered = None
-        peaks = detect_peaks(raw, config.lam)
+    filtered = None if config.filter is None else apply_filter(raw, config.filter)
+    peaks = detect_peaks(raw if filtered is None else filtered, config.lam)
     return DetectionResult(change_points=peaks, raw=raw, filtered=filtered)
 
 
@@ -349,6 +349,7 @@ class OnlineDetector:
             taps = np.zeros(2 * beta + 1)
             taps[beta] = 1.0  # identity: peaks come straight from the raw trace
         self._rev = taps[::-1].copy()
+        self._products = np.empty(2 * beta + 1)  # _filter_next's scratch
         # filtered[t] is final once every nonzero tap sees a real statistic;
         # a zero leading tap lets it in one sample before sigma[t + beta],
         # whose ring slot then still holds an older finite statistic
@@ -384,10 +385,9 @@ class OnlineDetector:
         t = self._next_t
         self._next_t += 1
         lo = (t - self._beta) % self._span
-        # np.correlate, as in apply_filter: for short filters numpy sums in
-        # its own loop rather than BLAS, and the two round differently
-        window = self._sigma[lo : lo + self._span]
-        right = float(np.correlate(window, self._rev, "valid")[0])
+        # the tap-order sum of apply_filter: accumulate adds sequentially
+        products = np.multiply(self._sigma[lo : lo + self._span], self._rev, out=self._products)
+        right = float(np.add.accumulate(products, out=products)[-1])
         left, mid = self._last_two
         self._last_two = (mid, right)
         if mid > left and mid > right and mid > self._config.lam:

@@ -9,6 +9,8 @@ with the assignment solver before counting per-sample agreement.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from .cpd import StatTrace
@@ -33,28 +35,21 @@ def cp_f1(predicted, truth, delta: int) -> tuple[float, float, float]:
 
     True change points are matched greedily in increasing order, each to the
     nearest unmatched prediction within delta (earlier prediction on a
-    distance tie). Conventions for degenerate inputs: an empty prediction list
-    has precision 1, an empty truth list has recall 1, so two empty lists
-    score (1, 1, 1).
+    distance tie); bisection on the sorted predictions finds the ones within
+    delta. Conventions for degenerate inputs: an empty prediction list has
+    precision 1, an empty truth list has recall 1, so two empty lists score
+    (1, 1, 1).
     """
     _integer(delta, "delta", 0)
     preds = sorted(_indices(predicted, "predicted change points").tolist())
     truths = sorted(_indices(truth, "true change points").tolist())
     used = [False] * len(preds)
-    matches = 0
     for t in truths:
-        best = None  # (distance, position)
-        for pos, p in enumerate(preds):
-            if used[pos]:
-                continue
-            distance = abs(p - t)
-            if distance > delta:
-                continue
-            if best is None or distance < best[0]:
-                best = (distance, pos)
-        if best is not None:
-            used[best[1]] = True
-            matches += 1
+        lo, hi = bisect_left(preds, t - delta), bisect_right(preds, t + delta)
+        free = [pos for pos in range(lo, hi) if not used[pos]]
+        if free:  # min keeps the first, so the earlier, of equally near predictions
+            used[min(free, key=lambda pos: abs(preds[pos] - t))] = True
+    matches = sum(used)
     precision = 1.0 if not preds else matches / len(preds)
     recall = 1.0 if not truths else matches / len(truths)
     f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)

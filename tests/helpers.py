@@ -1,6 +1,6 @@
 """Shared test oracles: exact two-sample statistic, LP transport, exhaustive
-assignment, adjusted Rand, one-stream draws and member-by-member filter
-calibration."""
+assignment, adjusted Rand, one-stream draws, member-by-member filter
+calibration, the tap-order filter sum and all-pairs change point matching."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from wcpd.cpd import _derive_seed, _taps_from_signature, sliding_statistic
+from wcpd.empirical import NULL
 from wcpd.simgen import SeriesSpec, generate
 
 
@@ -116,3 +117,42 @@ def member_by_member_filter(beta, ensemble_size, change_pairs, seed):
             ))
             accum += sliding_statistic(series, beta).values[beta : 3 * beta + 1]
     return _taps_from_signature(accum / (len(change_pairs) * ensemble_size))
+
+
+def tap_order_filter(values, taps, beta) -> list:
+    """apply_filter in plain Python floats: index t sums rev[k] * w[k], k = 0..2*beta,
+    over its window w, with the warm-up NaNs padded by the null mean."""
+    padded = [NULL.null_mean if math.isnan(v) else v for v in values]
+    rev = list(taps)[::-1]
+    out = [math.nan] * len(padded)
+    for t in range(beta, len(padded) - beta):
+        s = 0.0
+        for k in range(2 * beta + 1):
+            s += rev[k] * padded[t - beta + k]
+        out[t] = s
+    return out
+
+
+def all_pairs_cp_f1(predicted, truth, delta) -> tuple[float, float, float]:
+    """cp_f1 with each truth, in order, checking every prediction (earlier wins a tie)."""
+    preds = sorted(predicted)
+    truths = sorted(truth)
+    used = [False] * len(preds)
+    matches = 0
+    for t in truths:
+        best = None  # (distance, position)
+        for pos, p in enumerate(preds):
+            if used[pos]:
+                continue
+            distance = abs(p - t)
+            if distance > delta:
+                continue
+            if best is None or distance < best[0]:
+                best = (distance, pos)
+        if best is not None:
+            used[best[1]] = True
+            matches += 1
+    precision = 1.0 if not preds else matches / len(preds)
+    recall = 1.0 if not truths else matches / len(truths)
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    return precision, recall, f1

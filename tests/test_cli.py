@@ -610,6 +610,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(predicted) in err and str(truth) in err
 
+    @pytest.mark.parametrize("given, missing", [
+        ("predicted-labels", "truth-labels"), ("truth-labels", "predicted-labels")])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_one_label_file_is_usage_error(self, workspace, tmp_path, capsys,
+                                           given, missing, via_config):
+        # labels are scored only against each other; one alone used to give nan
+        path = workspace / ("clu/labels.csv" if given == "predicted-labels" else "data.csv.labels")
+        argv = ["evaluate", "--predicted", workspace / "data.csv.cps",
+                "--truth", workspace / "data.csv.cps", "--delta", 20, "--k", 3]
+        if via_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({given: str(path)}))
+            argv += ["--config", tmp_path / "cfg.json"]
+        else:
+            argv += [f"--{given}", path]
+        assert run(argv) == 1
+        assert f"usage error: --{missing} is required" in capsys.readouterr().err
+
     def test_missing_delta_is_usage_error(self, workspace):
         code = run(
             ["evaluate", "--predicted", workspace / "data.csv.cps", "--truth", workspace / "data.csv.cps"]

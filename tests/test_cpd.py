@@ -29,7 +29,7 @@ from wcpd.metrics import cp_f1
 from wcpd.series import TimeSeries
 from wcpd.simgen import DistSpec, SeriesSpec, generate
 
-from helpers import exact_w2t, member_by_member_filter
+from helpers import exact_w2t, member_by_member_filter, tap_order_filter
 
 
 def make_trace(values, beta, filtered=False):
@@ -411,6 +411,18 @@ class TestApplyFilter:
         filtered_peaks = detect_peaks(filtered, NULL.reject_threshold_05)
         assert len(filtered_peaks) < len(raw_peaks)
 
+    @pytest.mark.parametrize("beta", [1, 2, 3, 5, 15, 50])
+    def test_sums_in_tap_order(self, beta):
+        # bit for bit the plain-Python sum s += rev[k] * w[k], k = 0..2*beta,
+        # for short filters (numpy's own correlate loop) and long ones (BLAS)
+        rng = np.random.default_rng(beta)
+        taps = rng.random(2 * beta + 1)
+        filt = MatchedFilter(taps=taps / taps.sum(), beta=beta, gamma=1.0, ensemble_size=1)
+        trace = make_trace(rng.random(8 * beta + 40), beta=beta)
+        out = apply_filter(trace, filt)
+        expected = tap_order_filter(trace.values.tolist(), filt.taps.tolist(), beta)
+        assert out.values.tolist()[beta:-beta] == expected[beta:-beta]
+
     def test_beta_mismatch(self, filter_b50):
         trace = make_trace(np.zeros(100), beta=20)
         with pytest.raises(ValueError, match="does not match"):
@@ -637,6 +649,31 @@ class TestOnlineDetector:
         assert offline[0] == 0.0  # the permuted window
         np.testing.assert_array_equal(
             np.array(pushed).view(np.uint64), offline.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("beta", [2, 7, 50])
+    def test_filtered_values_are_bitwise_offline(self, dim, beta):
+        # both paths add the taps in one order, so every filtered value the
+        # stream computes, the flushed tail included, has the offline bits
+        series = self.tricky_series(dim, beta, seed=dim * 1000 + beta)
+        taps = np.random.default_rng(beta).random(2 * beta + 1)
+        filt = MatchedFilter(taps=taps / taps.sum(), beta=beta, gamma=1.0, ensemble_size=1)
+        detector = OnlineDetector(DetectorConfig(beta=beta, filter=filt))
+        online, filter_next = [], detector._filter_next
+
+        def recording():
+            confirmed = filter_next()
+            online.append(detector._last_two[1])
+            return confirmed
+
+        detector._filter_next = recording
+        for sample in series.data:
+            detector.step(sample)
+        detector.finalize()
+        offline = apply_filter(sliding_statistic(series, beta), filt).values
+        np.testing.assert_array_equal(
+            np.array(online).view(np.uint64), offline[beta : len(series) - beta].view(np.uint64)
         )
 
     def test_step_after_finalize_rejected(self, filter_b25):

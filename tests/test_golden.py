@@ -1,22 +1,27 @@
 """A seeded CLI round trip whose outputs are pinned byte for byte.
 
 simulate -> calibrate-filter -> detect -> cluster -> evaluate on a small d = 2
-series. The digests were recorded before the clustering stage moved to
-per-dimension arrays, so any change to an output's bytes fails here. Two
-outputs are not pinned: ``trace.csv``, whose filtered column comes from BLAS
-``ddot`` and differs between CPU core types, and the simulated CSV, whose
-``log``/``exp`` rounding differs between numpy's CPU dispatch targets. The
-report scores the raw trace column, which is exact. The digests held under
-five OpenBLAS core types and with numpy's AVX-512 dispatch switched off; a
+series. Any change to an output's bytes fails here; a deliberate one edits the
+digest in the same change. The statistic is one exact rational rounded once,
+and the matched filter sums in a fixed tap order with no BLAS call, so
+``trace.csv`` is pinned too and the report scores its filtered column. The
+simulated CSV is not pinned: its ``log``/``exp`` rounding differs between
+numpy's CPU dispatch targets (it is rebuilt from its streams below instead).
+The digests held under the default and four forced OpenBLAS core types; a
 machine that disagrees is a finding to report, not a digest to update.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcpd
 from wcpd.cli import main
 from wcpd.simgen import DistSpec
 
@@ -38,7 +43,8 @@ GOLDEN = {
     "change_points.txt": "db92a231cf2a7f80bd0ea2422141db99bb0211b79daf6baade36670ede10bfa2",
     "segments.csv": "fcf381ecf98f0a446b4aa25b857e6d4c308e5e2da1ba0df248911784ab1ab4c3",
     "labels.csv": "d6913905b4707d4afb9a2ba7a1bcbf7fd8e5e15f30e9f9871a8a535f733a05e4",
-    "report.txt": "8847827f4bb58a7bac871e64fe691f5917a42a86df302b4f86310dc3febc54a6",
+    "trace.csv": "99682f4a858099c7cffebf594bad7344bbac21ed5a76b41ed15e09756d791fb8",
+    "report.txt": "d7bd5091b39a01fb9e75b633041171f7916d6567a80e808cf863695eb0cdccef",
 }
 
 
@@ -60,7 +66,7 @@ def test_round_trip_outputs_are_pinned(tmp_path):
         "--change-points", tmp_path / "det" / "change_points.txt", "--out-dir", tmp_path / "clu")
     run("evaluate", "--predicted", tmp_path / "det" / "change_points.txt",
         "--truth", f"{data}.cps", "--delta", 10,
-        "--trace", tmp_path / "det" / "trace.csv", "--trace-column", "raw",
+        "--trace", tmp_path / "det" / "trace.csv", "--trace-column", "filtered",
         "--predicted-labels", tmp_path / "clu" / "labels.csv", "--truth-labels", f"{data}.labels",
         "--k", 3, "--beta", 15, "--out", tmp_path / "report.txt")
     paths = {
@@ -70,10 +76,34 @@ def test_round_trip_outputs_are_pinned(tmp_path):
         "change_points.txt": tmp_path / "det" / "change_points.txt",
         "segments.csv": tmp_path / "clu" / "segments.csv",
         "labels.csv": tmp_path / "clu" / "labels.csv",
+        "trace.csv": tmp_path / "det" / "trace.csv",
         "report.txt": tmp_path / "report.txt",
     }
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == GOLDEN
+
+
+@pytest.mark.parametrize("beta", [15, 50])
+def test_trace_does_not_depend_on_the_blas_core_type(tmp_path, beta):
+    # the oldest core type OpenBLAS runs on x86-64, forced in a fresh process,
+    # against whatever core type this process picked
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 11, "dimension": 2, "segments": SEGMENTS}))
+    data = tmp_path / "data.csv"
+    run("simulate", "--spec", spec, "--out", data)
+    run("calibrate-filter", "--beta", beta, "--ensemble", 30, "--seed", 4,
+        "--out", tmp_path / "filter.json")
+    detect = ["detect", "--input", data, "--time-column", "t", "--label-column", "label",
+              "--beta", beta, "--filter", tmp_path / "filter.json", "--out-dir"]
+    run(*detect, tmp_path / "here")
+    src = str(Path(wcpd.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-m", "wcpd", *map(str, detect), tmp_path / "fresh"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for name in ("trace.csv", "change_points.txt"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 # filter.json at the bench's settings (ensemble 50, seed 0), recorded while

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcpd.cpd import StatTrace
 from wcpd.metrics import cp_auc, cp_f1, label_accuracy
 from wcpd.tssc import SegmentLabeling
+
+from helpers import all_pairs_cp_f1
 
 
 def make_trace(values, beta=2):
@@ -52,6 +56,16 @@ class TestCpF1:
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             cp_f1([1], [1], delta=-1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        predicted=st.lists(st.integers(0, 40), max_size=25),
+        truth=st.lists(st.integers(0, 40), max_size=25),
+        delta=st.integers(0, 8),
+    )
+    def test_matches_all_pairs_greedy(self, predicted, truth, delta):
+        # a narrow value range makes repeated indices and distance ties common
+        assert cp_f1(predicted, truth, delta) == all_pairs_cp_f1(predicted, truth, delta)
 
 
 class TestCpAuc:
