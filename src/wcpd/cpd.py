@@ -19,7 +19,15 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .empirical import _CHUNK_ELEMENTS, NULL, _rank_keys, _w2t_keys, _w2t_row
+from .empirical import (
+    _CHUNK_ELEMENTS,
+    NULL,
+    _rank_keys,
+    _w2t_keys,
+    _w2t_row,
+    _w2t_parts,
+    _workspace,
+)
 from .errors import NumericalError
 from .series import TimeSeries
 from .simgen import DistSpec, _draw, _integer
@@ -166,14 +174,16 @@ def _window_sums(keys: np.ndarray, beta: int) -> np.ndarray:
     after = sliding_window_view(keys | 1, beta, axis=1)
     step = max(1, _CHUNK_ELEMENTS // beta)
     height, width = max(1, step // valid), min(step, valid)
+    work = _workspace(*_w2t_parts(min(height, rows) * width, beta, keys.dtype))
     sums = np.empty((rows, valid), dtype=np.int64)
     for r in range(0, rows, height):
         for lo in range(0, valid, width):
             hi = min(lo + width, valid)
             chunk = sums[r : r + height, lo:hi]
             chunk[...] = _w2t_keys(
-                before[r : r + height, lo:hi].reshape(-1, beta),
-                after[r : r + height, lo + beta + 1 : hi + beta + 1].reshape(-1, beta),
+                before[r : r + height, lo:hi],
+                after[r : r + height, lo + beta + 1 : hi + beta + 1],
+                work,
             ).reshape(chunk.shape)
     return sums
 
@@ -398,7 +408,9 @@ class OnlineDetector:
         """Feed one sample; returns a confirmed change point index or None."""
         if self._finalized:
             raise ValueError("finalized detector cannot accept more samples")
-        arr = np.asarray(sample, dtype=float)
+        arr = np.asarray(sample)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"sample must be real numbers, not {arr.dtype}")
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.ndim != 1:

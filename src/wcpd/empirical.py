@@ -182,29 +182,67 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, keys
 
 
-def _w2t_keys(xk: np.ndarray, yk: np.ndarray) -> np.ndarray:
+def _workspace(*parts) -> list[np.ndarray]:
+    """Flat arrays of (count, dtype) each, cut from one new buffer at 64-byte-aligned offsets.
+
+    The batched kernels write every block temporary into such arrays with
+    ``out=``, so a call allocates and page-faults its temporaries once,
+    however many blocks it runs. glibc hands a freed block of 128 KiB or more
+    back to the OS, and a temporary made per block is faulted in anew each
+    time.
+    """
+    sizes = [-(-count * np.dtype(dtype).itemsize // 64) * 64 for count, dtype in parts]
+    raw = np.empty(sum(sizes) + 64, dtype=np.uint8)
+    offset = -raw.ctypes.data % 64
+    arrays = []
+    for (count, dtype), size in zip(parts, sizes):
+        arrays.append(raw[offset : offset + size].view(dtype)[:count])
+        offset += size
+    return arrays
+
+
+def _w2t_parts(rows: int, n: int, key_type) -> list[tuple]:
+    """The :func:`_workspace` parts of :func:`_w2t_keys` on up to rows windows of n keys."""
+    return [(2 * rows * n, key_type), (2 * rows * n, bool), (rows * n, np.int64)]
+
+
+def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work=None) -> np.ndarray:
     """Row-wise :func:`_w2t_from_sorted` over rank-key windows, as the int64 S of S/(6*n^2).
 
     x's carry the keys of :func:`_rank_keys` over the pooled series, y's the
     key + 1. A plain sort of each concatenated (x, y) row of xk and yk, both
-    (R, n), then puts every x ahead of the equal y's and behind the larger
-    ones; no stable sort is needed. y_j of row r lands at flat merged position
-    2*(r*n + j) + d_j, d_j = c_j - j with c_j = #x <= y_j, so one cached ramp
-    gives the d_j and S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3, or 0 for equal
-    windows. The rows need not be sorted.
+    (..., n) with rows in C order of the leading axes, then puts every x
+    ahead of the equal y's and behind the larger ones; no stable sort is
+    needed. y_j of row r lands at flat merged position 2*(r*n + j) + d_j,
+    d_j = c_j - j with c_j = #x <= y_j, so one cached ramp gives the d_j and
+    S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3, or 0 for equal windows. The
+    rows need not be sorted. Every block temporary but the positions of
+    ``flatnonzero`` goes into work, a :func:`_workspace` of the
+    :func:`_w2t_parts` of at least as many rows (a new one if omitted).
     """
-    rows, n = xk.shape
-    merged = np.sort(np.concatenate((xk, yk), axis=1), axis=1)
-    d = np.flatnonzero((merged & 1) != 0)
+    n = xk.shape[-1]
+    rows = xk.size // n
+    if work is None:
+        work = _workspace(*_w2t_parts(rows, n, xk.dtype))
+    keys, odd, square = work
+    keys, odd, square = keys[: 2 * rows * n], odd[: 2 * rows * n], square[: rows * n]
+    merged = keys.reshape(xk.shape[:-1] + (2 * n,))
+    np.concatenate((xk, yk), axis=-1, out=merged)
+    merged.sort(axis=-1)
+    np.bitwise_and(keys, 1, out=keys)
+    d = np.flatnonzero(np.not_equal(keys, 0, out=odd))
     d += _ramp(rows * n, -2)
-    d = d.reshape(rows, n)
-    total = 3 * (d * (d - 1)).sum(axis=1) + n
+    np.subtract(d, 1, out=square)
+    square *= d
+    total = 3 * square.reshape(rows, n).sum(axis=1) + n
     # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j) for
     # every j (c_j > j) and the rank sums agree: the per-j rank gaps are then
     # nonnegative and sum to zero. Only the (rare) rows passing the first
     # test are summed.
-    cand = np.flatnonzero((d > 0).all(axis=1))
-    gap = yk[cand].sum(axis=1, dtype=np.int64) - xk[cand].sum(axis=1, dtype=np.int64)
+    ahead = np.greater(d, 0, out=odd[: rows * n])
+    cand = np.flatnonzero(ahead.reshape(rows, n).all(axis=1))
+    at = np.unravel_index(cand, xk.shape[:-1])
+    gap = yk[at].sum(axis=1, dtype=np.int64) - xk[at].sum(axis=1, dtype=np.int64)
     total[cand[gap == n]] = 0
     return total
 
@@ -230,9 +268,14 @@ def _weight_keys(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _rank_keys(np.minimum(cum, 1.0))
 
 
+def _w2_parts(size: int, key_type) -> list[tuple]:
+    """The :func:`_workspace` parts of :func:`_w2_squared_rows` on up to size merged keys."""
+    return [(size, key_type), (size, np.intp), (size, np.intp), (size, float)]
+
+
 def _w2_squared_rows(
     vals: np.ndarray, own: np.ndarray, x: np.ndarray, rows: np.ndarray, atoms: np.ndarray,
-    first, last,
+    first, last, work=None,
 ) -> np.ndarray:
     """Squared W2 between one distribution and each row of a block.
 
@@ -253,28 +296,44 @@ def _w2_squared_rows(
     rows of it at once. An axis-0 ``np.add.reduce`` is then one vector add
     per merged position: every column is still summed sequentially in merged
     order. numpy sums a lone contiguous column pairwise instead, so a block
-    of one row takes the last entry of a cumsum, which is sequential.
+    of one row takes the last entry of a cumsum, which is sequential. Every
+    block temporary goes into work, a :func:`_workspace` of the
+    :func:`_w2_parts` of at least count*(n + m) keys (a new one if omitted).
     """
     count, m = rows.shape
     n = own.size
-    merged = np.concatenate((np.broadcast_to(own, (count, n)), rows), axis=1)
-    merged[:, n:] |= 1
+    size = count * (n + m)
+    if work is None:
+        work = _workspace(*_w2_parts(size, rows.dtype))
+    merged, j, i, gap = (part[:size] for part in work)
+    merged = merged.reshape(count, n + m)
+    np.copyto(merged[:, :n], own)
+    np.bitwise_or(rows, 1, out=merged[:, n:])
     merged.sort(axis=1)
-    merged = np.ascontiguousarray(merged.T)
-    # i[p]: own keys ahead of merged position p
-    i = np.empty(merged.shape, dtype=np.intp)
-    i[0] = 0
-    np.cumsum((merged[:-1] & 1) == 0, axis=0, out=i[1:])
-    j = np.arange(n + m)[:, None] - i
+    keys = merged.T
+    j, i, gap = j.reshape(keys.shape), i.reshape(keys.shape), gap.reshape(keys.shape)
+    # j[p]: row keys ahead of merged position p, i[p] = p - j[p] own keys
+    np.copyto(i, keys)
+    i &= 1
+    j[0] = 0
+    np.cumsum(i[:-1], axis=0, out=j[1:])
+    np.subtract(_ramp(n + m, 1)[:, None], j, out=i)
     j += np.transpose(first)
-    gap = x.take(i, mode="clip")
-    gap -= atoms.take(np.minimum(j, np.transpose(last), out=j))
-    du = vals.take(merged >> 1)
-    du[1:] -= du[:-1]
+    np.minimum(j, np.transpose(last), out=j)
+    x.take(i, mode="clip", out=gap)
+    # once spent, i and j hold float temporaries: the row atoms, then the
+    # weights at each merged position and their differences du
+    gap -= atoms.take(j, mode="clip", out=i.view(float))
+    np.copyto(j, keys)
+    j >>= 1
+    weights = vals.take(j, mode="clip", out=i.view(float))
+    du = j.view(float)
+    du[0] = weights[0]
+    np.subtract(weights[1:], weights[:-1], out=du[1:])
     gap *= gap
     gap *= du
     if count == 1:
-        return np.cumsum(gap, axis=0)[-1]
+        return np.cumsum(gap, axis=0, out=gap)[-1].copy()
     return np.add.reduce(gap, axis=0)
 
 

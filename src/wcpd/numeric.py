@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
+from .series import _reals
 from .simgen import _integer
 
 __all__ = ["eigh_symmetric", "kmeans", "hungarian"]
@@ -51,6 +52,7 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ centres of one run, drawing from rng as it goes (Arthur & Vassilvitskii)."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     idx = int(rng.integers(n))
@@ -70,29 +72,115 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray):
+def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """((points[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1), (..., n, k).
+
+    numpy adds fewer than 8 contiguous values in order, so below D = 8 the
+    squares are added one coordinate at a time, with the same bits and
+    without numpy's per-row cost of reducing a short axis.
+    """
+    squares = points[:, None, :] - centers[..., None, :, :]
+    squares *= squares
+    if squares.shape[-1] >= 8:
+        return squares.sum(axis=-1)
+    total = squares[..., 0].copy()
+    for j in range(1, squares.shape[-1]):
+        total += squares[..., j]
+    return total
+
+
+def _plus_plus_runs(points: np.ndarray, k: int, rng: np.random.Generator, runs: int):
+    """(runs, k, D) centres of :func:`_plus_plus_init` run runs times on rng, or None.
+
+    The generator calls come first, in the order the runs make them: one
+    integers(n) and k - 1 uniforms each, the one uniform Generator.choice
+    draws per centre. Each later centre is then picked for all runs at once
+    by choice's own rule: the count of cdf <= u, with cdf the cumulative sum
+    of d2 / total divided by its last entry. A run whose total is 0 or not
+    finite would skip a draw or make choice raise, so None is returned
+    instead and the caller seeds run by run.
+    """
     n = points.shape[0]
-    k = centers.shape[0]
-    labels = np.full(n, -1)
+    chosen = np.empty((runs, k), dtype=np.intp)
+    uniforms = np.empty((runs, k - 1))
+    for r in range(runs):
+        chosen[r, 0] = rng.integers(n)
+        uniforms[r] = rng.random(k - 1)
+    d2 = _squared_distances(points, points[chosen[:, :1]])[..., 0]
+    for c in range(1, k):
+        total = d2.sum(axis=1, keepdims=True)
+        if not (np.isfinite(total) & (total > 0.0)).all():
+            return None
+        cdf = np.cumsum(d2 / total, axis=1)
+        cdf /= cdf[:, -1:]
+        chosen[:, c] = np.count_nonzero(cdf <= uniforms[:, c - 1 : c], axis=1)
+        np.minimum(d2, _squared_distances(points, points[chosen[:, c : c + 1]])[..., 0], out=d2)
+    return points[chosen]
+
+
+def _update_centers(points, centers, labels, point_d2) -> None:
+    """One run's centre update, cluster by cluster, reviving emptied clusters.
+
+    An emptied cluster takes the worst-fit point, which leaves the cluster it
+    came from; so the clusters after it see the moved label.
+    """
+    for c in range(centers.shape[0]):
+        mask = labels == c
+        if mask.any():
+            centers[c] = points[mask].mean(axis=0)
+        else:
+            far = int(np.argmax(point_d2))
+            centers[c] = points[far]
+            labels[far] = c
+            point_d2[far] = 0.0
+
+
+def _lloyd_runs(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's iterations from each run's (k, D) centres in centers (runs, k, D), together.
+
+    Returns each run's labels (runs, n) and inertia (runs,), with the bits
+    of iterating each run on its own with :func:`_update_centers`: distances
+    of shape (runs, n, k), and centre sums added by ``np.bincount`` in point
+    order, the order in which ``points[mask].mean(axis=0)`` adds them. A run
+    that empties a cluster takes :func:`_update_centers` for that iteration,
+    and so does every run at D = 1, where numpy sums a cluster's one column
+    pairwise. Converged runs drop out. centers is updated in place.
+    """
+    runs, k, dim = centers.shape
+    n = points.shape[0]
+    labels = np.full((runs, n), -1)
+    active = np.arange(runs)
     for _ in range(_MAX_LLOYD_ITERATIONS):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(n), new_labels]
-        for c in range(k):
-            mask = new_labels == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                # revive an emptied cluster with the currently worst-fit point
-                far = int(np.argmax(point_d2))
-                centers[c] = points[far]
-                new_labels[far] = c
-                point_d2[far] = 0.0
-        if np.array_equal(new_labels, labels):
+        d2 = _squared_distances(points, centers[active])
+        new_labels = np.argmin(d2, axis=2)
+        # bin e*k + c: cluster c of the e-th active run
+        bins = new_labels + k * np.arange(active.size)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=active.size * k).reshape(-1, k)
+        alone = (counts == 0).any(axis=1) | (dim == 1)
+        together = np.flatnonzero(~alone)
+        coords = bins[together, :, None] * dim + np.arange(dim)
+        sums = np.bincount(
+            coords.ravel(),
+            weights=np.broadcast_to(points, coords.shape).ravel(),
+            minlength=active.size * k * dim,
+        ).reshape(-1, k, dim)
+        centers[active[together]] = sums[together] / counts[together, :, None]
+        for e in np.flatnonzero(alone):
+            point_d2 = d2[e, np.arange(n), new_labels[e]]
+            _update_centers(points, centers[active[e]], new_labels[e], point_d2)
+        converged = (new_labels == labels[active]).all(axis=1)
+        labels[active] = new_labels
+        active = active[~converged]
+        if not active.size:
             break
-        labels = new_labels
-    inertia = float(((points - centers[labels]) ** 2).sum())
-    return labels, inertia
+    gaps = points - centers[np.arange(runs)[:, None], labels]
+    return labels, (gaps**2).reshape(runs, -1).sum(axis=1)
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray):
+    """Lloyd's iterations from one run's (k, D) centres: (labels, inertia)."""
+    labels, inertia = _lloyd_runs(points, centers[None])
+    return labels[0], float(inertia[0])
 
 
 def kmeans(points, k: int, seed: int) -> np.ndarray:
@@ -100,25 +188,30 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
 
     All randomness flows from one generator seeded with ``seed``; the restart
     with the lowest within-cluster sum of squares wins, earliest restart on a
-    tie.
+    tie. The restarts run together: the generator calls come first, in the
+    order ten ++ seedings one after another make them, and Lloyd's iterations
+    then run for all restarts at once. Labels have the bits of running the
+    restarts one at a time. Where a restart's ++ seeding meets no remaining
+    mass (duplicate points, or squared gaps that underflow), it would draw
+    one uniform fewer, so the restarts are then seeded one after another
+    from a fresh generator on the same seed.
     """
-    pts = np.array(points, dtype=float)
+    pts = _reals(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite point")
     n = pts.shape[0]
     k = _integer(k, "k", 1)
     if k > n:
         raise ValueError("more clusters than points")
-    rng = np.random.default_rng(_integer(seed, "seed", 0))
-    best_labels = None
-    best_inertia = np.inf
-    for _ in range(_KMEANS_RESTARTS):
-        centers = _plus_plus_init(pts, k, rng)
-        labels, inertia = _lloyd(pts, centers)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels
+    seed = _integer(seed, "seed", 0)
+    centers = _plus_plus_runs(pts, k, np.random.default_rng(seed), _KMEANS_RESTARTS)
+    if centers is None:
+        rng = np.random.default_rng(seed)
+        centers = np.array([_plus_plus_init(pts, k, rng) for _ in range(_KMEANS_RESTARTS)])
+    labels, inertia = _lloyd_runs(pts, centers)
+    return labels[int(np.argmin(inertia))].copy()
 
 
 def _assignment_cost(cost: np.ndarray) -> float:

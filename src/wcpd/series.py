@@ -17,6 +17,14 @@ def _integers(values, name: str) -> np.ndarray:
     return array.astype(int)
 
 
+def _reals(values, name: str) -> np.ndarray:
+    """A new float array of values, refusing strings, bools and complex numbers."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, not {array.dtype}")
+    return array.astype(float)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """t-indexed, d-dimensional samples with optional ground truth.
@@ -32,7 +40,7 @@ class TimeSeries:
     change_points: np.ndarray | None = None
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float)
+        data = _reals(self.data, "data")
         if data.ndim == 1:
             data = data.reshape(-1, 1)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:

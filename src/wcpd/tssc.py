@@ -25,9 +25,12 @@ from .empirical import (
     _CHUNK_ELEMENTS,
     EmpiricalDist,
     _check_runs,
+    _ramp,
     _scale_exponent,
     _w2_squared_rows,
+    _w2_parts,
     _weight_keys,
+    _workspace,
 )
 from .numeric import eigh_symmetric, kmeans
 from .series import TimeSeries, _integers
@@ -225,19 +228,34 @@ def _affinity(sizes: np.ndarray, cums: np.ndarray, atoms: np.ndarray) -> Affinit
         row = atoms[d, gather]
         k = _scale_exponent(row)
         keyed.append((vals, keys, np.ldexp(row, -k), 2.0**k))
+    # owner a meets the shorter segments after it, step rows at a time, each
+    # padded to the width of the first; one workspace fits the largest block
+    widths = sizes[:-1] + sizes[1:]
+    steps = np.maximum(1, _CHUNK_ELEMENTS // widths)
+    largest = int((np.minimum(steps, np.arange(n - 1, 0, -1)) * widths).max())
+    key_type = keyed[0][1].dtype  # every dimension ranks N weights
+    *work, index, block = _workspace(
+        *_w2_parts(largest, key_type), (largest, np.intp), (largest, key_type)
+    )
     total = np.zeros((n, n))
     for a in range(n - 1):
         own = slice(starts[a], ends[a])
-        step = max(1, _CHUNK_ELEMENTS // int(sizes[a] + sizes[a + 1]))
+        step = int(steps[a])
         for lo in range(a + 1, n, step):
             hi = min(lo + step, n)
             first = starts[lo:hi, None]
             last = ends[lo:hi, None] - 1
+            shape = (hi - lo, int(sizes[lo]))
             # clipped at each row's end, the gather pads with the row's last key
-            idx = np.minimum(first + np.arange(sizes[lo]), last)
+            idx = index[: shape[0] * shape[1]].reshape(shape)
+            np.add(first, _ramp(shape[1], 1), out=idx)
+            np.minimum(idx, last, out=idx)
+            rows = block[: idx.size].reshape(shape)
             for vals, keys, row, scale in keyed:
-                block = keys.take(idx)
-                squared = _w2_squared_rows(vals, keys[own], row[own], block, row, first, last)
+                keys.take(idx, mode="clip", out=rows)
+                squared = _w2_squared_rows(
+                    vals, keys[own], row[own], rows, row, first, last, work
+                )
                 with np.errstate(over="ignore"):  # W2 past float max: inf, affinity 0
                     total[a, lo:hi] += np.sqrt(squared) * scale
     upper = np.triu_indices(n, 1)

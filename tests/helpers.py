@@ -1,6 +1,7 @@
 """Shared test oracles: exact two-sample statistic, LP transport, exhaustive
 assignment, adjusted Rand, one-stream draws, member-by-member filter
-calibration, the tap-order filter sum and all-pairs change point matching."""
+calibration, the tap-order filter sum, all-pairs change point matching and
+restart-by-restart k-means."""
 
 from __future__ import annotations
 
@@ -156,3 +157,68 @@ def all_pairs_cp_f1(predicted, truth, delta) -> tuple[float, float, float]:
     recall = 1.0 if not truths else matches / len(truths)
     f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
     return precision, recall, f1
+
+
+def sequential_plus_plus_init(points, k, rng):
+    """k-means++ centres of one restart, drawing from rng as it goes."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    idx = int(rng.integers(n))
+    centers[0] = points[idx]
+    chosen = {idx}
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            # all remaining mass sits on already-chosen points (duplicates)
+            idx = min(i for i in range(n) if i not in chosen)
+        chosen.add(idx)
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+def sequential_lloyd(points, centers):
+    """Lloyd's iterations of one restart, cluster by cluster: (labels, inertia, revived),
+    revived counting the emptied clusters given the worst-fit point."""
+    n = points.shape[0]
+    k = centers.shape[0]
+    labels = np.full(n, -1)
+    revived = 0
+    for _ in range(300):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), new_labels]
+        for c in range(k):
+            mask = new_labels == c
+            if mask.any():
+                centers[c] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(point_d2))
+                centers[c] = points[far]
+                new_labels[far] = c
+                point_d2[far] = 0.0
+                revived += 1
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    inertia = float(((points - centers[labels]) ** 2).sum())
+    return labels, inertia, revived
+
+
+def sequential_kmeans(points, k, seed):
+    """kmeans with its ten restarts run one after another: ++ seeding, then Lloyd, per restart."""
+    pts = np.array(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    rng = np.random.default_rng(seed)
+    best_labels = None
+    best_inertia = np.inf
+    for _ in range(10):
+        labels, inertia, _ = sequential_lloyd(pts, sequential_plus_plus_init(pts, k, rng))
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best_labels = labels
+    return best_labels

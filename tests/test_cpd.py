@@ -676,6 +676,31 @@ class TestOnlineDetector:
             np.array(online).view(np.uint64), offline[beta : len(series) - beta].view(np.uint64)
         )
 
+    @pytest.mark.parametrize("sample", ["1.5", True, b"2", [True], 1 + 2j, ["1", "2"], [None]])
+    def test_rejects_non_real_samples_without_state_change(self, sample):
+        # np.asarray(sample, dtype=float) parsed "1.5" and b"2", read True as
+        # 1.0 and dropped an imaginary part with only a ComplexWarning
+        series = self.three_segment(55)
+        config = DetectorConfig(beta=25, filter=None)
+        detector = OnlineDetector(config)
+        emissions = []
+        for s in range(len(series)):
+            if s % 50 == 0:
+                with pytest.raises(ValueError, match="sample must be real numbers, not"):
+                    detector.step(sample)
+            out = detector.step(series.data[s])
+            if out is not None:
+                emissions.append(out)
+        assert emissions + detector.finalize() == detect(series, config).change_points
+
+    def test_integer_samples_step_as_floats(self):
+        config = DetectorConfig(beta=3)
+        ints, floats = OnlineDetector(config), OnlineDetector(config)
+        values = np.random.default_rng(3).integers(-5, 5, size=(40, 2))
+        for row in values:
+            assert ints.step(row) == floats.step(row.astype(float))
+        assert ints.finalize() == floats.finalize()
+
     def test_step_after_finalize_rejected(self, filter_b25):
         detector = OnlineDetector(DetectorConfig(beta=25, filter=filter_b25))
         detector.finalize()

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcpd import numeric
 from wcpd.errors import NumericalError
 from wcpd.numeric import _lloyd, eigh_symmetric, hungarian, kmeans
 
-from helpers import brute_force_assignment
+from helpers import (
+    brute_force_assignment,
+    sequential_kmeans,
+    sequential_lloyd,
+    sequential_plus_plus_init,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -125,6 +132,124 @@ class TestKMeans:
             history.append(_lloyd(points, init.copy())[1])
         assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
         assert history[-1] < history[0]
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """n 1-60 points in D 1-5, k up to min(n, 6), and a seed: spread, tied, all
+    equal, row-normalized like a spectral embedding, or 1e-200 apart, whose
+    squared gaps underflow to 0."""
+    n = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(n, 6)))
+    kind = draw(st.sampled_from(["spread", "tied", "equal", "unit", "tiny"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spread":
+        points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "tied":
+        points = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    elif kind == "equal":
+        points = np.full((n, dim), rng.normal())
+    elif kind == "unit":
+        points = rng.normal(size=(n, dim))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+    else:
+        points = rng.integers(0, 3, size=(n, dim)) * 1e-200
+    return points, k, draw(st.integers(0, 2**31))
+
+
+# The points of a kmeans call (k = 3, seed 0) whose second restart empties a
+# cluster in Lloyd's iterations.
+EMPTYING = np.array([[0, 1], [0, 1], [4, 5], [1, 0], [3, 5], [5, 0]], dtype=float)
+
+
+class TestBatchedKMeans:
+    # the restarts run together; the labels must be those of running them
+    # one after another, as tests/helpers.py does
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_inputs())
+    def test_labels_equal_the_sequential_restarts(self, case):
+        points, k, seed = case
+        np.testing.assert_array_equal(kmeans(points, k, seed), sequential_kmeans(points, k, seed))
+
+    @staticmethod
+    def assert_restarts_match_bit_for_bit(points, k, seed):
+        # labels alone hide a centre that is one ulp off; the centres drawn
+        # and each run's inertia do not
+        centers = numeric._plus_plus_runs(points, k, np.random.default_rng(seed), 10)
+        rng = np.random.default_rng(seed)
+        expected = np.array([sequential_plus_plus_init(points, k, rng) for _ in range(10)])
+        if centers is not None:
+            np.testing.assert_array_equal(centers, expected)
+        runs = [sequential_lloyd(points, run.copy()) for run in expected]
+        labels, inertia = numeric._lloyd_runs(points, expected.copy())
+        np.testing.assert_array_equal(labels, [run_labels for run_labels, _, _ in runs])
+        assert inertia.tolist() == [run_inertia for _, run_inertia, _ in runs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(kmeans_inputs())
+    def test_seeding_and_lloyd_equal_the_sequential_restarts_bit_for_bit(self, case):
+        points, k, seed = case
+        self.assert_restarts_match_bit_for_bit(points, k, seed)
+
+    @pytest.mark.parametrize("dim", [6, 8, 11])
+    def test_restarts_equal_the_sequential_ones_in_more_dimensions(self, dim):
+        # from D = 8 numpy sums each squared distance pairwise
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            points = rng.normal(size=(int(rng.integers(dim, 40)), dim))
+            self.assert_restarts_match_bit_for_bit(points, 4, 3)
+            np.testing.assert_array_equal(kmeans(points, 4, 3), sequential_kmeans(points, 4, 3))
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_squared_distances_have_the_bits_of_a_sum_over_the_last_axis(self, dim):
+        rng = np.random.default_rng(dim)
+        points = rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-3, 4, size=(30, dim))
+        centers = rng.normal(size=(5, 4, dim))
+        expected = ((points[:, None, :] - centers[:, None, :, :]) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(numeric._squared_distances(points, centers), expected)
+
+    def test_a_cluster_emptied_mid_lloyd(self):
+        rng = np.random.default_rng(0)
+        seeds = np.array([sequential_plus_plus_init(EMPTYING, 3, rng) for _ in range(10)])
+        runs = [sequential_lloyd(EMPTYING, centers.copy()) for centers in seeds]
+        assert [revived > 0 for _, _, revived in runs] == [False, True] + [False] * 8
+        labels, inertia = numeric._lloyd_runs(EMPTYING, seeds.copy())
+        np.testing.assert_array_equal(labels, [run_labels for run_labels, _, _ in runs])
+        assert inertia.tolist() == [run_inertia for _, run_inertia, _ in runs]
+        np.testing.assert_array_equal(kmeans(EMPTYING, 3, 0), sequential_kmeans(EMPTYING, 3, 0))
+
+    def test_underflowing_gaps_reseed_run_by_run(self, monkeypatch):
+        # every squared gap is 0, so each ++ seeding takes the duplicate branch
+        calls = []
+        seed_one = numeric._plus_plus_init
+        monkeypatch.setattr(
+            numeric, "_plus_plus_init", lambda *args: calls.append(1) or seed_one(*args)
+        )
+        points = np.array([[0.0], [1e-200], [2e-200], [0.0]])
+        np.testing.assert_array_equal(kmeans(points, 3, 5), sequential_kmeans(points, 3, 5))
+        assert len(calls) == numeric._KMEANS_RESTARTS
+
+
+class TestKMeansInput:
+    @pytest.mark.parametrize(
+        "points", [[["1"], ["2"], ["3"]], [True, False, True], [1 + 2j, 3.0, 4.0], [b"1", b"2"]]
+    )
+    def test_rejects_non_real_points(self, points):
+        # np.array(..., dtype=float) parsed the strings, read the bools as 1/0
+        # and dropped the imaginary parts with a ComplexWarning
+        with pytest.raises(ValueError, match="points must be real numbers, not"):
+            kmeans(points, 2, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="non-finite point"):
+            kmeans([[0.0], [1.0], [bad]], 2, 0)
+
+    def test_integer_points_are_read_as_floats(self):
+        points = np.array([[0, 0], [0, 1], [9, 9], [9, 8]], dtype=np.uint8)
+        np.testing.assert_array_equal(kmeans(points, 2, 0), kmeans(points.astype(float), 2, 0))
 
 
 class TestHungarian:

@@ -4,6 +4,24 @@ import pytest
 from wcpd.series import TimeSeries
 
 
+class TestData:
+    @pytest.mark.parametrize(
+        "data",
+        [["1.5", "2.5", "3"], [True, False, True], [1 + 2j, 0.0, 1.0], [b"1", b"2"],
+         [[1.0, None], [2.0, 3.0]]],
+    )
+    def test_rejects_non_real_samples(self, data):
+        # np.array(..., dtype=float) parsed the strings, read the bools as 1/0
+        # and dropped the imaginary part with only a ComplexWarning
+        with pytest.raises(ValueError, match="data must be real numbers, not"):
+            TimeSeries(data)
+
+    def test_integer_samples_become_floats(self):
+        series = TimeSeries(np.array([[1, 2], [3, 4]], dtype=np.int8))
+        assert series.data.dtype == np.dtype(float)
+        assert series.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 class TestLabels:
     @pytest.mark.parametrize(
         "labels", [[0.5, 1.7, 2], [0.0, 1.0, 2.0], [True, False, True], ["0", "1", "2"]]
