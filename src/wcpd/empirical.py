@@ -206,7 +206,7 @@ def _w2t_parts(rows: int, n: int, key_type) -> list[tuple]:
     return [(2 * rows * n, key_type), (2 * rows * n, bool), (rows * n, np.int64)]
 
 
-def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work=None) -> np.ndarray:
+def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
     """Row-wise :func:`_w2t_from_sorted` over rank-key windows, as the int64 S of S/(6*n^2).
 
     x's carry the keys of :func:`_rank_keys` over the pooled series, y's the
@@ -218,12 +218,10 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work=None) -> np.ndarray:
     S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3, or 0 for equal windows. The
     rows need not be sorted. Every block temporary but the positions of
     ``flatnonzero`` goes into work, a :func:`_workspace` of the
-    :func:`_w2t_parts` of at least as many rows (a new one if omitted).
+    :func:`_w2t_parts` of at least as many rows.
     """
     n = xk.shape[-1]
     rows = xk.size // n
-    if work is None:
-        work = _workspace(*_w2t_parts(rows, n, xk.dtype))
     keys, odd, square = work
     keys, odd, square = keys[: 2 * rows * n], odd[: 2 * rows * n], square[: rows * n]
     merged = keys.reshape(xk.shape[:-1] + (2 * n,))
@@ -317,7 +315,7 @@ def _w2_squared_rows(
     i &= 1
     j[0] = 0
     np.cumsum(i[:-1], axis=0, out=j[1:])
-    np.subtract(_ramp(n + m, 1)[:, None], j, out=i)
+    np.subtract(np.arange(n + m)[:, None], j, out=i)
     j += np.transpose(first)
     np.minimum(j, np.transpose(last), out=j)
     x.take(i, mode="clip", out=gap)

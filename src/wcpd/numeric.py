@@ -73,20 +73,10 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """((points[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1), (..., n, k).
-
-    numpy adds fewer than 8 contiguous values in order, so below D = 8 the
-    squares are added one coordinate at a time, with the same bits and
-    without numpy's per-row cost of reducing a short axis.
-    """
+    """((points[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1), (..., n, k)."""
     squares = points[:, None, :] - centers[..., None, :, :]
     squares *= squares
-    if squares.shape[-1] >= 8:
-        return squares.sum(axis=-1)
-    total = squares[..., 0].copy()
-    for j in range(1, squares.shape[-1]):
-        total += squares[..., j]
-    return total
+    return squares.sum(axis=-1)
 
 
 def _plus_plus_runs(points: np.ndarray, k: int, rng: np.random.Generator, runs: int):

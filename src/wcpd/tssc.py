@@ -25,7 +25,6 @@ from .empirical import (
     _CHUNK_ELEMENTS,
     EmpiricalDist,
     _check_runs,
-    _ramp,
     _scale_exponent,
     _w2_squared_rows,
     _w2_parts,
@@ -248,7 +247,7 @@ def _affinity(sizes: np.ndarray, cums: np.ndarray, atoms: np.ndarray) -> Affinit
             shape = (hi - lo, int(sizes[lo]))
             # clipped at each row's end, the gather pads with the row's last key
             idx = index[: shape[0] * shape[1]].reshape(shape)
-            np.add(first, _ramp(shape[1], 1), out=idx)
+            np.add(first, np.arange(shape[1]), out=idx)
             np.minimum(idx, last, out=idx)
             rows = block[: idx.size].reshape(shape)
             for vals, keys, row, scale in keyed:

@@ -164,7 +164,7 @@ def exact_windows(n, seed):
 
 
 def statistics(totals, n):
-    """The exact statistics S/(6*n^2) of the int64 row totals of _w2t_keys."""
+    """The exact statistics S/(6*n^2) of the int64 row totals of w2t_keys."""
     assert totals.dtype == np.int64
     return [Fraction(s, 6 * n * n) for s in totals.tolist()]
 
@@ -174,7 +174,7 @@ class TestKernelsAreCorrectlyRounded:
     def test_keys(self, n):
         for xs, ys in exact_windows(n, n + 11):
             expected = [exact_w2t(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)]
-            assert statistics(empirical._w2t_keys(*rank_keys(xs, ys)), n) == expected
+            assert statistics(w2t_keys(*rank_keys(xs, ys)), n) == expected
 
     def test_row(self, n):
         for xs, ys in exact_windows(n, n + 13):
@@ -194,6 +194,12 @@ class TestW2TRow:
             ys[::3] = xs[::3]
             for x, y in zip(xs, ys):
                 assert Fraction(empirical._w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
+
+
+def w2t_keys(xk, yk):
+    """_w2t_keys on (R, n) key windows, with a workspace of their size."""
+    work = empirical._workspace(*empirical._w2t_parts(*xk.shape, xk.dtype))
+    return empirical._w2t_keys(xk, yk, work)
 
 
 def rank_keys(xs, ys):
@@ -230,7 +236,7 @@ class TestW2TKeys:
             ys = rng.choice(cells, size=(rows, n))
             ys[::3] = rng.permuted(xs[::3], axis=1)
             expected = [exact_w2t(np.sort(x), np.sort(y)) for x, y in zip(xs, ys)]
-            assert statistics(empirical._w2t_keys(*rank_keys(xs, ys)), n) == expected
+            assert statistics(w2t_keys(*rank_keys(xs, ys)), n) == expected
 
     def test_flatnonzero_reads_a_bool_mask(self, monkeypatch):
         # on the raw key array flatnonzero finds the same positions but runs
@@ -244,7 +250,7 @@ class TestW2TKeys:
 
         monkeypatch.setattr(empirical.np, "flatnonzero", spy)
         rng = np.random.default_rng(5)
-        empirical._w2t_keys(*rank_keys(rng.normal(size=(4, 6)), rng.normal(size=(4, 6))))
+        w2t_keys(*rank_keys(rng.normal(size=(4, 6)), rng.normal(size=(4, 6))))
         assert seen and all(dtype == bool for dtype in seen)
 
 

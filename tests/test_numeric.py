@@ -202,14 +202,6 @@ class TestBatchedKMeans:
             self.assert_restarts_match_bit_for_bit(points, 4, 3)
             np.testing.assert_array_equal(kmeans(points, 4, 3), sequential_kmeans(points, 4, 3))
 
-    @pytest.mark.parametrize("dim", range(1, 13))
-    def test_squared_distances_have_the_bits_of_a_sum_over_the_last_axis(self, dim):
-        rng = np.random.default_rng(dim)
-        points = rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-3, 4, size=(30, dim))
-        centers = rng.normal(size=(5, 4, dim))
-        expected = ((points[:, None, :] - centers[:, None, :, :]) ** 2).sum(axis=-1)
-        np.testing.assert_array_equal(numeric._squared_distances(points, centers), expected)
-
     def test_a_cluster_emptied_mid_lloyd(self):
         rng = np.random.default_rng(0)
         seeds = np.array([sequential_plus_plus_init(EMPTYING, 3, rng) for _ in range(10)])
