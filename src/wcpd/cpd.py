@@ -29,7 +29,7 @@ from .empirical import (
     _workspace,
 )
 from .errors import NumericalError
-from .series import TimeSeries
+from .series import TimeSeries, _reals
 from .simgen import DistSpec, _draw, _integer
 
 __all__ = [
@@ -76,7 +76,7 @@ class StatTrace:
     filtered: bool = False
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _reals(self.values, "trace values")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("trace values must be a nonempty flat array")
         beta = _integer(self.beta, "beta", 1)
@@ -109,7 +109,7 @@ class MatchedFilter:
     seed: int | None = None
 
     def __post_init__(self):
-        taps = np.array(self.taps, dtype=float)
+        taps = _reals(self.taps, "taps")
         beta = _integer(self.beta, "beta", 1)
         if taps.ndim != 1 or taps.size != 2 * beta + 1:
             raise ValueError("taps must cover offsets -beta..beta")
@@ -492,7 +492,7 @@ def load_filter(path) -> MatchedFilter:
             for before, after in payload.get("change_pairs", [])
         )
         return MatchedFilter(
-            taps=np.asarray(payload["taps"], dtype=float),
+            taps=payload["taps"],
             beta=payload["beta"],
             gamma=payload["gamma"],
             ensemble_size=payload["ensemble_size"],

@@ -14,6 +14,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .series import _reals
+
 __all__ = [
     "EmpiricalDist",
     "NullConstants",
@@ -60,8 +62,8 @@ class EmpiricalDist:
     weights: np.ndarray
 
     def __post_init__(self):
-        support = np.array(self.support, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        support = _reals(self.support, "support")
+        weights = _reals(self.weights, "weights")
         if support.ndim != 1 or support.size == 0:
             raise ValueError("empty distribution")
         if support.shape != weights.shape:
@@ -111,7 +113,7 @@ def build_empirical(values, weights=None) -> EmpiricalDist:
     Omitted weights mean uniform 1/n; explicit weights are normalized by their
     total. The support is sorted with weights permuted alongside.
     """
-    vals = np.asarray(values, dtype=float)
+    vals = _reals(values, "values")
     if vals.ndim != 1:
         vals = vals.reshape(-1)
     if vals.size == 0:
@@ -121,7 +123,7 @@ def build_empirical(values, weights=None) -> EmpiricalDist:
     if weights is None:
         w = np.full(vals.size, 1.0 / vals.size)
     else:
-        w = np.asarray(weights, dtype=float)
+        w = _reals(weights, "weights")
         if w.shape != vals.shape:
             raise ValueError("weights length must match values length")
         if not np.all(np.isfinite(w)):

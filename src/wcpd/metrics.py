@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from .cpd import StatTrace
-from .numeric import _assignment_cost
+from .numeric import hungarian
 from .series import _integers
 from .simgen import _integer
 from .tssc import SegmentLabeling
@@ -94,9 +94,9 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     """Best-mapping fraction of samples whose cluster id matches the truth.
 
     Predicted segment labels are expanded per sample, the K x K confusion
-    counts are built, and one assignment solve on max - counts gives the
-    agreement of the label mapping that maximizes it; the result is invariant
-    to any permutation of the predicted ids.
+    counts are built in one ``np.bincount``, and :func:`wcpd.numeric.hungarian`
+    on their negation gives the label mapping that maximizes agreement; the
+    result is invariant to any permutation of the predicted ids.
     """
     truths = _integers(truth_labels, "truth labels")
     if truths.ndim != 1 or truths.size == 0:
@@ -109,7 +109,6 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     if distinct.size > K:
         raise ValueError("more distinct truth labels than clusters")
     truth_index = np.searchsorted(distinct, truths)
-    counts = np.zeros((K, K))
-    np.add.at(counts, (predicted, truth_index), 1.0)
-    matched = K * counts.max() - _assignment_cost(counts.max() - counts)
+    counts = np.bincount(predicted * K + truth_index, minlength=K * K).reshape(K, K)
+    matched = counts[np.arange(K), hungarian(-counts)].sum()
     return float(matched / truths.size)

@@ -26,7 +26,7 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     Parameters
     ----------
-    matrix : (n, n) array-like, symmetric to 1e-12.
+    matrix : (n, n) array-like of finite reals, symmetric to 1e-12.
 
     Returns
     -------
@@ -37,9 +37,11 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     A NumericalError is raised if LAPACK does not converge.
     """
-    A = np.array(matrix, dtype=float)
+    A = _reals(matrix, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
+    if not np.isfinite(A).all():
+        raise ValueError("non-finite matrix entry")
     if float(np.abs(A - A.T).max()) > _SYM_TOL:
         raise ValueError("matrix is not symmetric")
     try:
@@ -204,28 +206,55 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     return labels[int(np.argmin(inertia))].copy()
 
 
-def _assignment_cost(cost: np.ndarray) -> float:
-    """Minimum total cost of a perfect assignment (potentials method)."""
-    n = cost.shape[0]
-    INF = np.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row currently matched to column j (1-based)
+def hungarian(cost) -> list[int]:
+    """Minimum-cost one-to-one assignment on a square cost matrix, solved exactly.
+
+    Returns ``perm`` with row i assigned to column perm[i]. Among all
+    minimum-cost assignments the lexicographically smallest permutation is
+    returned, which pins down the result when costs tie.
+
+    Every finite float is an integer times a power of two, so the costs are
+    scaled by their largest denominator to exact Python integers and nothing
+    rounds. Each is then multiplied by n**n and given the tie-break term
+    j * n**(n - 1 - i), whose sum over an assignment is perm read as a
+    base-n number, below n**n: one exact O(n**3) solve of the potentials
+    method (Kuhn's Hungarian method) minimizes the cost first and the
+    permutation second.
+    """
+    C = _reals(cost, "cost matrix")
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
+        raise ValueError("cost matrix must be square and nonempty")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("non-finite cost entry")
+    n = C.shape[0]
+    ratios = [[x.as_integer_ratio() for x in row] for row in C.tolist()]
+    unit = max(den for row in ratios for _, den in row)
+    scaled = [
+        [num * (unit // den) * n**n + j * n ** (n - 1 - i) for j, (num, den) in enumerate(row)]
+        for i, row in enumerate(ratios)
+    ]
+    # 1-based potentials; p[j] = row matched to column j, 0 for none
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
+        # np.inf is only compared with the integers, never added to them: every
+        # unused column gets a finite minv in the first pass
+        minv = [np.inf] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
+            row, ui = scaled[i0 - 1], u[i0]
+            delta = np.inf
             j1 = -1
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -245,40 +274,7 @@ def _assignment_cost(cost: np.ndarray) -> float:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    return float(sum(cost[p[j] - 1, j - 1] for j in range(1, n + 1)))
-
-
-def hungarian(cost) -> list[int]:
-    """Minimum-cost one-to-one assignment on a square cost matrix.
-
-    Returns ``perm`` with row i assigned to column perm[i]. Among all
-    minimum-cost assignments the lexicographically smallest permutation is
-    returned, which pins down the result when costs tie.
-    """
-    C = np.array(cost, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
-        raise ValueError("cost matrix must be square and nonempty")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("non-finite cost entry")
-    n = C.shape[0]
-    best_total = _assignment_cost(C)
-    tol = 1e-9 * max(1.0, abs(best_total))
-
-    cols = list(range(n))
-    perm: list[int] = []
-    prefix = 0.0
-    for row in range(n):
-        for pos, col in enumerate(cols):
-            rest = cols[:pos] + cols[pos + 1 :]
-            if row + 1 < n:
-                tail = _assignment_cost(C[np.ix_(range(row + 1, n), rest)])
-            else:
-                tail = 0.0
-            if prefix + C[row, col] + tail <= best_total + tol:
-                perm.append(col)
-                cols = rest
-                prefix += C[row, col]
-                break
-        else:  # pragma: no cover - some column always completes an optimum
-            raise NumericalError("assignment refinement failed")
+    perm = [0] * n
+    for j in range(1, n + 1):
+        perm[p[j] - 1] = j - 1
     return perm

@@ -32,7 +32,7 @@ from .empirical import (
     _workspace,
 )
 from .numeric import eigh_symmetric, kmeans
-from .series import TimeSeries, _integers
+from .series import TimeSeries, _integers, _reals
 from .simgen import _integer
 
 __all__ = [
@@ -79,7 +79,7 @@ class AffinityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _reals(self.values, "affinities")
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
             raise ValueError("affinity matrix must be square and nonempty")
         if not np.all(np.isfinite(values)):

@@ -1,7 +1,7 @@
 """Shared test oracles: exact two-sample statistic, LP transport, exhaustive
-assignment, adjusted Rand, one-stream draws, member-by-member filter
-calibration, the tap-order filter sum, all-pairs change point matching and
-restart-by-restart k-means."""
+assignment (in floats and exactly), adjusted Rand, one-stream draws,
+member-by-member filter calibration, the tap-order filter sum, all-pairs change
+point matching and restart-by-restart k-means."""
 
 from __future__ import annotations
 
@@ -62,6 +62,17 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[list[int], float]:
             best_total = total
             best_perm = list(perm)
     return best_perm, best_total
+
+
+def exact_assignment(cost) -> list[int]:
+    """First permutation of least exact cost, summing each float as a Fraction."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(cost, dtype=float).tolist()]
+    totals = (
+        (sum(row[j] for row, j in zip(rows, perm)), perm)
+        for perm in itertools.permutations(range(len(rows)))
+    )
+    # min keeps the first of equal totals, so the lexicographically smallest
+    return list(min(totals, key=lambda total_perm: total_perm[0])[1])
 
 
 def adjusted_rand(labels_a, labels_b) -> float:

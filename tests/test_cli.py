@@ -321,6 +321,32 @@ class TestDetect:
         err = capsys.readouterr().err
         assert str(broken) in err and "'taps'" in err
 
+    def test_filter_with_string_taps_is_data_error(self, workspace, tmp_path, capsys):
+        payload = json.loads((workspace / "filter.json").read_text())
+        payload["taps"] = [repr(tap) for tap in payload["taps"]]
+        broken = tmp_path / "string_taps.json"
+        broken.write_text(json.dumps(payload))
+        code = run(
+            [
+                "detect",
+                "--input",
+                workspace / "data.csv",
+                "--time-column",
+                "t",
+                "--label-column",
+                "label",
+                "--beta",
+                30,
+                "--filter",
+                broken,
+                "--out-dir",
+                tmp_path / "out",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(broken) in err and "taps must be real numbers" in err
+
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         config = {
             "input": str(workspace / "data.csv"),

@@ -9,6 +9,7 @@ from wcpd.numeric import _lloyd, eigh_symmetric, hungarian, kmeans
 
 from helpers import (
     brute_force_assignment,
+    exact_assignment,
     sequential_kmeans,
     sequential_lloyd,
     sequential_plus_plus_init,
@@ -293,3 +294,34 @@ class TestHungarian:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hungarian(np.zeros((2, 3)))
+
+
+# Entries whose sums round in floats: small integers, multiples of a tenth
+# (not binary fractions) and magnitudes spanning 10^-300 to 10^300.
+COST_ENTRIES = {
+    "integers": st.integers(-3, 3).map(float),
+    "tenths": st.integers(-20, 20).map(lambda k: k / 10),
+    "wide": st.builds(lambda m, e: m * 10.0**e, st.integers(-9, 9), st.integers(-300, 300)),
+}
+
+
+@st.composite
+def cost_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entries = COST_ENTRIES[draw(st.sampled_from(sorted(COST_ENTRIES)))]
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestHungarianExact:
+    # the solver must find the least exact cost and, among equal exact costs,
+    # the first permutation; no float tolerance may call unequal costs tied
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    def test_matches_exact_oracle(self, cost):
+        assert hungarian(cost) == exact_assignment(cost)
+
+    def test_far_apart_magnitudes_are_not_tied(self):
+        # [0, 1] costs 1e300 + 1e290, within 1e-9 of the least cost 1e300
+        cost = [[1e300, 1e300], [0.0, 1e290]]
+        assert hungarian(cost) == exact_assignment(cost) == [1, 0]

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from wcpd.cpd import MatchedFilter, StatTrace
+from wcpd.empirical import EmpiricalDist, build_empirical
+from wcpd.numeric import eigh_symmetric, hungarian
 from wcpd.series import TimeSeries
+from wcpd.tssc import AffinityMatrix
 
 
 class TestData:
@@ -20,6 +24,37 @@ class TestData:
         series = TimeSeries(np.array([[1, 2], [3, 4]], dtype=np.int8))
         assert series.data.dtype == np.dtype(float)
         assert series.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# Every entry that reads caller input as floats checks it as TimeSeries does;
+# np.array(..., dtype=float) parsed strings and read bools as 1/0, and NaN
+# passed eigh_symmetric's symmetry check (nan > tol is false)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_empirical(["1", "2.5"]), "values must be real numbers"),
+        (lambda: build_empirical([True, False]), "values must be real numbers"),
+        (lambda: build_empirical([1.0, 2.0], ["1", "3"]), "weights must be real numbers"),
+        (lambda: build_empirical([1.0, 2.0], [True, True]), "weights must be real numbers"),
+        (lambda: EmpiricalDist(["1", "2"], [0.5, 0.5]), "support must be real numbers"),
+        (lambda: EmpiricalDist([1.0, 2.0], [True, False]), "weights must be real numbers"),
+        (lambda: StatTrace(["nan", "0.5", "nan"], 1), "trace values must be real numbers"),
+        (lambda: MatchedFilter(["0.25", "0.5", "0.25"], 1, 1.0, 1), "taps must be real numbers"),
+        (lambda: AffinityMatrix([[True, False], [False, True]]), "affinities must be real"),
+        (lambda: eigh_symmetric([[True, False], [False, True]]), "matrix must be real numbers"),
+        (lambda: eigh_symmetric([["1"]]), "matrix must be real numbers"),
+        (lambda: eigh_symmetric([[NAN]]), "non-finite matrix entry"),
+        (lambda: eigh_symmetric([[INF, 0.0], [0.0, 1.0]]), "non-finite matrix entry"),
+        (lambda: hungarian([["1", "0"], ["0", "1"]]), "cost matrix must be real numbers"),
+        (lambda: hungarian([[True, False], [False, True]]), "cost matrix must be real numbers"),
+    ],
+)
+def test_library_entries_refuse_non_real_and_non_finite_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestLabels:
