@@ -169,12 +169,6 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np
     return labels, (gaps**2).reshape(runs, -1).sum(axis=1)
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray):
-    """Lloyd's iterations from one run's (k, D) centres: (labels, inertia)."""
-    labels, inertia = _lloyd_runs(points, centers[None])
-    return labels[0], float(inertia[0])
-
-
 def kmeans(points, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means: ++ seeding, Lloyd to a fixpoint, best of ten restarts.
 

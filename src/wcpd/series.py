@@ -18,8 +18,19 @@ def _integers(values, name: str) -> np.ndarray:
 
 
 def _reals(values, name: str) -> np.ndarray:
-    """A new float array of values, refusing strings, bools and complex numbers."""
+    """A new float array of values, refusing strings, bools and complex numbers.
+
+    numpy holds Python ints beyond int64 in an object array; one whose
+    entries are all ints and floats is converted entry by entry.
+    """
     array = np.asarray(values)
+    if array.dtype == object and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in array.flat
+    ):
+        try:
+            return np.array([float(v) for v in array.flat]).reshape(array.shape)
+        except OverflowError:
+            raise ValueError(f"{name} must fit in a float: an integer is too large") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, not {array.dtype}")
     return array.astype(float)

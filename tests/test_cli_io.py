@@ -4,6 +4,7 @@ the bytes of the writers, and the types of config values."""
 import csv
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,54 @@ def test_labels_csv_bytes_match_the_row_formatter(small_run, tmp_path):
     per_sample = cluster_segments(series, cps, K=3, beta=15, seed=4).per_sample(len(series))
     expected = "t,label\n" + "".join(f"{t},{per_sample[t]}\n" for t in range(len(series)))
     assert (tmp_path / "labels.csv").read_bytes() == expected.encode()
+
+
+B = cli._BLOCK_LINES
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_write_text_gives_the_joined_lines_at_every_block_boundary(tmp_path, count):
+    lines = [f"{i},{i / 7!r}" for i in range(count)]
+    path = tmp_path / "new" / "out.csv"
+    cli._write_text(path, (line for line in lines))
+    expected = "\n".join(lines) + "\n" if lines else ""
+    assert path.read_bytes() == expected.encode()
+
+
+def write_text_peak(path, count):
+    """tracemalloc's peak while ``_write_text`` writes ``count`` lazily made lines."""
+    lines = (f"{i:09d},0.12345678901234567,{-i / 3!r}" for i in range(count))
+    tracemalloc.start()
+    try:
+        cli._write_text(path, lines)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_text_peak_does_not_grow_with_the_line_count(tmp_path):
+    # the parent held every line, the joined text and its encoding: ten
+    # times the lines took about ten times the memory
+    short = write_text_peak(tmp_path / "short.csv", 2 * B)
+    long = write_text_peak(tmp_path / "long.csv", 20 * B)
+    assert long < 1.25 * short
+
+
+def test_writer_outputs_do_not_depend_on_the_block_size(small_run, tmp_path, monkeypatch):
+    # blocks of 7 lines split the series, its segments and every column
+    def outputs(out):
+        ingest = ["--input", out / "data.csv", "--time-column", "t", "--label-column", "label"]
+        assert run(["simulate", "--spec", small_run / "spec.json", "--out", out / "data.csv"]) == 0
+        assert run(["detect", *ingest, "--beta", 15, "--filter", small_run / "filter.json",
+                    "--out-dir", out]) == 0
+        assert run(["cluster", *ingest, "--beta", 15, "--k", 3, "--seed", 4,
+                    "--change-points", out / "data.csv.cps", "--out-dir", out]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    default = outputs(tmp_path / "default")
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 7)
+    assert outputs(tmp_path / "small") == default
+    assert len(default) == 7
 
 
 @pytest.mark.parametrize("cps, k", [([], 1), ([1, 2, 5, 6], 2), ([3], 2)],

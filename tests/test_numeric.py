@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wcpd import numeric
 from wcpd.errors import NumericalError
-from wcpd.numeric import _lloyd, eigh_symmetric, hungarian, kmeans
+from wcpd.numeric import _lloyd_runs, eigh_symmetric, hungarian, kmeans
 
 from helpers import (
     brute_force_assignment,
@@ -130,7 +130,7 @@ class TestKMeans:
         history = []
         for iterations in range(1, 15):
             monkeypatch.setattr(numeric, "_MAX_LLOYD_ITERATIONS", iterations)
-            history.append(_lloyd(points, init.copy())[1])
+            history.append(_lloyd_runs(points, init[None].copy())[1][0])
         assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
         assert history[-1] < history[0]
 

@@ -50,11 +50,32 @@ NAN, INF = float("nan"), float("inf")
         (lambda: eigh_symmetric([[INF, 0.0], [0.0, 1.0]]), "non-finite matrix entry"),
         (lambda: hungarian([["1", "0"], ["0", "1"]]), "cost matrix must be real numbers"),
         (lambda: hungarian([[True, False], [False, True]]), "cost matrix must be real numbers"),
+        # ints beyond int64 make numpy build an object array; any other entry
+        # in it is still refused, and an int beyond float64 is named
+        (lambda: TimeSeries([2**64, None]), "data must be real numbers, not object"),
+        (lambda: TimeSeries([2**64, True]), "data must be real numbers, not object"),
+        (lambda: TimeSeries([2**64, 1j]), "data must be real numbers, not object"),
+        (lambda: TimeSeries([2**64, "1"]), "data must be real numbers, not"),
+        (lambda: TimeSeries([10**400, 1]), "data must fit in a float: an integer is too large"),
+        (lambda: hungarian([[10**400, 0], [0, 1]]), "cost matrix must fit in a float"),
     ],
 )
 def test_library_entries_refuse_non_real_and_non_finite_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: hungarian([[2**70, 0], [0, 2**70]]), [1, 0]),
+        (lambda: TimeSeries([2**64, 1]).data.tolist(), [[2.0**64], [1.0]]),
+        (lambda: TimeSeries([[-(2**63) - 1, 0.5]]).data.tolist(), [[-(2.0**63), 0.5]]),
+    ],
+)
+def test_python_ints_beyond_int64_are_read_as_floats(call, expected):
+    # numpy holds them in an object array, which was refused as "not object"
+    assert call() == expected
 
 
 class TestLabels:
