@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import functools
 import io
@@ -189,9 +190,7 @@ def ingest_csv(
             data = np.stack([body[f"c{i}"] for i in value_idx], axis=1, dtype=float)
             labels = body[f"c{label_idx}"] if label_idx is not None else None
         if body is None or not np.isfinite(data).all():
-            handle.seek(0)
-            next(reader)
-            data, labels = _scan_rows(reader, path, header, value_idx, label_idx)
+            data, labels = _scan_rows(handle, reader, path, header, value_idx, label_idx)
 
     if difference:
         if data.shape[0] < 2:
@@ -202,31 +201,36 @@ def ingest_csv(
     return TimeSeries(data=data, labels=labels)
 
 
-def _scan_rows(reader, path, header, value_idx, label_idx):
+def _scan_rows(handle, reader, path, header, value_idx, label_idx):
     """``ingest_csv``'s body row by row with ``float()`` and ``_int64()``.
 
-    Returns the values and the labels (None without a label column), or
-    raises naming the first bad line.
+    ``reader`` reads ``handle``, which is rewound to the row after the
+    header. Returns the values and the labels (None without a label column),
+    or raises naming the first bad line. The values and labels go into flat
+    typed buffers, 8 bytes each; a non-finite value is found at the end, and
+    its line by a second scan.
     """
-    rows = []
-    row_lines = []
-    labels = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+
+    def body():
+        handle.seek(0)
+        next(reader)
+        return ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+
+    values = array.array("d")
+    labels = array.array("q")
+    for lineno, row in body():
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
             )
         try:
-            rows.append([float(row[i]) for i in value_idx])
+            values.extend([float(row[i]) for i in value_idx])
         except ValueError:
             bad = next(i for i in value_idx if not _is_float(row[i]))
             raise ValueError(
                 f"{path}: line {lineno}: non-numeric value {row[bad]!r} "
                 f"in column {header[bad]!r}"
             ) from None
-        row_lines.append(lineno)
         if label_idx is not None:
             try:
                 labels.append(_int64(row[label_idx]))
@@ -235,17 +239,18 @@ def _scan_rows(reader, path, header, value_idx, label_idx):
                     f"{path}: line {lineno}: non-integer label {row[label_idx]!r}"
                 ) from None
 
-    if not rows:
+    if not values:
         raise ValueError(f"{path}: empty series")
-    data = np.asarray(rows, dtype=float)
+    data = np.frombuffer(values, dtype=float).reshape(-1, len(value_idx))
     non_finite = np.argwhere(~np.isfinite(data))
     if non_finite.size:
         r, c = non_finite[0]
+        lineno = next(itertools.islice(body(), r, None))[0]
         raise ValueError(
-            f"{path}: line {row_lines[r]}: non-finite value '{data[r, c]}' "
+            f"{path}: line {lineno}: non-finite value '{data[r, c]}' "
             f"in column {header[value_idx[c]]!r}"
         )
-    return data, np.asarray(labels, dtype=int) if label_idx is not None else None
+    return data, np.frombuffer(labels, dtype=np.int64) if label_idx is not None else None
 
 
 def _is_float(cell: str) -> bool:

@@ -369,12 +369,15 @@ class OnlineDetector:
         # (2, beta) columns of a span's before and after windows, centre skipped
         self._pick = np.delete(np.arange(self._span), beta).reshape(2, beta)
         self._n = 0
+        self._confirmed = 0  # change points returned by step and finalize
         # Rings written twice, at slot and slot + span, so the last span
         # entries are always one contiguous view. _raw holds samples (one row
         # per dimension), _sigma the statistics sigma[i] at slot i % span; its
         # never-written slots keep the null mean, which is also how the
-        # offline pass pads indices outside the valid range.
+        # offline pass pads indices outside the valid range. _raw and the
+        # window buffer are sized at the first sample, which fixes d.
         self._raw: np.ndarray | None = None
+        self._windows: np.ndarray | None = None
         self._sigma = np.full(2 * self._span, NULL.null_mean)
         self._sigma_hi = beta - 1  # highest index written to _sigma
         self._next_t = beta  # next index whose filtered value is due
@@ -421,7 +424,7 @@ class OnlineDetector:
         if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise ValueError("non-finite sample")
         if self._raw is None:
-            self._raw = np.empty((arr.size, 2 * self._span))
+            self._start(arr.size)
         elif arr.size != self._raw.shape[0]:
             raise ValueError("sample dimension changed mid-stream")
         span = self._span
@@ -431,15 +434,44 @@ class OnlineDetector:
         if self._n < span:
             return None
 
-        windows = self._raw[:, slot + 1 : slot + 1 + span].take(self._pick, axis=1)
-        windows.sort()
-        dim = len(windows)
-        # indexing makes two views per dimension; iterating would make three
-        total = sum([_w2t_row(windows[i, 0], windows[i, 1]) for i in range(dim)])
-        self._push_sigma(total / (6 * self._beta * self._beta * dim))
+        # indices are in range, and mode="raise" would buffer the output
+        self._raw[:, slot + 1 : slot + 1 + span].take(
+            self._pick, axis=1, out=self._windows, mode="clip"
+        )
+        self._windows.sort()
+        self._push_sigma(_w2t_row(self._xs, self._ys) / self._scale)
         if self._sigma_hi < self._next_t + self._beta - self._slack:
             return None
-        return self._filter_next()
+        confirmed = self._filter_next()
+        if confirmed is not None:
+            self._confirmed += 1
+        return confirmed
+
+    def _start(self, dim: int) -> None:
+        """Size the sample ring and the (d, 2, beta) window buffer for d = dim."""
+        self._raw = np.empty((dim, 2 * self._span))
+        self._windows = np.empty((dim, 2, self._beta))
+        # the sorted before and after windows as _w2t_row takes them: one
+        # row each at d = 1, a (d, beta) stack each otherwise
+        self._xs, self._ys = self._windows[0] if dim == 1 else self._windows.transpose(1, 0, 2)
+        self._scale = 6 * self._beta * self._beta * dim
+
+    def stats(self) -> dict:
+        """Snapshot: samples seen, change points returned, confirmation lag, state bytes.
+
+        ``confirmed`` counts the indices returned by :meth:`step` and
+        :meth:`finalize`. ``lag`` is how many samples after a change point
+        its streamed confirmation arrives: 2*beta, or 2*beta + 1 with a
+        nonzero leading tap. ``state_bytes`` is the size of every array the
+        detector holds; it is fixed from the first sample on.
+        """
+        arrays = (self._rev, self._products, self._pick, self._sigma, self._raw, self._windows)
+        return {
+            "samples": self._n,
+            "confirmed": self._confirmed,
+            "lag": 2 * self._beta + 1 - self._slack,
+            "state_bytes": sum(a.nbytes for a in arrays if a is not None),
+        }
 
     def finalize(self) -> list[int]:
         """Flush end-of-stream decisions (offline uses padding there)."""
@@ -456,6 +488,7 @@ class OnlineDetector:
             confirmed = self._filter_next()
             if confirmed is not None:
                 emitted.append(confirmed)
+        self._confirmed += len(emitted)
         return emitted
 
 

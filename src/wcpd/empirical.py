@@ -152,9 +152,9 @@ def _scale_exponent(atoms: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=16)
-def _ramp(n: int, step: int, start: int = 0) -> np.ndarray:
-    """start + j*step for j = 0..n-1, read-only."""
-    ramp = start + np.arange(n) * step
+def _ramp(n: int, step: int, start: int = 0, tiles: int = 1) -> np.ndarray:
+    """start + j*step for j = 0..n-1, repeated tiles times, read-only."""
+    ramp = np.tile(start + np.arange(n) * step, tiles)
     ramp.setflags(write=False)
     return ramp
 
@@ -248,18 +248,32 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work: list[np.ndarray]) -> np.ndar
 
 
 def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Integer S of :func:`_w2t_keys` for two sorted windows of n samples each.
+    """Integer S of :func:`_w2t_keys` for sorted windows of n samples, summed over rows.
 
-    One searchsorted counts c_j = #x <= y_j. With d_j = c_j - j, S expands to
-    3*sum_j c_j*(c_j - 2j - 1) + n^3, one dot with a cached ramp and one
-    fewer numpy call than forming the d_j. Equal windows give 0.
+    xs and ys are two sorted windows (n,), or two (rows, n) stacks of them
+    matched row by row. One searchsorted per row counts c_j = #x <= y_j.
+    With d_j = c_j - j, S expands to 3*sum_j c_j*(c_j - 2j - 1) + n^3 per
+    row, and the sum over rows is exact in any order: the rows' counts are
+    joined and share one subtraction of a cached ramp and one int64 dot. A
+    row of equal windows adds 0, so it is left out of the join.
     """
+    n = xs.shape[-1]
     # see _w2t_from_sorted; equal first samples are the cheap necessary test
-    if xs[0] == ys[0] and (xs == ys).all():
-        return 0
-    n = xs.size
-    c = xs.searchsorted(ys, side="right")
-    return 3 * np.dot(c, c - _ramp(n, 2, 1)) + n * n * n
+    if xs.ndim == 1:
+        if xs[0] == ys[0] and (xs == ys).all():
+            return 0
+        c = xs.searchsorted(ys, side="right")
+    else:
+        x0, y0 = xs[:, 0].tolist(), ys[:, 0].tolist()
+        counts = [
+            xs[r].searchsorted(ys[r], side="right")
+            for r in range(len(x0))
+            if x0[r] != y0[r] or not (xs[r] == ys[r]).all()
+        ]
+        if not counts:
+            return 0
+        c = np.concatenate(counts)
+    return 3 * np.dot(c, c - _ramp(n, 2, 1, c.size // n)) + c.size * n * n
 
 
 def _weight_keys(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

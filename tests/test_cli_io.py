@@ -96,6 +96,37 @@ def test_ingest_error_keeps_exit_code(tmp_path, capsys):
     assert f"error: {path}: line 5: non-finite value 'inf' in column 'x0'" in capsys.readouterr().err
 
 
+def scan_peak(path, rows, dim):
+    """tracemalloc peak of ingest_csv on a file whose text time column only
+    the line-by-line reader takes, and the file's body bytes per row."""
+    rng = np.random.default_rng(rows + dim)
+    body = "".join(
+        f"t{i}," + ",".join(map(repr, rng.normal(size=dim).tolist())) + f",{i % 3}\n"
+        for i in range(rows)
+    )
+    path.write_text("t," + ",".join(f"x{j}" for j in range(dim)) + ",label\n" + body)
+    tracemalloc.start()
+    try:
+        series = ingest_csv(path, time_column="t", label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.data.shape == (rows, dim)
+    return peak, len(body)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_line_by_line_peak_per_row_is_the_text_and_the_values(tmp_path, dim):
+    # besides the file text, a row holds its dim values and its label at
+    # 8 bytes each (and the series' copy); the parent kept a list of Python
+    # floats per row and a line number: about 200 more bytes a row
+    small, small_bytes = scan_peak(tmp_path / "small.csv", 2_000, dim)
+    large, large_bytes = scan_peak(tmp_path / "large.csv", 20_000, dim)
+    per_row = (large - small) / 18_000
+    assert per_row < (large_bytes - small_bytes) / 18_000 + 32 * (dim + 1)
+
+
+
 READER_CASES = [
     # (reader, file text, message after "<path>: " or the values read)
     (cli._read_indices, "1\n\n  \n2\n", [1, 2]),

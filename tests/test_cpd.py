@@ -651,6 +651,33 @@ class TestOnlineDetector:
             np.array(pushed).view(np.uint64), offline.view(np.uint64)
         )
 
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    @pytest.mark.parametrize("beta", [2, 7, 50])
+    def test_one_permuted_dimension_adds_zero(self, dim, beta):
+        # at index beta only dimension 0's after window permutes its before
+        # window: that row of the joined counts must add 0, the others their S
+        rng = np.random.default_rng(dim * 100 + beta)
+        block = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], beta)
+        first = np.concatenate((block, [7.0], rng.permutation(block), rng.normal(size=beta)))
+        data = np.column_stack([first, *rng.normal(size=(dim - 1, first.size))])
+        series = TimeSeries(data)
+        detector = OnlineDetector(DetectorConfig(beta=beta))
+        span = 2 * beta + 1
+        pushed = []
+        for sample in series.data:
+            detector.step(sample)
+            if detector._sigma_hi >= beta:
+                pushed.append(detector._sigma[detector._sigma_hi % span])
+        offline = sliding_statistic(series, beta).values[beta : len(series) - beta]
+        np.testing.assert_array_equal(
+            np.array(pushed).view(np.uint64), offline.view(np.uint64)
+        )
+        before, after = np.sort(data[:beta], axis=0), np.sort(data[beta + 1 : span], axis=0)
+        assert exact_w2t(before[:, 0], after[:, 0]) == 0
+        others = sum(exact_w2t(before[:, i], after[:, i]) for i in range(1, dim)) * 6 * beta**2
+        assert others.denominator == 1 and others > 0
+        assert pushed[0] == others.numerator / (6 * beta * beta * dim)
+
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("beta", [2, 7, 50])
     def test_filtered_values_are_bitwise_offline(self, dim, beta):
@@ -725,6 +752,36 @@ class TestOnlineDetector:
         finally:
             tracemalloc.stop()
         assert retained < 64 * 1024
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_stats_state_size_is_fixed_by_the_first_sample(self, dim):
+        beta = 5
+        detector = OnlineDetector(DetectorConfig(beta=beta))
+        samples = np.random.default_rng(dim).normal(size=(1_000 * beta, dim))
+        for sample in samples[: 10 * beta]:
+            detector.step(sample)
+        early = detector.stats()
+        for sample in samples[10 * beta :]:
+            detector.step(sample)
+        late = detector.stats()
+        assert early["samples"] == 10 * beta and late["samples"] == 1_000 * beta
+        assert early["state_bytes"] == late["state_bytes"] > 0
+
+    def test_stats_counts_confirmations_and_their_lag(self, filter_b25):
+        series = self.three_segment(31)
+        config = DetectorConfig(beta=25, filter=filter_b25)
+        detector = OnlineDetector(config)
+        stats = detector.stats()
+        assert (stats["samples"], stats["confirmed"], stats["lag"]) == (0, 0, 2 * 25)
+        streamed = [cp for cp in map(detector.step, series.data) if cp is not None]
+        assert streamed and detector.stats()["confirmed"] == len(streamed)
+        tail = detector.finalize()
+        assert detector.stats()["confirmed"] == len(streamed) + len(tail)
+        assert streamed + tail == detect(series, config).change_points
+        taps = filter_b25.taps.copy()
+        taps[0] = 0.02
+        blunt = MatchedFilter(taps=taps / taps.sum(), beta=25, gamma=1.0, ensemble_size=1)
+        assert OnlineDetector(DetectorConfig(beta=25, filter=blunt)).stats()["lag"] == 2 * 25 + 1
 
     @settings(max_examples=25, deadline=None)
     @given(

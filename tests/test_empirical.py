@@ -195,6 +195,25 @@ class TestW2TRow:
             for x, y in zip(xs, ys):
                 assert Fraction(empirical._w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 9])
+    def test_stacks_sum_their_rows(self, n, rows):
+        # one join and one dot over a (rows, n) stack give the sum of the rows'
+        # S; rows of equal windows add 0, tied rows that only share a first
+        # sample do not
+        rng = np.random.default_rng(rows * 1000 + n)
+        for tied in (True, False):
+            draw = (lambda: rng.integers(0, 4, size=(rows, n)) * 1.0) if tied else (
+                lambda: rng.normal(size=(rows, n))
+            )
+            xs, ys = np.sort(draw(), axis=1), np.sort(draw(), axis=1)
+            for equal in ([], [0], list(range(0, rows, 2)), list(range(rows))):
+                ys_mixed = ys.copy()
+                ys_mixed[equal] = xs[equal]
+                expected = sum(exact_w2t(x, y) for x, y in zip(xs, ys_mixed))
+                total = empirical._w2t_row(xs, ys_mixed)
+                assert Fraction(int(total), 6 * n * n) == expected
+
 
 def w2t_keys(xk, yk):
     """_w2t_keys on (R, n) key windows, with a workspace of their size."""
