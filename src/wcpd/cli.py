@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import array
+import contextlib
 import csv
 import functools
 import io
@@ -81,9 +82,24 @@ def _scalars(array: np.ndarray):
     )
 
 
-def _open_buffered(path) -> io.TextIOWrapper:
-    """``path`` read whole into a rewindable text handle, so a pipe reads like a file."""
-    return io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), newline="")
+@contextlib.contextmanager
+def _naming(path, error=ValueError):
+    """An ``error`` raised in the with block, raised again as a ValueError naming ``path``."""
+    try:
+        yield
+    except error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _open_buffered(path):
+    """``path`` read whole into a rewindable text handle, so a pipe reads like a file.
+
+    Text that does not decode, met anywhere in the with block, names ``path``.
+    """
+    with io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), newline="") as handle:
+        with _naming(path, UnicodeDecodeError):
+            yield handle
 
 
 def _parse_body(handle, dtype, **options):
@@ -262,10 +278,11 @@ def _is_float(cell: str) -> bool:
 
 
 def _read_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    with _naming(path):  # undecodable text, or an integer of too many digits
+        try:
+            return json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from None
 
 
 def _load_config(path) -> dict:
@@ -525,10 +542,8 @@ def _ingest(opt) -> TimeSeries:
 def _cmd_simulate(opt) -> int:
     spec_path, out = opt("spec"), Path(opt("out"))
     spec = _load_series_spec(spec_path)
-    try:
+    with _naming(spec_path):
         series = generate(spec)
-    except ValueError as exc:
-        raise ValueError(f"{spec_path}: {exc}") from None
 
     header = "t," + ",".join(f"x{d}" for d in range(series.dim)) + ",label"
     samples = zip(_scalars(series.data), _scalars(series.labels))
@@ -547,12 +562,10 @@ def _cmd_calibrate_filter(opt) -> int:
     beta, ensemble, seed, pairs_path = opt("beta"), opt("ensemble"), opt("seed"), opt("pairs")
     out = Path(opt("out"))
     pairs = _load_pairs(pairs_path) if pairs_path else DEFAULT_CHANGE_PAIRS
-    try:
+    with _naming(pairs_path):  # the options are checked, so only a custom pair fails
         filt = estimate_matched_filter(
             beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed
         )
-    except ValueError as exc:  # the options are checked, so only a custom pair fails
-        raise ValueError(f"{pairs_path}: {exc}") from None
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(filt, out)
     peak_offset = int(np.argmax(filt.taps)) - filt.beta
@@ -568,13 +581,12 @@ def _cmd_detect(opt) -> int:
     series = _ingest(opt)
     beta, lam, filter_path = opt("beta"), opt("lambda"), opt("filter")
     filt = load_filter(filter_path) if filter_path else None
-    config = DetectorConfig(beta=beta, lam=lam, filter=filt)
+    with _naming(filter_path):  # the options are checked, so only the filter's beta fails
+        config = DetectorConfig(beta=beta, lam=lam, filter=filt)
     out_dir = Path(opt("out-dir"))
 
-    try:
+    with _naming(opt("input")):
         result = detect(series, config)
-    except ValueError as exc:
-        raise ValueError(f"{opt('input')}: {exc}") from None
     _write_text(out_dir / "change_points.txt", [str(cp) for cp in result.change_points])
     # the raw statistic is S/(6β²·d) for an integer S, so its values repeat:
     # repr each distinct one once. It never holds -0.0, which np.unique would
@@ -593,10 +605,8 @@ def _cmd_cluster(opt) -> int:
     series = _ingest(opt)
     beta, k, seed, cps_path = opt("beta"), opt("k"), opt("seed"), opt("change-points")
     cps = sorted(_read_indices(cps_path))
-    try:  # TimeSeries checks the change points against the series length
+    with _naming(cps_path):  # TimeSeries checks the change points against the series length
         series = replace(series, change_points=cps)
-    except ValueError as exc:
-        raise ValueError(f"{cps_path}: {exc}") from None
     segments = len(cps) + 1
     if k > segments:
         raise ValueError(
@@ -638,11 +648,10 @@ def _cmd_evaluate(opt) -> int:
         if values.size == 0 or np.all(np.isnan(values)):
             raise ValueError(f"{trace_path}: trace column {column!r} contains no values")
         warmup = max(int(np.argmax(~np.isnan(values))), 1)
-        try:
+        with _naming(trace_path):
             trace = StatTrace(values, beta=warmup, filtered=column == "filtered")
-        except ValueError as exc:
-            raise ValueError(f"{trace_path}: {exc}") from None
-        auc = cp_auc(trace, truth, delta)
+        with _naming(f"{opt('truth')}, {trace_path}"):
+            auc = cp_auc(trace, truth, delta)
 
     accuracy = float("nan")
     k, predicted_labels, truth_labels = opt("k"), opt("predicted-labels"), opt("truth-labels")
@@ -661,11 +670,10 @@ def _cmd_evaluate(opt) -> int:
                 f"{predicted_labels}: {sample_labels.size} labels, "
                 f"but {truth_labels} has {len(truth_ids)}"
             )
-        try:
+        with _naming(predicted_labels):
             labeling = _labeling_from_samples(sample_labels, k)
-        except ValueError as exc:
-            raise ValueError(f"{predicted_labels}: {exc}") from None
-        accuracy = label_accuracy(labeling, truth_ids, k)
+        with _naming(truth_labels):
+            accuracy = label_accuracy(labeling, truth_ids, k)
 
     beta, lam = opt("beta"), opt("lambda")
     lines = [

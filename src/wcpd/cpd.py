@@ -148,7 +148,10 @@ class DetectorConfig:
         if not (real and math.isfinite(lam)):
             raise ValueError(f"lam must be a finite real number, not {lam!r}")
         if self.filter is not None and self.filter.beta != self.beta:
-            raise ValueError("filter window size does not match beta")
+            raise ValueError(
+                "filter window size does not match beta: "
+                f"filter beta {self.filter.beta}, beta {self.beta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -257,8 +260,10 @@ def estimate_matched_filter(
     change_pairs = tuple(change_pairs)
     if not change_pairs:
         raise ValueError("at least one change pair is required")
-    if not all(isinstance(spec, DistSpec) for pair in change_pairs for spec in pair):
-        raise ValueError("change pairs must hold DistSpec instances")
+    for index, pair in enumerate(change_pairs):
+        if not (isinstance(pair, tuple | list) and len(pair) == 2
+                and all(isinstance(spec, DistSpec) for spec in pair)):
+            raise ValueError(f"change pair {index} must be two DistSpec instances, not {pair!r}")
     seed = _integer(seed, "seed", 0)
 
     group = max(1, _CHUNK_ELEMENTS // (4 * beta + 1))
@@ -478,11 +483,8 @@ class OnlineDetector:
         if self._finalized:
             raise ValueError("detector already finalized")
         self._finalized = True
-        T = self._n
-        if T < self._span:
-            return []
         emitted = []
-        while self._next_t < T - self._beta:
+        while self._next_t < self._n - self._beta:
             while self._sigma_hi < self._next_t + self._beta:
                 self._push_sigma(NULL.null_mean)
             confirmed = self._filter_next()
@@ -513,7 +515,7 @@ def load_filter(path) -> MatchedFilter:
     """Load a saved filter; the unit-area invariant is re-validated."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not decodable text
         raise ValueError(f"{path}: not a valid filter file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != FILTER_FORMAT:
         raise ValueError(f"{path}: not a matched filter file")

@@ -53,27 +53,6 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, V
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ centres of one run, drawing from rng as it goes (Arthur & Vassilvitskii)."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    idx = int(rng.integers(n))
-    centers[0] = points[idx]
-    chosen = {idx}
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            # all remaining mass sits on already-chosen points (duplicates)
-            idx = min(i for i in range(n) if i not in chosen)
-        chosen.add(idx)
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
-    return centers
-
-
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """((points[:, None, :] - centers[..., None, :, :]) ** 2).sum(axis=-1), (..., n, k)."""
     squares = points[:, None, :] - centers[..., None, :, :]
@@ -81,16 +60,17 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return squares.sum(axis=-1)
 
 
-def _plus_plus_runs(points: np.ndarray, k: int, rng: np.random.Generator, runs: int):
-    """(runs, k, D) centres of :func:`_plus_plus_init` run runs times on rng, or None.
+def _plus_plus_runs(points: np.ndarray, k: int, rng: np.random.Generator, runs: int) -> np.ndarray:
+    """(runs, k, D) k-means++ centres of runs restarts on rng (Arthur & Vassilvitskii).
 
-    The generator calls come first, in the order the runs make them: one
-    integers(n) and k - 1 uniforms each, the one uniform Generator.choice
-    draws per centre. Each later centre is then picked for all runs at once
-    by choice's own rule: the count of cdf <= u, with cdf the cumulative sum
-    of d2 / total divided by its last entry. A run whose total is 0 or not
-    finite would skip a draw or make choice raise, so None is returned
-    instead and the caller seeds run by run.
+    The generator calls come first, in the order restarts seeded one after
+    another make them: one integers(n) and k - 1 uniforms each, the one
+    uniform Generator.choice draws per centre. Each later centre is then
+    picked for all runs at once by choice's own rule: the count of cdf <= u,
+    with cdf the cumulative sum of d2 / total divided by its last entry. A run
+    with no mass left (duplicate points, or squared gaps that underflow) puts
+    all of it on its lowest unchosen point, which that rule then picks.
+    Squared gaps that overflow raise ValueError.
     """
     n = points.shape[0]
     chosen = np.empty((runs, k), dtype=np.intp)
@@ -98,15 +78,19 @@ def _plus_plus_runs(points: np.ndarray, k: int, rng: np.random.Generator, runs: 
     for r in range(runs):
         chosen[r, 0] = rng.integers(n)
         uniforms[r] = rng.random(k - 1)
-    d2 = _squared_distances(points, points[chosen[:, :1]])[..., 0]
-    for c in range(1, k):
-        total = d2.sum(axis=1, keepdims=True)
-        if not (np.isfinite(total) & (total > 0.0)).all():
-            return None
-        cdf = np.cumsum(d2 / total, axis=1)
-        cdf /= cdf[:, -1:]
-        chosen[:, c] = np.count_nonzero(cdf <= uniforms[:, c - 1 : c], axis=1)
-        np.minimum(d2, _squared_distances(points, points[chosen[:, c : c + 1]])[..., 0], out=d2)
+    with np.errstate(over="ignore"):
+        d2 = _squared_distances(points, points[chosen[:, :1]])[..., 0]
+        for c in range(1, k):
+            total = d2.sum(axis=1, keepdims=True)
+            if not np.isfinite(total).all():
+                raise ValueError("squared gaps between points overflow")
+            for r in np.flatnonzero(total == 0.0):
+                d2[r, np.setdiff1d(np.arange(n), chosen[r, :c])[0]] = total[r] = 1.0
+            cdf = np.cumsum(d2 / total, axis=1)
+            cdf /= cdf[:, -1:]
+            chosen[:, c] = np.count_nonzero(cdf <= uniforms[:, c - 1 : c], axis=1)
+            gaps = _squared_distances(points, points[chosen[:, c : c + 1]])
+            np.minimum(d2, gaps[..., 0], out=d2)
     return points[chosen]
 
 
@@ -177,10 +161,7 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     tie. The restarts run together: the generator calls come first, in the
     order ten ++ seedings one after another make them, and Lloyd's iterations
     then run for all restarts at once. Labels have the bits of running the
-    restarts one at a time. Where a restart's ++ seeding meets no remaining
-    mass (duplicate points, or squared gaps that underflow), it would draw
-    one uniform fewer, so the restarts are then seeded one after another
-    from a fresh generator on the same seed.
+    restarts one at a time.
     """
     pts = _reals(points, "points")
     if pts.ndim == 1:
@@ -193,9 +174,6 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
         raise ValueError("more clusters than points")
     seed = _integer(seed, "seed", 0)
     centers = _plus_plus_runs(pts, k, np.random.default_rng(seed), _KMEANS_RESTARTS)
-    if centers is None:
-        rng = np.random.default_rng(seed)
-        centers = np.array([_plus_plus_init(pts, k, rng) for _ in range(_KMEANS_RESTARTS)])
     labels, inertia = _lloyd_runs(pts, centers)
     return labels[int(np.argmin(inertia))].copy()
 

@@ -184,6 +184,7 @@ def sequential_plus_plus_init(points, k, rng):
             idx = int(rng.choice(n, p=d2 / total))
         else:
             # all remaining mass sits on already-chosen points (duplicates)
+            rng.random()
             idx = min(i for i in range(n) if i not in chosen)
         chosen.add(idx)
         centers[c] = points[idx]

@@ -856,6 +856,68 @@ def test_config_out_key_writes_the_report(workspace, tmp_path, capsys):
     assert "cp_f1=1.0\n" in (tmp_path / "report.txt").read_text()
 
 
+def test_filter_of_another_beta_names_the_file_and_both_betas(workspace, tmp_path, capsys):
+    argv = [arg.format(ws=workspace, tmp=tmp_path) for arg in DETECT]
+    argv[argv.index("30")] = "20"
+    assert run([*argv, "--filter", workspace / "filter.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {workspace / 'filter.json'}: filter window size does not match beta: "
+        "filter beta 30, beta 20\n"
+    )
+
+
+def test_degenerate_auc_names_truth_and_trace(workspace, tmp_path, capsys):
+    truth = tmp_path / "empty.cps"
+    truth.write_text("")
+    trace = workspace / "det" / "trace.csv"
+    argv = ["evaluate", "--predicted", workspace / "data.csv.cps", "--truth", truth,
+            "--delta", 20, "--trace", trace]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {truth}, {trace}: degenerate AUC\n"
+
+
+def test_more_truth_labels_than_clusters_names_the_truth_labels(workspace, tmp_path, capsys):
+    predicted = tmp_path / "labels.csv"
+    predicted.write_text("t,label\n" + "".join(f"{t},{int(t >= 150)}\n" for t in range(450)))
+    truth = workspace / "data.csv.labels"
+    argv = [*(arg.format(ws=workspace) for arg in EVALUATE), "--predicted-labels", predicted,
+            "--truth-labels", truth, "--k", 2]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {truth}: more distinct truth labels than clusters\n"
+    )
+
+
+NOT_UTF8 = {
+    "input": ["detect", "--input", "{bad}", "--beta", "30", "--out-dir", "{tmp}/out"],
+    "change-points": CLUSTER,
+    "predicted": ["evaluate", "--predicted", "{bad}", "--truth", "{ws}/data.csv.cps",
+                  "--delta", "20"],
+    "truth": ["evaluate", "--predicted", "{ws}/data.csv.cps", "--truth", "{bad}", "--delta", "20"],
+    "trace": TRACE,
+    "predicted-labels": LABELS,
+    "truth-labels": [*EVALUATE, "--predicted-labels", "{tmp}/labels.csv", "--truth-labels",
+                     "{bad}", "--k", "3"],
+    "config": ["detect", "--config", "{bad}"],
+    "filter": [*DETECT, "--filter", "{bad}"],
+    "spec": ["simulate", "--spec", "{bad}", "--out", "{tmp}/x.csv"],
+    "pairs": ["calibrate-filter", "--beta", "5", "--pairs", "{bad}", "--out", "{tmp}/f.json"],
+}
+
+
+@pytest.mark.parametrize("option", NOT_UTF8)
+def test_non_utf8_file_names_the_file(workspace, tmp_path, capsys, option):
+    # the message was the codec's alone: 'utf-8' codec can't decode byte 0xff ...
+    argv = NOT_UTF8[option]
+    assert argv[argv.index(f"--{option}") + 1] == "{bad}"
+    bad = tmp_path / "input.bin"
+    bad.write_bytes(b"\xff\n")
+    (tmp_path / "labels.csv").write_text("t,label\n" + "".join(f"{t},0\n" for t in range(450)))
+    assert run([arg.format(ws=workspace, bad=bad, tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
+
+
 def test_python_m_wcpd_runs_the_cli():
     src = str(Path(wcpd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

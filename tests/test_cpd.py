@@ -324,6 +324,17 @@ class TestEstimateMatchedFilter:
         with pytest.raises(ValueError, match="DistSpec instances"):
             estimate_matched_filter(5, 1, [(DistSpec("normal"), "normal")])
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(DistSpec("normal"),) * 3, 5, (DistSpec("normal"),)],
+        ids=["three-specs", "not-iterable", "one-spec"],
+    )
+    def test_rejects_a_pair_that_is_not_two_specs_naming_it(self, pair):
+        # a triple failed unpacking, with no pair named; a non-iterable in a bare TypeError
+        pairs = [(DistSpec("normal"), DistSpec("laplace")), pair]
+        with pytest.raises(ValueError, match="change pair 1 must be two DistSpec instances"):
+            estimate_matched_filter(5, 1, pairs)
+
     def test_deterministic(self):
         a = estimate_matched_filter(beta=10, ensemble_size=5, seed=4)
         b = estimate_matched_filter(beta=10, ensemble_size=5, seed=4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,16 +215,27 @@ class TestBatchedKMeans:
         assert inertia.tolist() == [run_inertia for _, run_inertia, _ in runs]
         np.testing.assert_array_equal(kmeans(EMPTYING, 3, 0), sequential_kmeans(EMPTYING, 3, 0))
 
-    def test_underflowing_gaps_reseed_run_by_run(self, monkeypatch):
-        # every squared gap is 0, so each ++ seeding takes the duplicate branch
-        calls = []
-        seed_one = numeric._plus_plus_init
-        monkeypatch.setattr(
-            numeric, "_plus_plus_init", lambda *args: calls.append(1) or seed_one(*args)
-        )
+    def test_no_mass_left_takes_the_lowest_unchosen_point(self):
+        # every squared gap underflows to 0, so every step after the first
+        # meets no mass; it still spends its uniform, as a choice draw would
         points = np.array([[0.0], [1e-200], [2e-200], [0.0]])
+        rng = np.random.default_rng(5)
+        centers = numeric._plus_plus_runs(points, 3, rng, 10)
+        replay = np.random.default_rng(5)
+        expected = []
+        for _ in range(10):
+            first = int(replay.integers(4))
+            replay.random(2)
+            expected.append([first] + [i for i in range(4) if i != first][:2])
+        np.testing.assert_array_equal(centers, points[expected])
+        assert rng.bit_generator.state == replay.bit_generator.state
         np.testing.assert_array_equal(kmeans(points, 3, 5), sequential_kmeans(points, 3, 5))
-        assert len(calls) == numeric._KMEANS_RESTARTS
+
+    def test_overflowing_gaps_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="squared gaps between points overflow"):
+                kmeans([[1e200], [-1e200], [1e200], [-1e200]], 2, 0)
 
 
 class TestKMeansInput:
