@@ -29,6 +29,7 @@ from .cpd import (
     DEFAULT_CHANGE_PAIRS,
     DetectorConfig,
     StatTrace,
+    _change_pairs,
     detect,
     estimate_matched_filter,
     load_filter,
@@ -163,9 +164,10 @@ def ingest_csv(
     series).
 
     numpy parses the body in one call, every column as a float and the label
-    column as an integer. A file it cannot parse, such as one with a text
-    time column, goes through a slower line-by-line reader. The accepted
-    syntax and every error message are those of that reader.
+    column as an integer. Only a file it rejects, such as one with a text
+    time column, goes through the slower line-by-line reader, whose syntax
+    and messages numpy's path keeps. The values are checked finite once, on
+    whichever array was built; a non-finite one is named by its line.
     """
     path = Path(path)
     with _open_buffered(path) as handle:
@@ -202,11 +204,18 @@ def ingest_csv(
             [(f"c{i}", np.int64 if i == label_idx else np.float64) for i in range(len(header))]
         )
         body = _parse_body(handle, columns, delimiter=delimiter, quotechar='"', ndmin=1)
-        if body is not None:
+        if body is None:
+            data, labels = _scan_rows(handle, reader, path, header, value_idx, label_idx)
+        else:
             data = np.stack([body[f"c{i}"] for i in value_idx], axis=1, dtype=float)
             labels = body[f"c{label_idx}"] if label_idx is not None else None
-        if body is None or not np.isfinite(data).all():
-            data, labels = _scan_rows(handle, reader, path, header, value_idx, label_idx)
+        if not np.isfinite(data).all():
+            r, c = np.argwhere(~np.isfinite(data))[0]
+            lineno = next(itertools.islice(_body(handle, reader), r, None))[0]
+            raise ValueError(
+                f"{path}: line {lineno}: non-finite value '{data[r, c]}' "
+                f"in column {header[value_idx[c]]!r}"
+            )
 
     if difference:
         if data.shape[0] < 2:
@@ -217,36 +226,34 @@ def ingest_csv(
     return TimeSeries(data=data, labels=labels)
 
 
+def _body(handle, reader):
+    """``(line number, fields)`` of each nonempty row after the header; rewinds ``handle``."""
+    handle.seek(0)
+    next(reader)
+    yield from ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+
+
 def _scan_rows(handle, reader, path, header, value_idx, label_idx):
     """``ingest_csv``'s body row by row with ``float()`` and ``_int64()``.
 
-    ``reader`` reads ``handle``, which is rewound to the row after the
-    header. Returns the values and the labels (None without a label column),
-    or raises naming the first bad line. The values and labels go into flat
-    typed buffers, 8 bytes each; a non-finite value is found at the end, and
-    its line by a second scan.
+    Returns the values and the labels (None without a label column), held in
+    flat typed buffers at 8 bytes each, or raises naming the first bad cell.
     """
-
-    def body():
-        handle.seek(0)
-        next(reader)
-        return ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
-
     values = array.array("d")
     labels = array.array("q")
-    for lineno, row in body():
+    for lineno, row in _body(handle, reader):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
             )
-        try:
-            values.extend([float(row[i]) for i in value_idx])
-        except ValueError:
-            bad = next(i for i in value_idx if not _is_float(row[i]))
-            raise ValueError(
-                f"{path}: line {lineno}: non-numeric value {row[bad]!r} "
-                f"in column {header[bad]!r}"
-            ) from None
+        for i in value_idx:
+            try:
+                values.append(float(row[i]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: non-numeric value {row[i]!r} "
+                    f"in column {header[i]!r}"
+                ) from None
         if label_idx is not None:
             try:
                 labels.append(_int64(row[label_idx]))
@@ -258,23 +265,7 @@ def _scan_rows(handle, reader, path, header, value_idx, label_idx):
     if not values:
         raise ValueError(f"{path}: empty series")
     data = np.frombuffer(values, dtype=float).reshape(-1, len(value_idx))
-    non_finite = np.argwhere(~np.isfinite(data))
-    if non_finite.size:
-        r, c = non_finite[0]
-        lineno = next(itertools.islice(body(), r, None))[0]
-        raise ValueError(
-            f"{path}: line {lineno}: non-finite value '{data[r, c]}' "
-            f"in column {header[value_idx[c]]!r}"
-        )
     return data, np.frombuffer(labels, dtype=np.int64) if label_idx is not None else None
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def _read_json(path):
@@ -490,9 +481,7 @@ def _load_series_spec(path) -> SeriesSpec:
 def _load_pairs(path) -> tuple:
     payload = _read_json(path)
     try:
-        return tuple(
-            (DistSpec(**before), DistSpec(**after)) for before, after in payload
-        )
+        return _change_pairs(payload)
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"{path}: pairs must be [before, after] lists of distribution specs: {exc}"
@@ -514,12 +503,8 @@ def _read_column(path, col: int, dtype, what: str) -> np.ndarray:
         values = _parse_body(handle, dtype, delimiter=",", quotechar='"', usecols=col, ndmin=1)
         if values is not None:
             return values
-        handle.seek(0)
-        next(reader)
         values = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in _body(handle, reader):
             try:
                 values.append(convert(row[col]))
             except (ValueError, IndexError):

@@ -511,6 +511,11 @@ def save_filter(filt: MatchedFilter, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _change_pairs(entries) -> tuple:
+    """Change pairs from the ``[before, after]`` lists of specs that ``save_filter`` writes."""
+    return tuple((DistSpec(**before), DistSpec(**after)) for before, after in entries)
+
+
 def load_filter(path) -> MatchedFilter:
     """Load a saved filter; the unit-area invariant is re-validated."""
     try:
@@ -522,10 +527,7 @@ def load_filter(path) -> MatchedFilter:
     if payload.get("version") != FILTER_VERSION:
         raise ValueError(f"{path}: unsupported filter version {payload.get('version')!r}")
     try:
-        pairs = tuple(
-            (DistSpec(**before), DistSpec(**after))
-            for before, after in payload.get("change_pairs", [])
-        )
+        pairs = _change_pairs(payload.get("change_pairs", []))
         return MatchedFilter(
             taps=payload["taps"],
             beta=payload["beta"],

@@ -80,10 +80,11 @@ def _plus_plus_runs(points: np.ndarray, k: int, rng: np.random.Generator, runs: 
         uniforms[r] = rng.random(k - 1)
     with np.errstate(over="ignore"):
         d2 = _squared_distances(points, points[chosen[:, :1]])[..., 0]
+        # a later step only lowers d2, or gives a run with no mass a 1: one check serves every k
+        if not np.isfinite(d2.sum(axis=1)).all():
+            raise ValueError("squared gaps between points overflow")
         for c in range(1, k):
             total = d2.sum(axis=1, keepdims=True)
-            if not np.isfinite(total).all():
-                raise ValueError("squared gaps between points overflow")
             for r in np.flatnonzero(total == 0.0):
                 d2[r, np.setdiff1d(np.arange(n), chosen[r, :c])[0]] = total[r] = 1.0
             cdf = np.cumsum(d2 / total, axis=1)

@@ -322,7 +322,10 @@ def cluster_segments(
     K = _integer(K, "K")
     beta = _integer(beta, "beta", 1)
     seed = _integer(seed, "seed", 0)
-    cps = np.sort(_integers(change_points, "change points"))
+    cps = _integers(change_points, "change points")
+    if cps.ndim != 1:
+        raise ValueError("change points must be a flat index sequence")
+    cps = np.sort(cps)
     T = len(series)
     if cps.size and (cps[0] <= 0 or cps[-1] >= T or np.any(np.diff(cps) <= 0)):
         raise ValueError("change points must be strictly increasing inside (0, T)")

@@ -96,6 +96,35 @@ def test_ingest_error_keeps_exit_code(tmp_path, capsys):
     assert f"error: {path}: line 5: non-finite value 'inf' in column 'x0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content,options,message",
+    [
+        ("x\n1\n\n\ninf\n", {}, "line 5: non-finite value 'inf' in column 'x'"),
+        ("t,x,y\n0,1,2\n\n1,3,nan\n2,-inf,4\n", {"time_column": "t"},
+         "line 4: non-finite value 'nan' in column 'y'"),
+        ("x,label\n1,0\n-inf,1\n", {"label_column": "label"},
+         "line 3: non-finite value '-inf' in column 'x'"),
+    ],
+    ids=["one-column", "time-column", "label-column"],
+)
+def test_non_finite_value_numpy_parsed_is_not_read_again(tmp_path, content, options, message):
+    # the line is found by one walk up to its row, not by the line-by-line reader
+    path = tmp_path / "in.csv"
+    path.write_text(content)
+    scans = []
+    scan_rows = cli._scan_rows
+
+    def spy(*args):
+        scans.append(args)
+        return scan_rows(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_scan_rows", spy)
+        assert routed(lambda p: ingest_csv(p, **options), path) == (message, [True])
+    assert scans == []
+    assert both_ways(ingest_csv, path, **options) == ((ValueError, f"{path}: {message}"),) * 2
+
+
 def scan_peak(path, rows, dim):
     """tracemalloc peak of ingest_csv on a file whose text time column only
     the line-by-line reader takes, and the file's body bytes per row."""

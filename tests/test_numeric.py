@@ -183,8 +183,7 @@ class TestBatchedKMeans:
         centers = numeric._plus_plus_runs(points, k, np.random.default_rng(seed), 10)
         rng = np.random.default_rng(seed)
         expected = np.array([sequential_plus_plus_init(points, k, rng) for _ in range(10)])
-        if centers is not None:
-            np.testing.assert_array_equal(centers, expected)
+        np.testing.assert_array_equal(centers, expected)
         runs = [sequential_lloyd(points, run.copy()) for run in expected]
         labels, inertia = numeric._lloyd_runs(points, expected.copy())
         np.testing.assert_array_equal(labels, [run_labels for run_labels, _, _ in runs])
@@ -236,6 +235,14 @@ class TestBatchedKMeans:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="squared gaps between points overflow"):
                 kmeans([[1e200], [-1e200], [1e200], [-1e200]], 2, 0)
+
+    def test_overflowing_gaps_raise_at_one_cluster(self):
+        # k = 1 seeds no second centre, so Lloyd's distances used to overflow
+        # with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="squared gaps between points overflow"):
+                kmeans([[1e200], [-1e200]], 1, 0)
 
 
 class TestKMeansInput:

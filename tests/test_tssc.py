@@ -454,6 +454,13 @@ class TestClusterSegments:
         with pytest.raises(ValueError, match="change points must be integers"):
             cluster_segments(series, cps, K=2, beta=5, seed=0)
 
+    @pytest.mark.parametrize("cps", [[[10, 20]], [[10], [20]], 10, np.zeros((0, 2), dtype=int)])
+    def test_rejects_change_points_that_are_not_flat(self, cps):
+        # numpy's own errors spoke of an ambiguous truth value or of dimensions
+        series = TimeSeries(np.arange(40.0))
+        with pytest.raises(ValueError, match="change points must be a flat index sequence"):
+            cluster_segments(series, cps, K=2, beta=5, seed=0)
+
     def test_too_few_segments(self):
         series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 50),), seed=5))
         with pytest.raises(ValueError):
