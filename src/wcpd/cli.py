@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -135,16 +134,14 @@ def _read_indices(path) -> list[int]:
         if indices is not None and indices.shape[1] == 1:
             return indices[:, 0].tolist()
         handle.seek(0)
-        text = handle.read()
-    indices = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            indices.append(_int64(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: not an index: {line!r}") from exc
+        indices = []
+        for lineno, line in enumerate(handle, start=1):  # lines end at \n, \r and \r\n
+            line = line.strip()
+            if line:
+                try:
+                    indices.append(_int64(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: not an index: {line!r}") from exc
     return indices
 
 
@@ -167,7 +164,7 @@ def ingest_csv(
     column as an integer. Only a file it rejects, such as one with a text
     time column, goes through the slower line-by-line reader, whose syntax
     and messages numpy's path keeps. The values are checked finite once, on
-    whichever array was built; a non-finite one is named by its line.
+    whichever array was built. A message names the physical line a row ends on.
     """
     path = Path(path)
     with _open_buffered(path) as handle:
@@ -182,19 +179,12 @@ def ingest_csv(
             repeated = next(name for i, name in enumerate(header) if column_of[name] != i)
             raise ValueError(f"{path}: duplicate column name {repeated!r}")
 
-        skip = set()
-        for special in (label_column, time_column):
-            if special is not None:
-                if special not in column_of:
-                    raise ValueError(f"{path}: no column named {special!r}")
-                skip.add(special)
-        if value_columns is None:
-            value_names = [name for name in header if name not in skip]
-        else:
-            value_names = list(value_columns)
-            for name in value_names:
-                if name not in column_of:
-                    raise ValueError(f"{path}: no column named {name!r}")
+        skip = [name for name in (label_column, time_column) if name is not None]
+        value_names = (list(value_columns) if value_columns is not None
+                       else [name for name in header if name not in skip])
+        for name in (*skip, *value_names):
+            if name not in column_of:
+                raise ValueError(f"{path}: no column named {name!r}")
         if not value_names:
             raise ValueError(f"{path}: no value columns")
         value_idx = [column_of[name] for name in value_names]
@@ -227,10 +217,16 @@ def ingest_csv(
 
 
 def _body(handle, reader):
-    """``(line number, fields)`` of each nonempty row after the header; rewinds ``handle``."""
+    """``(line number, fields)`` of each nonempty row after the header; rewinds ``handle``.
+
+    The number is the physical line the row ends on, as ``reader.line_num``
+    counts it from the rewind: a quoted field that spans lines counts each of
+    its lines, and lines end at ``\\n``, ``\\r`` and ``\\r\\n``.
+    """
     handle.seek(0)
+    start = reader.line_num
     next(reader)
-    yield from ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+    yield from ((reader.line_num - start, row) for row in reader if row)
 
 
 def _scan_rows(handle, reader, path, header, value_idx, label_idx):
@@ -589,9 +585,7 @@ def _cmd_detect(opt) -> int:
 def _cmd_cluster(opt) -> int:
     series = _ingest(opt)
     beta, k, seed, cps_path = opt("beta"), opt("k"), opt("seed"), opt("change-points")
-    cps = sorted(_read_indices(cps_path))
-    with _naming(cps_path):  # TimeSeries checks the change points against the series length
-        series = replace(series, change_points=cps)
+    cps = _read_indices(cps_path)
     segments = len(cps) + 1
     if k > segments:
         raise ValueError(
@@ -599,7 +593,8 @@ def _cmd_cluster(opt) -> int:
         )
     out_dir = Path(opt("out-dir"))
 
-    labeling = cluster_segments(series, series.change_points, K=k, beta=beta, seed=seed)
+    with _naming(cps_path):  # cluster_segments checks the change points against the series length
+        labeling = cluster_segments(series, cps, K=k, beta=beta, seed=seed)
     bounds = np.concatenate(([0], labeling.change_points, [len(series)]))
     segment_lines = ["segment_index,start,end,label"]
     segment_lines.extend(

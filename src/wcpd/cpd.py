@@ -29,8 +29,8 @@ from .empirical import (
     _workspace,
 )
 from .errors import NumericalError
-from .series import TimeSeries, _reals
-from .simgen import DistSpec, _draw, _integer
+from .series import TimeSeries, _integer, _reals
+from .simgen import DistSpec, _draw
 
 __all__ = [
     "StatTrace",

@@ -15,8 +15,7 @@ import numpy as np
 
 from .cpd import StatTrace
 from .numeric import hungarian
-from .series import _integers
-from .simgen import _integer
+from .series import _integer, _integers
 from .tssc import SegmentLabeling
 
 __all__ = ["cp_f1", "cp_auc", "label_accuracy"]

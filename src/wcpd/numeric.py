@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .series import _reals
-from .simgen import _integer
+from .series import _integer, _reals
 
 __all__ = ["eigh_symmetric", "kmeans", "hungarian"]
 

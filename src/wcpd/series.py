@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["TimeSeries"]
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as a Python int, refusing bools, non-integers and values below least."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'nonnegative' if least == 0 else f'at least {least}'}")
+    return value
 
 
 def _integers(values, name: str) -> np.ndarray:

@@ -9,31 +9,17 @@ stream and generation order cannot change the result.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, _integer
 
 __all__ = ["DistSpec", "SeriesSpec", "sample", "generate"]
 
 FAMILIES = ("normal", "laplace")
 
 _TINY = 2.0 ** -60  # floor for log arguments when a uniform lands on 0
-
-
-def _integer(value, name: str, least: int | None = None) -> int:
-    """value as a Python int, refusing bools, non-integers and values below least."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be {'nonnegative' if least == 0 else f'at least {least}'}")
-    return value
 
 
 @dataclass(frozen=True)

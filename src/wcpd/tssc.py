@@ -32,8 +32,7 @@ from .empirical import (
     _workspace,
 )
 from .numeric import eigh_symmetric, kmeans
-from .series import TimeSeries, _integers, _reals
-from .simgen import _integer
+from .series import TimeSeries, _integer, _integers, _reals
 
 __all__ = [
     "Segment",

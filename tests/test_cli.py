@@ -463,6 +463,32 @@ class TestCluster:
         assert str(tmp_path / "two.cps") in message
         assert not (tmp_path / "c5").exists()
 
+    def test_builds_one_series_and_takes_change_points_in_any_order(self, workspace, tmp_path,
+                                                                    monkeypatch):
+        # the change points go straight to cluster_segments, which sorts and
+        # checks them; no second series is built to hold them
+        post_init = wcpd.TimeSeries.__post_init__
+        builds = []
+
+        def spy(series):
+            builds.append(len(series.data))
+            post_init(series)
+
+        outputs = {}
+        for name, text in [("sorted", "150\n300\n"), ("unsorted", "300\n150\n")]:
+            (tmp_path / f"{name}.cps").write_text(text)
+            builds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(wcpd.TimeSeries, "__post_init__", spy)
+                assert run(["cluster", "--input", workspace / "data.csv", "--time-column", "t",
+                            "--label-column", "label", "--beta", 30, "--k", 2,
+                            "--change-points", tmp_path / f"{name}.cps",
+                            "--out-dir", tmp_path / name]) == 0
+            assert builds == [450]
+            outputs[name] = [(tmp_path / name / f).read_bytes()
+                             for f in ("segments.csv", "labels.csv")]
+        assert outputs["unsorted"] == outputs["sorted"]
+
 
 class TestEvaluate:
     def test_perfect_predictions(self, workspace, tmp_path, capsys):

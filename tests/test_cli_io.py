@@ -69,6 +69,9 @@ INGEST_CASES = [
      "line 3: non-integer label '99999999999999999999'"),
     (b"x,label\n1,9223372036854775807\n2,-9223372036854775808\n", {"label_column": "label"},
      ([[1.0], [2.0]], [2**63 - 1, -(2**63)])),
+    # a quoted field that spans lines counts each of its lines
+    (b'x\n" 1\n"\noops\n', {}, "line 4: non-numeric value 'oops' in column 'x'"),
+    (b'x\n" 1\n"\ninf\n', {}, "line 4: non-finite value 'inf' in column 'x'"),
 ]
 
 
@@ -180,6 +183,15 @@ READER_CASES = [
     (cli._read_indices, "1\n99999999999999999999\n", "line 2: not an index: '99999999999999999999'"),
     (cli._read_indices, "-9223372036854775809\n", "line 1: not an index: '-9223372036854775809'"),
     (cli._read_indices, "9223372036854775807\n1_0\n", [2**63 - 1, 10]),
+    # a quoted field that spans lines counts each of its lines, and lines end
+    # only at \n, \r and \r\n, not also at \f, \v and U+2028 as str.splitlines
+    (lambda p: cli._read_column(p, 1, float, "trace"), 't,a\n0," 1\n"\n1,oops\n',
+     "line 4: malformed trace row"),
+    (lambda p: cli._read_column(p, 1, int, "label"), 't,label\n0," 1\n"\n1,inf\n',
+     "line 4: malformed label row"),
+    (cli._read_indices, "1\n\f\n2x\n", "line 3: not an index: '2x'"),
+    (cli._read_indices, "1\n\u2028\n2x\n", "line 3: not an index: '2x'"),
+    (cli._read_indices, "1\f2\n", "line 1: not an index: '1\\x0c2'"),
 ]
 
 
