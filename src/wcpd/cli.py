@@ -67,12 +67,17 @@ def _write_text(path: Path, lines) -> None:
     and written before the next is read, so a writer that makes its lines
     lazily holds one block of text, not the whole file.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = iter(lines)
+    blocks = iter(lambda: list(itertools.islice(lines, _BLOCK_LINES)), [])
+    _write_blocks(path, ("\n".join([*block, ""]) for block in blocks))
+
+
+def _write_blocks(path: Path, texts) -> None:
+    """Each of ``texts`` written as it comes, by one write each, to a new file at ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:  # text mode, as Path.write_text opens it
-        while block := list(itertools.islice(lines, _BLOCK_LINES)):
-            block.append("")
-            handle.write("\n".join(block))
+        for text in texts:
+            handle.write(text)
 
 
 def _scalars(array: np.ndarray):
@@ -602,15 +607,15 @@ def _cmd_cluster(opt) -> int:
         for i in range(labeling.labels.size)
     )
     _write_text(out_dir / "segments.csv", segment_lines)
-    # one join per run of at most a block of one segment's "t,label" lines, so
-    # a block here holds up to _BLOCK_LINES runs: a format per line cost 0.6 ms
-    # per 10,000 samples
+    # one join and one write per run of at most a block of one segment's
+    # "t,label" lines, so no write holds more than _BLOCK_LINES lines: a
+    # format per line cost 0.6 ms per 10,000 samples
     runs = (
-        f",{label}\n".join(map(str, range(start, hi)[:_BLOCK_LINES])) + f",{label}"
+        f",{label}\n".join(map(str, range(start, hi)[:_BLOCK_LINES])) + f",{label}\n"
         for lo, hi, label in zip(bounds[:-1].tolist(), bounds[1:].tolist(), labeling.labels.tolist())
         for start in range(lo, hi, _BLOCK_LINES)
     )
-    _write_text(out_dir / "labels.csv", itertools.chain(["t,label"], runs))
+    _write_blocks(out_dir / "labels.csv", itertools.chain(["t,label\n"], runs))
     print(f"clustered {labeling.labels.size} segments into {k} classes")
     return 0
 

@@ -167,9 +167,11 @@ def _window_sums(keys: np.ndarray, beta: int) -> np.ndarray:
     keys is (rows, span), each row keyed by :func:`_rank_keys` on its own;
     column i of the (rows, span - 2*beta) result is the position beta + i,
     whose before window is keys[i..i+beta-1] and after window
-    keys[i+beta+1..i+2*beta] (made odd). Chunks of whole rows, or of one
-    row's positions when a row alone is too long, each hold at most
-    _CHUNK_ELEMENTS // beta windows, so temporaries stay flat in input size.
+    keys[i+beta+1..i+2*beta] (made odd). One int64 prefix sum per row gives
+    every window's gap for the equal-window test of :func:`_w2t_keys`.
+    Chunks of whole rows, or of one row's positions when a row alone is too
+    long, each hold at most _CHUNK_ELEMENTS // beta windows, so temporaries
+    stay flat in input size.
     """
     rows, span = keys.shape
     valid = span - 2 * beta
@@ -178,16 +180,17 @@ def _window_sums(keys: np.ndarray, beta: int) -> np.ndarray:
     step = max(1, _CHUNK_ELEMENTS // beta)
     height, width = max(1, step // valid), min(step, valid)
     work = _workspace(*_w2t_parts(min(height, rows) * width, beta, keys.dtype))
-    sums = np.empty((rows, valid), dtype=np.int64)
+    # each window's gap (odd after keys add beta), overwritten chunk by chunk with its S
+    prefix = keys.cumsum(axis=1, dtype=np.int64)
+    sums = prefix[:, 2 * beta :] - prefix[:, beta:-beta] - prefix[:, beta - 1 : -beta - 1] + beta
+    sums[:, 1:] += prefix[:, : valid - 1]
     for r in range(0, rows, height):
         for lo in range(0, valid, width):
             hi = min(lo + width, valid)
             chunk = sums[r : r + height, lo:hi]
-            chunk[...] = _w2t_keys(
-                before[r : r + height, lo:hi],
-                after[r : r + height, lo + beta + 1 : hi + beta + 1],
-                work,
-            ).reshape(chunk.shape)
+            xk = before[r : r + height, lo:hi]
+            yk = after[r : r + height, lo + beta + 1 : hi + beta + 1]
+            chunk[...] = _w2t_keys(xk, yk, chunk, work).reshape(chunk.shape)
     return sums
 
 

@@ -208,7 +208,7 @@ def _w2t_parts(rows: int, n: int, key_type) -> list[tuple]:
     return [(2 * rows * n, key_type), (2 * rows * n, bool), (rows * n, np.int64)]
 
 
-def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
+def _w2t_keys(xk: np.ndarray, yk: np.ndarray, gaps: np.ndarray, work: list) -> np.ndarray:
     """Row-wise :func:`_w2t_from_sorted` over rank-key windows, as the int64 S of S/(6*n^2).
 
     x's carry the keys of :func:`_rank_keys` over the pooled series, y's the
@@ -217,10 +217,11 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work: list[np.ndarray]) -> np.ndar
     ahead of the equal y's and behind the larger ones; no stable sort is
     needed. y_j of row r lands at flat merged position 2*(r*n + j) + d_j,
     d_j = c_j - j with c_j = #x <= y_j, so one cached ramp gives the d_j and
-    S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3, or 0 for equal windows. The
+    S = sum_j (3*d_j^2 - 3*d_j + 1) < 3*n^3, or 0 for equal windows. gaps
+    holds each row's y key sum minus its x key sum, n for equal windows. The
     rows need not be sorted. Every block temporary but the positions of
-    ``flatnonzero`` goes into work, a :func:`_workspace` of the
-    :func:`_w2t_parts` of at least as many rows.
+    ``flatnonzero`` and the d_j of rows with gap n goes into work, a
+    :func:`_workspace` of the :func:`_w2t_parts` of at least as many rows.
     """
     n = xk.shape[-1]
     rows = xk.size // n
@@ -235,15 +236,13 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray, work: list[np.ndarray]) -> np.ndar
     np.subtract(d, 1, out=square)
     square *= d
     total = 3 * square.reshape(rows, n).sum(axis=1) + n
-    # see _w2t_from_sorted. Sorted x equals sorted y when x_(j) <= y_(j) for
-    # every j (c_j > j) and the rank sums agree: the per-j rank gaps are then
-    # nonnegative and sum to zero. Only the (rare) rows passing the first
-    # test are summed.
-    ahead = np.greater(d, 0, out=odd[: rows * n])
-    cand = np.flatnonzero(ahead.reshape(rows, n).all(axis=1))
-    at = np.unravel_index(cand, xk.shape[:-1])
-    gap = yk[at].sum(axis=1, dtype=np.int64) - xk[at].sum(axis=1, dtype=np.int64)
-    total[cand[gap == n]] = 0
+    # see _w2t_from_sorted. Sorted x equals sorted y when the rank sums agree
+    # (gap n) and x_(j) <= y_(j) for every j (c_j > j): the per-j rank gaps
+    # are then nonnegative and sum to zero. Only the (rare) rows passing the
+    # first test read their d_j.
+    cand = np.flatnonzero(gaps.reshape(rows) == n)
+    if cand.size:
+        total[cand[np.greater(d.reshape(rows, n)[cand], 0).all(axis=1)]] = 0
     return total
 
 

@@ -400,6 +400,44 @@ def test_writer_outputs_do_not_depend_on_the_block_size(small_run, tmp_path, mon
     assert len(default) == 7
 
 
+def test_labels_csv_writes_hold_at_most_a_block_of_lines(small_run, tmp_path, monkeypatch):
+    # runs of one line, of a block, and of more than a block, cut at 7 lines:
+    # joining 7 runs per write, as a block of lines does, put 49 lines in one
+    cps = tmp_path / "cps.txt"
+    cps.write_text("".join(f"{cp}\n" for cp in [1, 2, 3, 10, 24, 40, 41, 150]))
+    args = ["cluster", "--input", small_run / "data.csv", "--time-column", "t",
+            "--label-column", "label", "--beta", 15, "--k", 3, "--seed", 4, "--change-points", cps]
+    assert run([*args, "--out-dir", tmp_path / "default"]) == 0
+    writes = []
+    open_ = Path.open
+
+    class Recorder:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, text):
+            writes.append(text)
+            return self.handle.write(text)
+
+    def spy(path, mode="r", *args, **kwargs):
+        handle = open_(path, mode, *args, **kwargs)
+        return Recorder(handle) if path.name == "labels.csv" and "w" in mode else handle
+
+    monkeypatch.setattr(cli, "_BLOCK_LINES", 7)
+    monkeypatch.setattr(Path, "open", spy)
+    assert run([*args, "--out-dir", tmp_path / "small"]) == 0
+    written = (tmp_path / "small" / "labels.csv").read_bytes()
+    assert "".join(writes).encode() == written
+    assert written == (tmp_path / "default" / "labels.csv").read_bytes()
+    assert max(text.count("\n") for text in writes) == 7
+
+
 @pytest.mark.parametrize("cps, k", [([], 1), ([1, 2, 5, 6], 2), ([3], 2)],
                          ids=["one-segment", "length-one-segments", "two-segments"])
 def test_cluster_csv_bytes_match_the_row_formatters(configs, tmp_path, cps, k):

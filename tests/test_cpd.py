@@ -265,6 +265,153 @@ class TestSlidingProperties:
             assert trace.values[t] == expected
 
 
+def periodic(rng, beta, dim, cells, periods):
+    """Blocks of beta + 1 samples drawn from cells, each repeated periods times.
+
+    Inside a block every window is equal: the before and after windows of an
+    index are both one period without the sample at the index.
+    """
+    blocks = [np.tile(rng.choice(cells, size=(beta + 1, dim)), (count, 1)) for count in periods]
+    return np.concatenate(blocks)
+
+
+def equal_rank_sums(data, beta):
+    """Indices of a flat series whose before and after windows have equal rank sums."""
+    ranks = np.sort(data).searchsorted(data)
+    return [
+        t
+        for t in range(beta, data.size - beta)
+        if ranks[t - beta : t].sum() == ranks[t + 1 : t + beta + 1].sum()
+    ]
+
+
+class TestEqualWindows:
+    """The scan zeroes exactly the equal windows, which it finds from rank-sum gaps."""
+
+    CELLS = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, 3.5])
+
+    @pytest.mark.parametrize("beta,dim", [(1, 1), (3, 1), (5, 2), (12, 3)])
+    def test_period_beta_plus_one_is_zero_everywhere(self, beta, dim):
+        rng = np.random.default_rng(beta * 10 + dim)
+        for cells in (self.CELLS, rng.normal(size=4 * beta)):
+            data = periodic(rng, beta, dim, cells, [6])
+            trace = sliding_statistic(TimeSeries(data), beta)
+            assert np.array_equal(trace.values, reference_trace(data, beta), equal_nan=True)
+            assert (trace.values[trace.valid_mask] == 0.0).all()
+
+    def test_tied_rank_sums_of_unequal_windows_are_not_zeroed(self):
+        # before {1, 4} and after {2, 3} have equal rank sums, but x_(1) = 4
+        # lies above y_(1) = 3, so the windows differ and the statistic is not 0
+        beta = 2
+        data = np.tile([1.0, 4.0, 9.0, 2.0, 3.0], 8)
+        ties = [
+            t
+            for t in equal_rank_sums(data, beta)
+            if not np.array_equal(np.sort(data[t - beta : t]), np.sort(data[t + 1 : t + beta + 1]))
+        ]
+        assert 2 in ties and len(ties) >= 8
+        trace = sliding_statistic(TimeSeries(data[:, None]), beta)
+        assert np.array_equal(trace.values, reference_trace(data[:, None], beta), equal_nan=True)
+        assert (trace.values[ties] > 0.0).all()
+
+    @pytest.mark.parametrize(
+        "chunk,beta,T,dim",
+        [(7, 3, 70, 2), (16, 3, 70, 2), (16, 2, 7, 3), (7, 2, 6, 3), (1, 4, 40, 1)],
+    )
+    def test_ties_and_signed_zeros_across_chunks(self, monkeypatch, chunk, beta, T, dim):
+        # periodic stretches of tied cells, ±0.0 among them, between random
+        # ones; (16, 2, 7, 3) scans two rows per chunk
+        rng = np.random.default_rng(chunk * 100 + T)
+        data = np.concatenate(
+            [
+                periodic(rng, beta, dim, self.CELLS, [3, 2]),
+                rng.choice(self.CELLS, size=(beta + 2, dim)),
+                periodic(rng, beta, dim, self.CELLS, [4]),
+            ]
+        )[:T]
+        monkeypatch.setattr(cpd, "_CHUNK_ELEMENTS", chunk)
+        trace = sliding_statistic(TimeSeries(data), beta)
+        assert np.array_equal(trace.values, reference_trace(data, beta), equal_nan=True)
+        # every window inside the first block (three periods) is equal
+        assert (trace.values[beta : min(T, 3 * (beta + 1)) - beta] == 0.0).all()
+
+    def test_uint32_key_row(self):
+        beta = 4
+        rng = np.random.default_rng(32)
+        data = np.concatenate(
+            [periodic(rng, beta, 1, self.CELLS, [3]), rng.choice(self.CELLS, size=(20, 1))]
+        )
+        keys = cpd._rank_keys(data.T)[1]
+        assert keys.dtype == np.uint16
+        sums = cpd._window_sums(keys.astype(np.uint32), beta)
+        assert np.array_equal(sums, cpd._window_sums(keys, beta))
+        expected = reference_trace(data, beta)[beta:-beta]
+        assert np.array_equal(sums[0] / (6 * beta * beta), expected)
+        assert (sums[0, : beta + 1] == 0).all()
+
+    def test_equality_check_reads_one_gap_per_window(self, monkeypatch):
+        # the kernel gets one gap per window and reads the beta counts of a
+        # window only when its gap is beta: none on continuous data, and on a
+        # periodic block before continuous data those of its equal windows
+        # and of the few others whose rank sums tie
+        gaps_seen, counts_read = [], []
+        kernel, greater = cpd._w2t_keys, np.greater
+
+        def kernel_spy(xk, yk, gaps, work):
+            assert gaps.size == xk.size // xk.shape[-1]
+            gaps_seen.append(gaps.size)
+            return kernel(xk, yk, gaps, work)
+
+        def greater_spy(a, *args, **kwargs):
+            counts_read.append(np.size(a))
+            return greater(a, *args, **kwargs)
+
+        monkeypatch.setattr(cpd, "_w2t_keys", kernel_spy)
+        monkeypatch.setattr(np, "greater", greater_spy)
+        beta = 20
+        rng = np.random.default_rng(20)
+        mixed = np.concatenate(
+            [periodic(rng, beta, 2, rng.normal(size=50), [10]), rng.normal(size=(300, 2))]
+        ).T
+        for data in (rng.normal(size=(2, 600)), mixed):
+            gaps_seen.clear()
+            counts_read.clear()
+            sums = cpd._window_sums(cpd._rank_keys(data)[1], beta)
+            assert sum(gaps_seen) == sums.size
+            ties = sum(len(equal_rank_sums(row, beta)) for row in data)
+            assert sum(counts_read) == ties * beta
+        assert 2 * (210 - 2 * beta) <= ties < sums.size // 2
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_online_matches_offline_on_periodic_stream(self, monkeypatch, dim):
+        beta = 6
+        rng = np.random.default_rng(dim)
+        data = np.concatenate(
+            [
+                periodic(rng, beta, dim, self.CELLS, [5, 4]),
+                rng.normal(size=(3 * beta, dim)),
+                periodic(rng, beta, dim, rng.normal(size=10), [5]),
+            ]
+        )
+        streamed = []
+        push = OnlineDetector._push_sigma
+
+        def push_spy(self, value):
+            streamed.append(value)
+            push(self, value)
+
+        monkeypatch.setattr(OnlineDetector, "_push_sigma", push_spy)
+        config = DetectorConfig(beta=beta)
+        detector = OnlineDetector(config)
+        confirmed = [cp for cp in map(detector.step, data) if cp is not None]
+        sigma = streamed.copy()
+        confirmed += detector.finalize()
+        offline = detect(TimeSeries(data), config)
+        assert np.array_equal(sigma, offline.raw.values[beta:-beta])
+        assert (offline.raw.values[beta : 2 * beta + 1] == 0.0).all()
+        assert confirmed == offline.change_points and confirmed
+
+
 class TestEstimateMatchedFilter:
     def test_unit_area_and_zero_ends(self, filter_b50):
         assert abs(filter_b50.taps.sum() - 1.0) <= 1e-9

@@ -216,9 +216,10 @@ class TestW2TRow:
 
 
 def w2t_keys(xk, yk):
-    """_w2t_keys on (R, n) key windows, with a workspace of their size."""
+    """_w2t_keys on (R, n) key windows, with their gaps and a workspace of their size."""
     work = empirical._workspace(*empirical._w2t_parts(*xk.shape, xk.dtype))
-    return empirical._w2t_keys(xk, yk, work)
+    gaps = yk.sum(1, dtype=np.int64) - xk.sum(1, dtype=np.int64)
+    return empirical._w2t_keys(xk, yk, gaps, work)
 
 
 def rank_keys(xs, ys):
