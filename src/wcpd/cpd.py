@@ -23,6 +23,7 @@ from .empirical import (
     _CHUNK_ELEMENTS,
     NULL,
     _rank_keys,
+    _row_views,
     _w2t_keys,
     _w2t_row,
     _w2t_parts,
@@ -387,6 +388,8 @@ class OnlineDetector:
         self._raw: np.ndarray | None = None
         self._windows: np.ndarray | None = None
         self._sigma = np.full(2 * self._span, NULL.null_mean)
+        # the span of sigma that _filter_next reads at each ring offset
+        self._sigma_spans = [self._sigma[lo : lo + self._span] for lo in range(self._span)]
         self._sigma_hi = beta - 1  # highest index written to _sigma
         self._next_t = beta  # next index whose filtered value is due
         self._last_two = (np.nan, np.nan)  # filtered[next_t - 2], filtered[next_t - 1]
@@ -405,9 +408,9 @@ class OnlineDetector:
         """
         t = self._next_t
         self._next_t += 1
-        lo = (t - self._beta) % self._span
         # the tap-order sum of apply_filter: accumulate adds sequentially
-        products = np.multiply(self._sigma[lo : lo + self._span], self._rev, out=self._products)
+        sigma = self._sigma_spans[(t - self._beta) % self._span]
+        products = np.multiply(sigma, self._rev, out=self._products)
         right = float(np.add.accumulate(products, out=products)[-1])
         left, mid = self._last_two
         self._last_two = (mid, right)
@@ -428,26 +431,24 @@ class OnlineDetector:
             raise ValueError("sample must be a flat vector")
         if arr.size == 0:
             raise ValueError("sample must have at least one dimension")
-        # one C call; ndarray.all is a ufunc reduction behind a Python wrapper
-        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        # Python floats: a longdouble beyond float64 reads inf here, before the
+        # ring's cast would overflow
+        if not all(map(math.isfinite, arr.tolist())):
             raise ValueError("non-finite sample")
         if self._raw is None:
             self._start(arr.size)
         elif arr.size != self._raw.shape[0]:
             raise ValueError("sample dimension changed mid-stream")
-        span = self._span
-        slot = self._n % span
-        self._raw[:, slot] = self._raw[:, slot + span] = arr
+        slot = self._n % self._span
+        self._slots[slot][...] = arr
         self._n += 1
-        if self._n < span:
+        if self._n < self._span:
             return None
 
         # indices are in range, and mode="raise" would buffer the output
-        self._raw[:, slot + 1 : slot + 1 + span].take(
-            self._pick, axis=1, out=self._windows, mode="clip"
-        )
+        self._spans[slot].take(self._pick, axis=1, out=self._windows, mode="clip")
         self._windows.sort()
-        self._push_sigma(_w2t_row(self._xs, self._ys) / self._scale)
+        self._push_sigma(_w2t_row(*self._rows) / self._scale)
         if self._sigma_hi < self._next_t + self._beta - self._slack:
             return None
         confirmed = self._filter_next()
@@ -456,12 +457,15 @@ class OnlineDetector:
         return confirmed
 
     def _start(self, dim: int) -> None:
-        """Size the sample ring and the (d, 2, beta) window buffer for d = dim."""
-        self._raw = np.empty((dim, 2 * self._span))
+        """Size the sample ring and the (d, 2, beta) window buffer for d = dim, and their views."""
+        span = self._span
+        self._raw = np.empty((dim, 2 * span))
         self._windows = np.empty((dim, 2, self._beta))
-        # the sorted before and after windows as _w2t_row takes them: one
-        # row each at d = 1, a (d, beta) stack each otherwise
-        self._xs, self._ys = self._windows[0] if dim == 1 else self._windows.transpose(1, 0, 2)
+        # per slot, its (2, d) pair of ring columns and the last span samples
+        # once it is written
+        self._slots = [self._raw[:, slot::span].T for slot in range(span)]
+        self._spans = [self._raw[:, slot + 1 : slot + 1 + span] for slot in range(span)]
+        self._rows = _row_views(self._windows)
         self._scale = 6 * self._beta * self._beta * dim
 
     def stats(self) -> dict:
@@ -474,6 +478,8 @@ class OnlineDetector:
         detector holds; it is fixed from the first sample on.
         """
         arrays = (self._rev, self._products, self._pick, self._sigma, self._raw, self._windows)
+        if self._raw is not None:
+            arrays += (self._rows[2],)  # the tiled ramp
         return {
             "samples": self._n,
             "confirmed": self._confirmed,

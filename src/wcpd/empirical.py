@@ -246,33 +246,41 @@ def _w2t_keys(xk: np.ndarray, yk: np.ndarray, gaps: np.ndarray, work: list) -> n
     return total
 
 
-def _w2t_row(xs: np.ndarray, ys: np.ndarray) -> int:
+def _row_views(windows: np.ndarray) -> tuple:
+    """The arguments of :func:`_w2t_row` over a (rows, 2, n) buffer of before and after windows.
+
+    Built once per buffer, they read it as it changes: each row's two windows
+    with the before window's bound searchsorted, the (rows, 2) view of the
+    windows' first samples, and the 2j + 1 ramp tiled over all rows.
+    """
+    rows, _, n = windows.shape
+    return [(x, y, x.searchsorted) for x, y in windows], windows[:, :, 0], _ramp(n, 2, 1, rows)
+
+
+def _w2t_row(rows: list, firsts: np.ndarray, ramp: np.ndarray) -> int:
     """Integer S of :func:`_w2t_keys` for sorted windows of n samples, summed over rows.
 
-    xs and ys are two sorted windows (n,), or two (rows, n) stacks of them
-    matched row by row. One searchsorted per row counts c_j = #x <= y_j.
-    With d_j = c_j - j, S expands to 3*sum_j c_j*(c_j - 2j - 1) + n^3 per
-    row, and the sum over rows is exact in any order: the rows' counts are
-    joined and share one subtraction of a cached ramp and one int64 dot. A
-    row of equal windows adds 0, so it is left out of the join.
+    The arguments are the :func:`_row_views` of a buffer whose windows are
+    sorted. One searchsorted per row counts c_j = #x <= y_j. With
+    d_j = c_j - j, S expands to 3*sum_j c_j*(c_j - 2j - 1) + n^3 per row,
+    and the sum over rows is exact in any order: the rows' counts are joined
+    and share one subtraction of the ramp and one int64 dot. A row of equal
+    windows adds 0, so it is left out of the join and a cached shorter ramp
+    serves the rest.
     """
-    n = xs.shape[-1]
+    n = ramp.size // len(rows)
     # see _w2t_from_sorted; equal first samples are the cheap necessary test
-    if xs.ndim == 1:
-        if xs[0] == ys[0] and (xs == ys).all():
-            return 0
-        c = xs.searchsorted(ys, side="right")
-    else:
-        x0, y0 = xs[:, 0].tolist(), ys[:, 0].tolist()
-        counts = [
-            xs[r].searchsorted(ys[r], side="right")
-            for r in range(len(x0))
-            if x0[r] != y0[r] or not (xs[r] == ys[r]).all()
-        ]
+    counts = [
+        count(y, "right")
+        for (x, y, count), (x0, y0) in zip(rows, firsts.tolist())
+        if x0 != y0 or not (x == y).all()
+    ]
+    if len(counts) < len(rows):
         if not counts:
             return 0
-        c = np.concatenate(counts)
-    return 3 * np.dot(c, c - _ramp(n, 2, 1, c.size // n)) + c.size * n * n
+        ramp = _ramp(n, 2, 1, len(counts))
+    c = counts[0] if len(counts) == 1 else np.concatenate(counts)
+    return 3 * c.dot(c - ramp) + c.size * n * n
 
 
 def _weight_keys(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,9 @@ def _reals(values, name: str) -> np.ndarray:
             raise ValueError(f"{name} must fit in a float: an integer is too large") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, not {array.dtype}")
-    return array.astype(float)
+    # a longdouble beyond float64 becomes inf, which the callers refuse
+    with np.errstate(over="ignore"):
+        return array.astype(float)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,9 @@ def filter_b25():
     return estimate_matched_filter(beta=25, ensemble_size=40, seed=21)
 
 
+HUGE = np.finfo(np.longdouble).max  # beyond float64 where longdouble is wider
+
+
 class TestStatTrace:
     def test_flags_warmup(self):
         trace = make_trace([1.0, 2.0, 3.0], beta=2)
@@ -382,8 +385,11 @@ class TestEqualWindows:
             assert sum(counts_read) == ties * beta
         assert 2 * (210 - 2 * beta) <= ties < sums.size // 2
 
-    @pytest.mark.parametrize("dim", [1, 3])
-    def test_online_matches_offline_on_periodic_stream(self, monkeypatch, dim):
+    @pytest.mark.parametrize("dim, mixed", [(1, False), (3, False), (3, True)])
+    def test_online_matches_offline_on_periodic_stream(self, monkeypatch, dim, mixed):
+        # mixed: dimension 0 repeats with period beta + 1 throughout and the
+        # other two are normal draws with a shift, so every step joins the
+        # counts of two rows of three against a shorter ramp
         beta = 6
         rng = np.random.default_rng(dim)
         data = np.concatenate(
@@ -393,6 +399,10 @@ class TestEqualWindows:
                 periodic(rng, beta, dim, rng.normal(size=10), [5]),
             ]
         )
+        if mixed:
+            data[:, 0] = np.resize(rng.normal(size=beta + 1), len(data))
+            data[:, 1:] = rng.normal(size=(len(data), 2))
+            data[len(data) // 2 :, 1:] += 2.5
         streamed = []
         push = OnlineDetector._push_sigma
 
@@ -408,7 +418,11 @@ class TestEqualWindows:
         confirmed += detector.finalize()
         offline = detect(TimeSeries(data), config)
         assert np.array_equal(sigma, offline.raw.values[beta:-beta])
-        assert (offline.raw.values[beta : 2 * beta + 1] == 0.0).all()
+        if mixed:
+            alone = sliding_statistic(TimeSeries(data[:, :1]), beta).values[beta:-beta]
+            assert (alone == 0.0).all() and (offline.raw.values[beta:-beta] > 0.0).all()
+        else:
+            assert (offline.raw.values[beta : 2 * beta + 1] == 0.0).all()
         assert confirmed == offline.change_points and confirmed
 
 
@@ -877,6 +891,36 @@ class TestOnlineDetector:
             if out is not None:
                 emissions.append(out)
         assert emissions + detector.finalize() == detect(series, config).change_points
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.nan,
+            -np.inf,
+            pytest.param(
+                HUGE,
+                marks=pytest.mark.skipif(HUGE <= np.finfo(float).max, reason="no wider longdouble"),
+            ),
+        ],
+    )
+    def test_rejects_non_finite_samples_without_state_change(self, dim, bad):
+        # a longdouble beyond float64 went into the ring as inf, with only an
+        # overflow warning, while detect refused the same series
+        config = DetectorConfig(beta=3)
+        seen, clean = OnlineDetector(config), OnlineDetector(config)
+        for t, row in enumerate(np.random.default_rng(dim).normal(size=(40, dim))):
+            if t % 9 == 0:  # the first at t = 0, before the ring is sized
+                sample = row.astype(np.longdouble)
+                sample[-1] = bad
+                before = seen.stats()
+                with pytest.raises(ValueError, match="non-finite sample"):
+                    seen.step(sample if dim > 1 else sample[0])
+                assert seen.stats() == before
+            assert seen.step(row) == clean.step(row)
+        assert seen.stats() == clean.stats()
+        assert np.array_equal(seen._sigma, clean._sigma)
+        assert seen.finalize() == clean.finalize()
 
     def test_integer_samples_step_as_floats(self):
         config = DetectorConfig(beta=3)

@@ -179,7 +179,7 @@ class TestKernelsAreCorrectlyRounded:
     def test_row(self, n):
         for xs, ys in exact_windows(n, n + 13):
             for x, y in zip(np.sort(xs, axis=1), np.sort(ys, axis=1)):
-                assert Fraction(empirical._w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
+                assert Fraction(w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
 
 
 class TestW2TRow:
@@ -193,7 +193,7 @@ class TestW2TRow:
             ys = np.sort(rng.integers(0, 4, size=(rows, n)).astype(float), axis=1)
             ys[::3] = xs[::3]
             for x, y in zip(xs, ys):
-                assert Fraction(empirical._w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
+                assert Fraction(w2t_row(x, y), 6 * n * n) == exact_w2t(x, y)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50])
     @pytest.mark.parametrize("rows", [1, 2, 3, 9])
@@ -211,8 +211,14 @@ class TestW2TRow:
                 ys_mixed = ys.copy()
                 ys_mixed[equal] = xs[equal]
                 expected = sum(exact_w2t(x, y) for x, y in zip(xs, ys_mixed))
-                total = empirical._w2t_row(xs, ys_mixed)
+                total = w2t_row(xs, ys_mixed)
                 assert Fraction(int(total), 6 * n * n) == expected
+
+
+def w2t_row(xs, ys):
+    """_w2t_row on sorted windows (n,), or on (rows, n) stacks of them matched row by row."""
+    windows = np.stack((xs, ys), axis=-2).reshape(-1, 2, xs.shape[-1])
+    return empirical._w2t_row(*empirical._row_views(windows))
 
 
 def w2t_keys(xk, yk):

@@ -3,7 +3,7 @@ import pytest
 
 from wcpd.cpd import MatchedFilter, StatTrace
 from wcpd.empirical import EmpiricalDist, build_empirical
-from wcpd.numeric import eigh_symmetric, hungarian
+from wcpd.numeric import eigh_symmetric, hungarian, kmeans
 from wcpd.series import TimeSeries
 from wcpd.tssc import AffinityMatrix
 
@@ -76,6 +76,27 @@ def test_library_entries_refuse_non_real_and_non_finite_input(call, message):
 def test_python_ints_beyond_int64_are_read_as_floats(call, expected):
     # numpy holds them in an object array, which was refused as "not object"
     assert call() == expected
+
+
+HUGE = np.finfo(np.longdouble).max
+
+
+# the cast to float64 warned about the overflow before each entry's finiteness
+# check ran, and pytest's filterwarnings = error raised that warning instead
+@pytest.mark.skipif(HUGE <= np.finfo(float).max, reason="longdouble is float64 here")
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TimeSeries(np.array([1, HUGE])), "non-finite sample"),
+        (lambda: build_empirical(np.array([1, HUGE])), "non-finite sample"),
+        (lambda: kmeans(np.array([[0, 1], [HUGE, 1]]), 1, 0), "non-finite point"),
+        (lambda: eigh_symmetric(np.array([[HUGE, 0], [0, 1]])), "non-finite matrix entry"),
+        (lambda: hungarian(np.array([[HUGE, 0], [0, 1]])), "non-finite cost entry"),
+    ],
+)
+def test_longdouble_beyond_float64_is_non_finite_without_a_warning(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestLabels:
