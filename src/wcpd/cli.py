@@ -454,6 +454,8 @@ def _load_series_spec(path) -> SeriesSpec:
     payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: spec must be a JSON object")
+    if "segments" not in payload:
+        raise ValueError(f"{path}: spec needs a 'segments' key")
     try:
         segments = tuple(
             (

@@ -30,7 +30,7 @@ from .empirical import (
     _workspace,
 )
 from .errors import NumericalError
-from .series import TimeSeries, _integer, _reals
+from .series import TimeSeries, _integer, _real, _reals
 from .simgen import DistSpec, _draw
 
 __all__ = [
@@ -80,6 +80,8 @@ class StatTrace:
         values = _reals(self.values, "trace values")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("trace values must be a nonempty flat array")
+        if np.isinf(values).any():  # NaN marks an index with no statistic; inf is bad input
+            raise ValueError("infinite trace value")
         beta = _integer(self.beta, "beta", 1)
         head = values[:beta]
         tail = values[values.size - beta :]
@@ -110,12 +112,10 @@ class MatchedFilter:
     seed: int | None = None
 
     def __post_init__(self):
-        taps = _reals(self.taps, "taps")
+        taps = _reals(self.taps, "taps", "tap")
         beta = _integer(self.beta, "beta", 1)
         if taps.ndim != 1 or taps.size != 2 * beta + 1:
             raise ValueError("taps must cover offsets -beta..beta")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("non-finite tap")
         if abs(float(taps.sum()) - 1.0) > _UNIT_AREA_TOL:
             raise ValueError("filter taps must have unit area")
         if self.source not in ("estimated", "loaded"):
@@ -144,10 +144,7 @@ class DetectorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _integer(self.beta, "beta", 2))
-        lam = self.lam
-        real = isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-        if not (real and math.isfinite(lam)):
-            raise ValueError(f"lam must be a finite real number, not {lam!r}")
+        _real(self.lam, "lam")
         if self.filter is not None and self.filter.beta != self.beta:
             raise ValueError(
                 "filter window size does not match beta: "
@@ -331,6 +328,7 @@ def apply_filter(trace: StatTrace, filt: MatchedFilter) -> StatTrace:
 
 def detect_peaks(trace: StatTrace, lam: float) -> list[int]:
     """Strict local maxima above lam with both neighbors valid."""
+    _real(lam, "lam")
     vals = trace.values
     mid = vals[1:-1]
     # NaN compares false, so a peak never touches an invalid entry

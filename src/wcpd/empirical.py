@@ -113,21 +113,17 @@ def build_empirical(values, weights=None) -> EmpiricalDist:
     Omitted weights mean uniform 1/n; explicit weights are normalized by their
     total. The support is sorted with weights permuted alongside.
     """
-    vals = _reals(values, "values")
+    vals = _reals(values, "values", "sample")
     if vals.ndim != 1:
         vals = vals.reshape(-1)
     if vals.size == 0:
         raise ValueError("empty distribution")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite sample")
     if weights is None:
         w = np.full(vals.size, 1.0 / vals.size)
     else:
-        w = _reals(weights, "weights")
+        w = _reals(weights, "weights", "weight")
         if w.shape != vals.shape:
             raise ValueError("weights length must match values length")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite weight")
         if np.any(w < 0.0):
             raise ValueError("negative weight")
         total = float(w.sum())
@@ -334,8 +330,7 @@ def _w2_squared_rows(
     keys = merged.T
     j, i, gap = j.reshape(keys.shape), i.reshape(keys.shape), gap.reshape(keys.shape)
     # j[p]: row keys ahead of merged position p, i[p] = p - j[p] own keys
-    np.copyto(i, keys)
-    i &= 1
+    np.bitwise_and(keys, 1, out=i)
     j[0] = 0
     np.cumsum(i[:-1], axis=0, out=j[1:])
     np.subtract(np.arange(n + m)[:, None], j, out=i)
@@ -345,8 +340,7 @@ def _w2_squared_rows(
     # once spent, i and j hold float temporaries: the row atoms, then the
     # weights at each merged position and their differences du
     gap -= atoms.take(j, mode="clip", out=i.view(float))
-    np.copyto(j, keys)
-    j >>= 1
+    np.right_shift(keys, 1, out=j)
     weights = vals.take(j, mode="clip", out=i.view(float))
     du = j.view(float)
     du[0] = weights[0]

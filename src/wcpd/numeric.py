@@ -36,11 +36,9 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     A NumericalError is raised if LAPACK does not converge.
     """
-    A = _reals(matrix, "matrix")
+    A = _reals(matrix, "matrix", "matrix entry")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError("matrix must be square and nonempty")
-    if not np.isfinite(A).all():
-        raise ValueError("non-finite matrix entry")
     if float(np.abs(A - A.T).max()) > _SYM_TOL:
         raise ValueError("matrix is not symmetric")
     try:
@@ -163,11 +161,9 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     then run for all restarts at once. Labels have the bits of running the
     restarts one at a time.
     """
-    pts = _reals(points, "points")
+    pts = _reals(points, "points", "point")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    if not np.isfinite(pts).all():
-        raise ValueError("non-finite point")
     n = pts.shape[0]
     k = _integer(k, "k", 1)
     if k > n:
@@ -193,11 +189,9 @@ def hungarian(cost) -> list[int]:
     method (Kuhn's Hungarian method) minimizes the cost first and the
     permutation second.
     """
-    C = _reals(cost, "cost matrix")
+    C = _reals(cost, "cost matrix", "cost entry")
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] == 0:
         raise ValueError("cost matrix must be square and nonempty")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("non-finite cost entry")
     n = C.shape[0]
     ratios = [[x.as_integer_ratio() for x in row] for row in C.tolist()]
     unit = max(den for row in ratios for _, den in row)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,25 +33,36 @@ def _integers(values, name: str) -> np.ndarray:
     return array.astype(int)
 
 
-def _reals(values, name: str) -> np.ndarray:
+def _real(value, name: str) -> None:
+    """Refuse value unless it is a finite real number; a bool is not one."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, not {value!r}")
+
+
+def _reals(values, name: str, finite: str | None = None) -> np.ndarray:
     """A new float array of values, refusing strings, bools and complex numbers.
 
     numpy holds Python ints beyond int64 in an object array; one whose
-    entries are all ints and floats is converted entry by entry.
+    entries are all ints and floats is converted entry by entry. Given
+    ``finite``, the noun for one entry, NaN and ±inf are refused too, as
+    ``non-finite <finite>``; a longdouble beyond float64 counts as inf.
     """
     array = np.asarray(values)
     if array.dtype == object and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in array.flat
     ):
         try:
-            return np.array([float(v) for v in array.flat]).reshape(array.shape)
+            array = np.array([float(v) for v in array.flat]).reshape(array.shape)
         except OverflowError:
             raise ValueError(f"{name} must fit in a float: an integer is too large") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, not {array.dtype}")
-    # a longdouble beyond float64 becomes inf, which the callers refuse
     with np.errstate(over="ignore"):
-        return array.astype(float)
+        array = array.astype(float)
+    if finite is not None and not np.isfinite(array).all():
+        raise ValueError(f"non-finite {finite}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -67,13 +80,11 @@ class TimeSeries:
     change_points: np.ndarray | None = None
 
     def __post_init__(self):
-        data = _reals(self.data, "data")
+        data = _reals(self.data, "data", "sample")
         if data.ndim == 1:
             data = data.reshape(-1, 1)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("data must be a nonempty (T, d) array")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("non-finite sample")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 

@@ -78,11 +78,9 @@ class AffinityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _reals(self.values, "affinities")
+        values = _reals(self.values, "affinities", "affinity")
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
             raise ValueError("affinity matrix must be square and nonempty")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite affinity")
         if float(np.abs(values - values.T).max()) > 1e-12:
             raise ValueError("affinity matrix must be symmetric")
         if not np.all(values.diagonal() == 1.0):

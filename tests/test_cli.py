@@ -810,8 +810,13 @@ TRACE = [*EVALUATE, "--trace", "{bad}"]
         (LABELS, "t,label\n" + "".join(f"{t},{0 if t < 300 else 3}\n" for t in range(450))),
         (TRACE, "t,sigma_raw,sigma_filtered\n"
                 + "".join(f"{t},nan,{0.5 if 3 <= t < 18 else 'nan'}\n" for t in range(20))),
+        # a statistic is at most beta/6; an inf cell was ranked and an AUC printed
+        (TRACE, "t,sigma_raw,sigma_filtered\n"
+                + "".join(f"{t},nan,{'inf' if t == 200 else 0.5 if 20 <= t < 430 else 'nan'}\n"
+                          for t in range(450))),
     ],
-    ids=["duplicate-change-point", "change-point-at-end", "label-at-k", "short-trailing-warmup"],
+    ids=["duplicate-change-point", "change-point-at-end", "label-at-k", "short-trailing-warmup",
+         "infinite-filtered-cell"],
 )
 def test_file_content_error_names_the_file(workspace, tmp_path, capsys, argv, content):
     path = tmp_path / "input.txt"

@@ -643,6 +643,23 @@ def test_spec_value_of_wrong_type_names_file_and_key(tmp_path, capsys, key, valu
 
 
 @pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"seed": 1}, "spec needs a 'segments' key"),
+        ({"segments": [{"length": 30}]}, "segment entries need a 'family' key"),
+        ({"segments": [{"family": "normal"}]}, "segment entries need a 'length' key"),
+    ],
+)
+def test_spec_missing_key_is_named(tmp_path, capsys, spec, message):
+    # a spec without "segments" was reported as a segment entry without one
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", path, "--out", tmp_path / "x.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
     "family,location,scale",
     [("normal", 0.0, 1e308), ("laplace", 1.7e308, 1e307), ("laplace", -1.7e308, 1e307)],
 )

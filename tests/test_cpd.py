@@ -678,6 +678,13 @@ class TestDetect:
         with pytest.raises(ValueError, match="lam must be a finite real number"):
             DetectorConfig(beta=3, lam=lam)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), "0.4", True])
+    def test_detect_peaks_refuses_what_the_config_refuses(self, lam):
+        # a NaN lam compared false everywhere, so detect_peaks returned []
+        trace = StatTrace(np.array([np.nan, 0.1, 0.3, 0.2, np.nan]), 1)
+        with pytest.raises(ValueError, match=f"lam must be a finite real number, not {lam!r}"):
+            detect_peaks(trace, lam)
+
     def test_config_accepts_numpy_integer_beta(self):
         config = DetectorConfig(beta=np.int64(3), lam=np.float64(0.4))
         assert config.beta == 3 and type(config.beta) is int

@@ -58,11 +58,25 @@ NAN, INF = float("nan"), float("inf")
         (lambda: TimeSeries([2**64, "1"]), "data must be real numbers, not"),
         (lambda: TimeSeries([10**400, 1]), "data must fit in a float: an integer is too large"),
         (lambda: hungarian([[10**400, 0], [0, 1]]), "cost matrix must fit in a float"),
+        # the object-array path checks finiteness as the numeric one does
+        (lambda: TimeSeries([2**64, NAN]), "non-finite sample"),
+        (lambda: hungarian([[2**64, INF], [0, 1]]), "non-finite cost entry"),
+        (lambda: MatchedFilter([0.25, NAN, 0.25], 1, 1.0, 1), "non-finite tap"),
+        (lambda: AffinityMatrix([[1.0, NAN], [NAN, 1.0]]), "non-finite affinity"),
+        # NaN marks an index with no statistic, but a statistic is at most
+        # beta/6, so an infinite one is bad input
+        (lambda: StatTrace([NAN, 0.1, INF, 0.2, NAN], 1), "infinite trace value"),
+        (lambda: StatTrace([NAN, -INF, NAN], 1), "infinite trace value"),
     ],
 )
 def test_library_entries_refuse_non_real_and_non_finite_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_stat_trace_takes_nan_inside_as_no_statistic():
+    trace = StatTrace([NAN, 0.1, NAN, 0.2, NAN], 1)
+    assert trace.valid_mask.tolist() == [False, True, False, True, False]
 
 
 @pytest.mark.parametrize(
