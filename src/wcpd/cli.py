@@ -550,7 +550,8 @@ def _cmd_calibrate_filter(opt) -> int:
     beta, ensemble, seed, pairs_path = opt("beta"), opt("ensemble"), opt("seed"), opt("pairs")
     out = Path(opt("out"))
     pairs = _load_pairs(pairs_path) if pairs_path else DEFAULT_CHANGE_PAIRS
-    with _naming(pairs_path):  # the options are checked, so only a custom pair fails
+    # a beta numpy cannot size fails here too, and names no file
+    with _naming(pairs_path) if pairs_path else contextlib.nullcontext():
         filt = estimate_matched_filter(
             beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed
         )

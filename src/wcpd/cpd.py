@@ -107,7 +107,6 @@ class MatchedFilter:
     beta: int
     gamma: float
     ensemble_size: int
-    source: str = "estimated"
     change_pairs: tuple = ()
     seed: int | None = None
 
@@ -118,8 +117,6 @@ class MatchedFilter:
             raise ValueError("taps must cover offsets -beta..beta")
         if abs(float(taps.sum()) - 1.0) > _UNIT_AREA_TOL:
             raise ValueError("filter taps must have unit area")
-        if self.source not in ("estimated", "loaded"):
-            raise ValueError("source must be 'estimated' or 'loaded'")
         gamma = self.gamma
         real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
         if not (real and math.isfinite(gamma) and gamma > 0.0):
@@ -297,7 +294,6 @@ def estimate_matched_filter(
         beta=beta,
         gamma=gamma,
         ensemble_size=ensemble_size,
-        source="estimated",
         change_pairs=change_pairs,
         seed=seed,
     )
@@ -540,7 +536,6 @@ def load_filter(path) -> MatchedFilter:
             beta=payload["beta"],
             gamma=payload["gamma"],
             ensemble_size=payload["ensemble_size"],
-            source="loaded",
             change_pairs=pairs,
             seed=payload.get("seed"),
         )

@@ -18,7 +18,6 @@ from .series import _reals
 
 __all__ = [
     "EmpiricalDist",
-    "NullConstants",
     "NULL",
     "build_empirical",
     "w2t_statistic",
@@ -29,7 +28,7 @@ _WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class NullConstants:
+class _NullConstants:
     """Reference constants of the statistic's limiting null law.
 
     The two-sample statistic converges, under equal distributions, to an
@@ -40,14 +39,13 @@ class NullConstants:
 
     null_mean: float = 0.166
     reject_threshold_05: float = 0.462
-    alpha: float = 0.05
 
     def __post_init__(self):
         if not self.null_mean < self.reject_threshold_05:
             raise ValueError("null mean must lie below the rejection threshold")
 
 
-NULL = NullConstants()
+NULL = _NullConstants()
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,11 @@ def cp_auc(filtered_trace: StatTrace, truth, delta: int) -> float:
 def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) -> float:
     """Best-mapping fraction of samples whose cluster id matches the truth.
 
-    Predicted segment labels are expanded per sample, the K x K confusion
-    counts are built in one ``np.bincount``, and :func:`wcpd.numeric.hungarian`
-    on their negation gives the label mapping that maximizes agreement; the
-    result is invariant to any permutation of the predicted ids.
+    Predicted segment labels are expanded per sample, the confusion counts
+    over the labels in use (K only bounds them) are built in one
+    ``np.bincount``, and :func:`wcpd.numeric.hungarian` on their negation
+    gives the label mapping that maximizes agreement; the result is
+    invariant to any permutation of the predicted ids.
     """
     truths = _integers(truth_labels, "truth labels")
     if truths.ndim != 1 or truths.size == 0:
@@ -107,7 +108,9 @@ def label_accuracy(predicted_labeling: SegmentLabeling, truth_labels, K: int) ->
     distinct = np.unique(truths)
     if distinct.size > K:
         raise ValueError("more distinct truth labels than clusters")
-    truth_index = np.searchsorted(distinct, truths)
-    counts = np.bincount(predicted * K + truth_index, minlength=K * K).reshape(K, K)
-    matched = counts[np.arange(K), hungarian(-counts)].sum()
+    used = np.unique(predicted_labeling.labels)
+    n = max(used.size, distinct.size)
+    cells = np.searchsorted(used, predicted) * n + np.searchsorted(distinct, truths)
+    counts = np.bincount(cells, minlength=n * n).reshape(n, n)
+    matched = counts[np.arange(n), hungarian(-counts)].sum()
     return float(matched / truths.size)

@@ -2,8 +2,8 @@
 
 The matrices these routines see are small (segment counts, cluster counts), so
 the implementations favor determinism and testability over scalability: every
-tie has a documented break (eigenvector signs included), and identical inputs
-always produce identical outputs.
+tie has a documented break, and identical inputs always produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     eigenvalues : (n,) ascending.
-    eigenvectors : (n, n) orthonormal columns aligned with the eigenvalues;
-        each column's first entry with magnitude above 1e-12 is made positive
-        so downstream consumers see a reproducible basis.
+    eigenvectors : (n, n) orthonormal columns aligned with the eigenvalues,
+        each with the sign LAPACK gives it.
 
     A NumericalError is raised if LAPACK does not converge.
     """
@@ -45,8 +44,6 @@ def eigh_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError:
         raise NumericalError("eigendecomposition did not converge") from None
-    leading = (np.abs(V) > 1e-12).argmax(axis=0)
-    V *= np.where(V[leading, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
     return eigenvalues, V
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "Segment",
     "AffinityMatrix",
     "SegmentLabeling",
-    "boundary_weights",
     "segment_distribution",
     "affinity_matrix",
     "spectral_cluster",
@@ -130,7 +129,7 @@ class SegmentLabeling:
         return np.repeat(self.labels, np.diff(bounds))
 
 
-def boundary_weights(length: int, beta: int) -> np.ndarray:
+def _boundary_weights(length: int, beta: int) -> np.ndarray:
     """Pre-normalization sample weights for a segment of the given length.
 
     Samples within beta of a boundary take the matching half of a symmetric
@@ -156,11 +155,11 @@ def _sorted_segments(block: np.ndarray, beta: int) -> tuple[np.ndarray, np.ndarr
 
     The last axis of block holds the samples of one segment in one dimension.
     Each row gets the bits :func:`wcpd.empirical.build_empirical` gives it
-    under :func:`boundary_weights`: one stable argsort, and weights
+    under :func:`_boundary_weights`: one stable argsort, and weights
     normalized by their float sum.
     """
     order = np.argsort(block, axis=-1, kind="stable")
-    weights = boundary_weights(block.shape[-1], beta)
+    weights = _boundary_weights(block.shape[-1], beta)
     return np.take_along_axis(block, order, axis=-1), (weights / float(weights.sum()))[order]
 
 

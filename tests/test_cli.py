@@ -919,6 +919,27 @@ def test_more_truth_labels_than_clusters_names_the_truth_labels(workspace, tmp_p
     )
 
 
+def test_evaluate_k_only_bounds_the_labels(workspace, tmp_path, capsys):
+    predicted = tmp_path / "labels.csv"
+    predicted.write_text("t,label\n" + "".join(f"{t},{int(t >= 200)}\n" for t in range(450)))
+    argv = [*(arg.format(ws=workspace) for arg in EVALUATE), "--predicted-labels", predicted,
+            "--truth-labels", workspace / "data.csv.labels", "--k"]
+    reports = []
+    for k in (4, 10**20):
+        assert run([*argv, k]) == 0
+        reports.append([line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("label_accuracy=")])
+    assert reports[0] == reports[1] == ["label_accuracy=0.6666666666666666"]
+
+
+def test_calibrate_filter_error_without_pairs_names_no_file(tmp_path, capsys):
+    argv = ["calibrate-filter", "--beta", 10**20, "--out", tmp_path / "big.json"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "None:" not in err
+    assert not (tmp_path / "big.json").exists()
+
+
 NOT_UTF8 = {
     "input": ["detect", "--input", "{bad}", "--beta", "30", "--out-dir", "{tmp}/out"],
     "change-points": CLUSTER,

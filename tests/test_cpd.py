@@ -1043,7 +1043,6 @@ class TestFilterSerialization:
         assert loaded.ensemble_size == filter_b50.ensemble_size
         assert loaded.seed == filter_b50.seed
         assert loaded.change_pairs == filter_b50.change_pairs
-        assert loaded.source == "loaded"
 
     def test_tampered_taps_rejected(self, tmp_path, filter_b50):
         import json

@@ -9,7 +9,7 @@ from wcpd import empirical
 from wcpd.empirical import (
     NULL,
     EmpiricalDist,
-    NullConstants,
+    _NullConstants as NullConstants,
     build_empirical,
     w2t_statistic,
     wasserstein2,
@@ -461,7 +461,6 @@ class TestNullConstants:
         constants = NullConstants()
         assert constants.null_mean == 0.166
         assert constants.reject_threshold_05 == 0.462
-        assert constants.alpha == 0.05
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,20 @@ class TestLabelAccuracy:
         with pytest.raises(ValueError, match="cover the sample range"):
             label_accuracy(labeling, np.zeros(40, dtype=int), 2)
 
+    def test_k_only_bounds_the_labels(self):
+        # the confusion table is sized by the labels in use, so no K asks for
+        # a K x K table, and a sparse label costs no more than a dense one
+        truth = np.repeat([0, 1, 2, 0, 1, 0], 5)
+        cps = [5, 10, 15, 20, 25]
+        dense = [3, 1, 2, 3, 0, 3]
+        want = label_accuracy(SegmentLabeling(cps, dense, 4), truth, 4)
+        assert want == pytest.approx(1 - 5 / 30)
+        huge = 10**20
+        sparse = [10**15 if label == 3 else label for label in dense]
+        for labeling in (SegmentLabeling(cps, dense, 4), SegmentLabeling(cps, dense, huge),
+                         SegmentLabeling(cps, sparse, huge)):
+            assert label_accuracy(labeling, truth, huge) == want
+
     def test_too_many_truth_classes(self):
         labeling = SegmentLabeling(change_points=[5], labels=[0, 1], K=2)
         with pytest.raises(ValueError, match="more distinct truth labels"):

@@ -12,7 +12,6 @@ PUBLIC = [
     "EmpiricalDist",
     "MatchedFilter",
     "NULL",
-    "NullConstants",
     "NumericalError",
     "OnlineDetector",
     "Segment",
@@ -22,7 +21,6 @@ PUBLIC = [
     "TimeSeries",
     "affinity_matrix",
     "apply_filter",
-    "boundary_weights",
     "build_empirical",
     "cluster_segments",
     "cp_auc",

@@ -17,7 +17,7 @@ from wcpd.tssc import (
     Segment,
     SegmentLabeling,
     affinity_matrix,
-    boundary_weights,
+    _boundary_weights as boundary_weights,
     cluster_segments,
     segment_distribution,
     spectral_cluster,
@@ -333,7 +333,7 @@ class TestArrayPath:
             "non-finite weight": lambda size, beta: np.r_[np.nan, np.ones(size - 1)],
         }
         for message, ramp in ramps.items():
-            monkeypatch.setattr(tssc, "boundary_weights", ramp)
+            monkeypatch.setattr(tssc, "_boundary_weights", ramp)
             with pytest.raises(ValueError, match=message):
                 cluster_segments(series, [5], K=2, beta=2, seed=0)
 
@@ -399,6 +399,35 @@ class TestSpectralCluster:
         a = spectral_cluster(affinity, K=3, seed=5)
         b = spectral_cluster(affinity, K=3, seed=5)
         np.testing.assert_array_equal(a, b)
+
+    def test_labels_do_not_depend_on_eigenvector_signs(self, monkeypatch):
+        # eigenvectors are defined up to sign; negation is exact in IEEE
+        # arithmetic, so k-means's distances and means, and its labels, keep their bits
+        rng = np.random.default_rng(67)
+        cases = []
+        for _ in range(120):
+            n = int(rng.integers(4, 61))
+            K = int(rng.integers(2, min(n, 8) + 1))
+            points = rng.normal(size=n) + rng.integers(0, K, size=n) * rng.uniform(0.5, 4.0)
+            values = np.exp(-np.abs(points[:, None] - points[None, :]))
+            np.fill_diagonal(values, 1.0)
+            affinity = AffinityMatrix(values)
+            seed = int(rng.integers(2**31))
+            cases.append((affinity, K, seed, spectral_cluster(affinity, K, seed)))
+
+        flips = []
+        solve = tssc.eigh_symmetric
+
+        def flipped(matrix):
+            eigenvalues, vectors = solve(matrix)
+            signs = rng.choice([-1.0, 1.0], size=vectors.shape[1])
+            flips.append(bool((signs < 0).any()))
+            return eigenvalues, vectors * signs
+
+        monkeypatch.setattr(tssc, "eigh_symmetric", flipped)
+        for affinity, K, seed, labels in cases:
+            np.testing.assert_array_equal(spectral_cluster(affinity, K, seed), labels)
+        assert len(flips) == len(cases) and sum(flips) > 100
 
 
 class TestClusterSegments:
