@@ -101,10 +101,15 @@ def _open_buffered(path):
     """``path`` read whole into a rewindable text handle, so a pipe reads like a file.
 
     Text that does not decode, met anywhere in the with block, names ``path``.
+    The text is in memory already, so csv fields may be of any length in it.
     """
-    with io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), newline="") as handle:
-        with _naming(path, UnicodeDecodeError):
-            yield handle
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        with io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), newline="") as handle:
+            with _naming(path, UnicodeDecodeError):
+                yield handle
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _parse_body(handle, dtype, **options):

@@ -31,7 +31,7 @@ from .empirical import (
 )
 from .errors import NumericalError
 from .series import TimeSeries, _integer, _real, _reals
-from .simgen import DistSpec, _draw
+from .simgen import DistSpec, _series_rows
 
 __all__ = [
     "StatTrace",
@@ -249,9 +249,9 @@ def estimate_matched_filter(
 
     The members of a pair are drawn, ranked and scanned in groups of at most
     _CHUNK_ELEMENTS samples, so memory does not grow with ensemble_size.
-    Each member keeps the streams and the statistic of its own
-    :func:`wcpd.simgen.generate` series, and the rows are summed in member
-    order, so the taps have the bits of a one-member-at-a-time calibration.
+    Each member is the d=1 :func:`wcpd.simgen.generate` series of its own
+    seed, drawn by the same sampler, and the rows are summed in member order,
+    so the taps have the bits of a one-member-at-a-time calibration.
     """
     beta = _integer(beta, "beta", 2)
     ensemble_size = _integer(ensemble_size, "ensemble_size", 1)
@@ -273,16 +273,10 @@ def estimate_matched_filter(
                 _derive_seed(seed, pair_index, member)
                 for member in range(lo, min(lo + group, ensemble_size))
             ]
-            parts = []
-            for segment, (spec, length) in enumerate(segments):
-                # generate's stream of (member seed, segment, dimension 0)
-                try:
-                    parts.append(_draw(spec, length, [[s, segment, 0] for s in seeds]))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"change pair {pair_index}, segment {segment}: {exc}"
-                    ) from None
-            members = np.concatenate(parts, axis=1)
+            try:
+                members = _series_rows(segments, seeds, 1)
+            except ValueError as exc:
+                raise ValueError(f"change pair {pair_index}, {exc}") from None
             # the change sits at index 2*beta, so offsets -beta..beta are a
             # member's whole valid trace
             for sums in _window_sums(_rank_keys(members)[1], beta):

@@ -114,37 +114,37 @@ def sample(spec: DistSpec, n: int, seed: int) -> np.ndarray:
     return _draw(spec, n, [_integer(seed, "seed", 0)])[0]
 
 
+def _series_rows(segments, seeds, dimension: int) -> np.ndarray:
+    """Row r * dimension + j: dimension j of the series of seed ``seeds[r]``.
+
+    Its segment i draws from the stream of entropy (seed, i, j). The rows are
+    allocated before any stream is listed, so numpy refuses a size it cannot
+    hold up front. A segment whose draws overflow float64 raises a ValueError
+    naming it.
+    """
+    rows = np.empty((len(seeds) * dimension, sum(length for _, length in segments)))
+    start = 0
+    for index, (spec, length) in enumerate(segments):
+        entropies = [[seed, index, dim] for seed in seeds for dim in range(dimension)]
+        try:
+            rows[:, start : start + length] = _draw(spec, length, entropies)
+        except ValueError as exc:
+            raise ValueError(f"segment {index}: {exc}") from None
+        start += length
+    return rows
+
+
 def generate(series_spec: SeriesSpec) -> TimeSeries:
     """Materialize the spec into a series with ground-truth structure.
 
-    Change points sit at the cumulative segment boundaries; per-sample labels
-    reuse one id per distinct DistSpec, so repeated specs share a class. A
-    segment whose draws overflow float64 raises a ValueError naming it.
+    The data are the seed's :func:`_series_rows`, transposed. Change points
+    sit at the cumulative segment boundaries; per-sample labels reuse one id
+    per distinct DistSpec, so repeated specs share a class.
     """
-    total = sum(length for _, length in series_spec.segments)
-    d = series_spec.dimension
-    data = np.empty((total, d))
-    labels = np.empty(total, dtype=int)
-
-    spec_ids: dict[DistSpec, int] = {}
-    change_points = []
-    offset = 0
-    for seg_idx, (spec, length) in enumerate(series_spec.segments):
-        if spec not in spec_ids:
-            spec_ids[spec] = len(spec_ids)
-        try:
-            data[offset : offset + length] = _draw(
-                spec, length, [[series_spec.seed, seg_idx, dim] for dim in range(d)]
-            ).T
-        except ValueError as exc:
-            raise ValueError(f"segment {seg_idx}: {exc}") from None
-        labels[offset : offset + length] = spec_ids[spec]
-        offset += length
-        if offset < total:
-            change_points.append(offset)
-
+    specs, lengths = zip(*series_spec.segments)
+    ids = {spec: i for i, spec in enumerate(dict.fromkeys(specs))}  # in order of first use
     return TimeSeries(
-        data=data,
-        labels=labels,
-        change_points=np.asarray(change_points, dtype=int),
+        data=_series_rows(series_spec.segments, [series_spec.seed], series_spec.dimension).T,
+        labels=np.repeat([ids[spec] for spec in specs], lengths),
+        change_points=np.cumsum(lengths)[:-1],
     )

@@ -203,10 +203,10 @@ def segment_distribution(series: TimeSeries, start: int, end: int, beta: int) ->
 
 
 def _affinity(sizes: np.ndarray, cums: np.ndarray, atoms: np.ndarray) -> AffinityMatrix:
-    """:func:`affinity_matrix` of n >= 2 segments of the given sizes, from (d, N) arrays.
+    """:func:`affinity_matrix` of n >= 1 segments of the given sizes, from (d, N) arrays.
 
     Row t of cums and atoms holds dimension t of every segment in order, as
-    :func:`_segment_arrays` lays them out.
+    :func:`_segment_arrays` lays them out. One segment gives [[1.0]].
     """
     n = sizes.size
     dim = cums.shape[0]
@@ -227,7 +227,7 @@ def _affinity(sizes: np.ndarray, cums: np.ndarray, atoms: np.ndarray) -> Affinit
     # padded to the width of the first; one workspace fits the largest block
     widths = sizes[:-1] + sizes[1:]
     steps = np.maximum(1, _CHUNK_ELEMENTS // widths)
-    largest = int((np.minimum(steps, np.arange(n - 1, 0, -1)) * widths).max())
+    largest = int((np.minimum(steps, np.arange(n - 1, 0, -1)) * widths).max(initial=0))
     key_type = keyed[0][1].dtype  # every dimension ranks N weights
     *work, index, block = _workspace(
         *_w2_parts(largest, key_type), (largest, np.intp), (largest, key_type)
@@ -326,11 +326,6 @@ def cluster_segments(
     if cps.size and (cps[0] <= 0 or cps[-1] >= T or np.any(np.diff(cps) <= 0)):
         raise ValueError("change points must be strictly increasing inside (0, T)")
     bounds = np.concatenate(([0], cps, [T]))
-    n_segments = bounds.size - 1
-    if n_segments == 1:
-        if K != 1:
-            raise ValueError("cluster count must lie between 1 and the segment count")
-        return SegmentLabeling(change_points=cps, labels=np.zeros(1, dtype=int), K=1)
     atoms, cums = _segment_arrays(series.data, bounds, beta)
     labels = spectral_cluster(_affinity(np.diff(bounds), cums, atoms), K, seed)
     return SegmentLabeling(change_points=cps, labels=labels, K=K)

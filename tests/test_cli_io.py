@@ -1,7 +1,9 @@
 """The CLI's table I/O: numpy's body parse against the line-by-line reader,
 the bytes of the writers, and the types of config values."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import tracemalloc
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcpd import cli
@@ -47,6 +49,9 @@ def both_ways(read, *args, **kwargs):
     return fast, slow
 
 
+# csv's reader refuses a field over 131,072 characters unless its limit is raised
+LONG = 140_000
+
 INGEST_CASES = [
     # (file bytes, ingest_csv options, values and labels, or the message after "<path>: ")
     (b't,x0,label\r\n0,"1.5",2\r\n1,"-2.25","3"\r\n', {"label_column": "label", "time_column": "t"},
@@ -72,6 +77,12 @@ INGEST_CASES = [
     # a quoted field that spans lines counts each of its lines
     (b'x\n" 1\n"\noops\n', {}, "line 4: non-numeric value 'oops' in column 'x'"),
     (b'x\n" 1\n"\ninf\n', {}, "line 4: non-finite value 'inf' in column 'x'"),
+    pytest.param(b"x\n1\n" + b"0" * (LONG - 1) + b"1\n", {}, ([[1.0], [1.0]], None),
+                 id="long-number"),
+    pytest.param(b"x\n1\n" + b"y" * LONG + b"\n", {},
+                 f"line 3: non-numeric value {'y' * LONG!r} in column 'x'", id="long-cell"),
+    pytest.param(b"t," + b"x" * LONG + b"\n0,1.5\n", {"time_column": "t"}, ([[1.5]], None),
+                 id="long-header-name"),
 ]
 
 
@@ -192,6 +203,12 @@ READER_CASES = [
     (cli._read_indices, "1\n\f\n2x\n", "line 3: not an index: '2x'"),
     (cli._read_indices, "1\n\u2028\n2x\n", "line 3: not an index: '2x'"),
     (cli._read_indices, "1\f2\n", "line 1: not an index: '1\\x0c2'"),
+    pytest.param(lambda p: cli._read_column(p, 2, float, "trace"),
+                 "t,a,b\n0,nan," + "0" * (LONG - 1) + "1\n", np.array([1.0]), id="long-number"),
+    pytest.param(lambda p: cli._read_column(p, 1, float, "trace"),
+                 "t,a\n0,1\n1," + "x" * LONG + "\n", "line 3: malformed trace row", id="long-cell"),
+    pytest.param(lambda p: cli._read_column(p, 1, int, "label"),
+                 "t," + "l" * LONG + "\n0,3\n", np.array([3]), id="long-header-name"),
 ]
 
 
@@ -675,3 +692,178 @@ def test_simulate_overflow_names_file_and_segment(tmp_path, capsys, family, loca
     assert err.startswith(f"error: {path}: segment 1: ")
     assert "Warning" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_readers_restore_the_field_size_limit(tmp_path):
+    # the readers lift csv's process-wide limit only while they read
+    path = tmp_path / "in.csv"
+    limit = csv.field_size_limit(1_000)
+    try:
+        for content in ("x\n1\n", "x\n1\n" + "y" * LONG + "\n"):
+            path.write_text(content)
+            outcome(ingest_csv, path)
+            outcome(cli._read_column, path, 0, float, "trace")
+            assert csv.field_size_limit() == 1_000
+    finally:
+        csv.field_size_limit(limit)
+
+
+# The CLI fuzz: a small valid round trip whose files and option values are
+# mutated. Paths are relative to the directory each example writes.
+FUZZ_ARGS = {
+    "simulate": {"spec": "spec.json", "out": "out/data.csv"},
+    "calibrate-filter": {"beta": 5, "ensemble": 2, "seed": 0, "pairs": "pairs.json",
+                         "out": "out/filter.json"},
+    "detect": {"config": "detect.json", "beta": 5, "filter": "filter.json"},
+    "cluster": {"input": "data.csv", "time-column": "t", "label-column": "label", "beta": 5,
+                "k": 2, "seed": 0, "change-points": "data.csv.cps", "out-dir": "out"},
+    "evaluate": {"config": "evaluate.json", "trace": "trace.csv", "predicted-labels": "labels.csv",
+                 "truth-labels": "data.csv.labels", "k": 2, "beta": 5},
+}
+FUZZ_CONFIGS = {
+    "detect.json": {"input": "data.csv", "time-column": "t", "label-column": "label",
+                    "lambda": 0.3, "out-dir": "out"},
+    "evaluate.json": {"predicted": "change_points.txt", "truth": "data.csv.cps", "delta": 5},
+}
+FUZZ_PATHS = {"spec", "pairs", "config", "filter", "input", "change-points", "predicted", "truth",
+              "trace", "predicted-labels", "truth-labels", "out", "out-dir"}
+FUZZ_OUTPUTS = {"out", "out-dir"}
+FUZZ_JSON = {"simulate": ["spec.json"], "calibrate-filter": ["pairs.json"],
+             "detect": ["detect.json", "filter.json"], "cluster": [], "evaluate": ["evaluate.json"]}
+FUZZ_TABLES = {"simulate": [], "calibrate-filter": [], "detect": ["data.csv"],
+               "cluster": ["data.csv", "data.csv.cps"],
+               "evaluate": ["change_points.txt", "data.csv.cps", "trace.csv", "labels.csv",
+                            "data.csv.labels"]}
+MISSING = object()  # a JSON mutation that deletes the key or the list entry
+DROP = object()  # a CSV mutation that deletes the cell, so the row has one field fewer
+JSON_VALUES = [float("nan"), float("inf"), -float("inf"), 2**63, [[1, 2]], MISSING]
+CSV_TEXTS = ['"1"', '"', '2"3', "1_0", "", "1,2", DROP, "y" * LONG]
+INTEGERS = [0, -1, 10**5, 10**20]
+# calibrate-filter runs any beta and ensemble it accepts, so draw only the
+# values it must refuse: a beta of 10**5 or an ensemble of 10**5 runs for seconds
+REFUSED = {("calibrate-filter", "beta"): [0, -1, 10**20], ("calibrate-filter", "ensemble"): [0, -1]}
+
+
+@st.composite
+def cli_cases(draw):
+    """A command and one or two mutations of its files or integer options."""
+    command = draw(st.sampled_from(sorted(FUZZ_ARGS)))
+    kinds = [
+        st.tuples(st.just("option"), st.just(name),
+                  st.sampled_from(REFUSED.get((command, name), INTEGERS)))
+        for name, value in FUZZ_ARGS[command].items() if isinstance(value, int)
+    ]
+    if FUZZ_JSON[command]:
+        kinds.append(st.tuples(st.just("json"), st.sampled_from(FUZZ_JSON[command]),
+                               st.integers(0, 40), st.sampled_from(JSON_VALUES)))
+    if FUZZ_TABLES[command]:
+        kinds.append(st.tuples(st.just("csv"), st.sampled_from(FUZZ_TABLES[command]),
+                               st.integers(0, 200), st.integers(0, 3),
+                               st.sampled_from(CSV_TEXTS)))
+    return command, tuple(draw(st.lists(st.one_of(kinds), min_size=1, max_size=2)))
+
+
+def json_slots(node):
+    """Every (container, key or index) of a JSON document, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from json_slots(node[key])
+
+
+def mutate(directory, args, mutation):
+    kind, target, *rest = mutation
+    if kind == "option":
+        args[target] = rest[0]
+    elif kind == "json":
+        position, value = rest
+        path = directory / target
+        document = json.loads(path.read_text())
+        slots = list(json_slots(document))
+        if not slots:  # an earlier mutation emptied the document
+            return
+        container, key = slots[position % len(slots)]
+        if value is MISSING:
+            del container[key]
+        else:
+            container[key] = value
+        path.write_text(json.dumps(document))
+    else:
+        line, cell, text = rest
+        path = directory / target
+        lines = path.read_text().split("\n")
+        cells = lines[line % len(lines)].split(",")
+        if text is DROP:
+            del cells[cell % len(cells)]
+        else:
+            cells[cell % len(cells)] = text
+        lines[line % len(lines)] = ",".join(cells)
+        path.write_text("\n".join(lines))
+
+
+@pytest.fixture(scope="module")
+def round_trip(tmp_path_factory):
+    """The bytes of every file the fuzzed commands read."""
+    base = tmp_path_factory.mktemp("round-trip")
+    spec = {"seed": 3, "dimension": 1, "segments": [
+        {"family": "normal", "location": 0, "scale": 1, "length": 30},
+        {"family": "laplace", "location": 4, "scale": 1, "length": 30},
+    ]}
+    pairs = [[{"family": "normal", "location": 0, "scale": 1},
+              {"family": "normal", "location": 3, "scale": 1}]]
+    (base / "spec.json").write_text(json.dumps(spec))
+    (base / "pairs.json").write_text(json.dumps(pairs))
+    ingest = ["--input", base / "data.csv", "--time-column", "t", "--label-column", "label",
+              "--beta", 5]
+    for argv in (["simulate", "--spec", base / "spec.json", "--out", base / "data.csv"],
+                 ["calibrate-filter", "--beta", 5, "--ensemble", 2, "--pairs", base / "pairs.json",
+                  "--out", base / "filter.json"],
+                 ["detect", *ingest, "--filter", base / "filter.json", "--out-dir", base],
+                 ["cluster", *ingest, "--k", 2, "--change-points", base / "data.csv.cps",
+                  "--out-dir", base]):
+        assert run(argv) == 0
+    return {path.name: path.read_bytes() for path in base.iterdir()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cli_cases())
+@example(case=("evaluate", (("option", "k", 10**20),)))
+@example(case=("evaluate", (("option", "k", 10**5),)))
+@example(case=("calibrate-filter", (("option", "beta", 10**20),)))
+@example(case=("detect", (("csv", "data.csv", 5, 1, "y" * LONG),)))
+@example(case=("evaluate", (("csv", "trace.csv", 30, 2, "y" * LONG),)))
+@example(case=("simulate", (("json", "spec.json", 1, 2**63),)))  # the dimension
+def test_every_mutated_input_gets_its_exit_code(tmp_path_factory, round_trip, case):
+    command, mutations = case
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    for name, content in round_trip.items():
+        (directory / name).write_bytes(content)
+    for name, config in FUZZ_CONFIGS.items():
+        (directory / name).write_text(json.dumps(
+            {key: str(directory / value) if key in FUZZ_PATHS else value
+             for key, value in config.items()}))
+    args = dict(FUZZ_ARGS[command])
+    for mutation in mutations:
+        mutate(directory, args, mutation)
+
+    argv = [command]
+    for name, value in args.items():
+        argv += [f"--{name}", str(directory / value) if name in FUZZ_PATHS else str(value)]
+    inputs = [str(directory / value) for name, value in args.items()
+              if name in FUZZ_PATHS - FUZZ_OUTPUTS]
+    if "config" in args:
+        inputs += [str(directory / value) for key, value in FUZZ_CONFIGS[args["config"]].items()
+                   if key in FUZZ_PATHS - FUZZ_OUTPUTS]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    if code == 1:
+        assert err.startswith("usage error:"), err
+    elif code == 2:
+        assert err.startswith("error: "), err
+        assert any(path in err for path in inputs), err
+    elif code == 3:
+        assert err.startswith("numerical failure:"), err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcpd import cpd
+from wcpd import cpd, simgen
 from wcpd.cpd import (
     DEFAULT_CHANGE_PAIRS,
     DetectorConfig,
@@ -513,7 +513,7 @@ class TestEstimateMatchedFilter:
         def refuse(spec, n, entropies):
             raise AssertionError("a member was simulated")
 
-        monkeypatch.setattr(cpd, "_draw", refuse)
+        monkeypatch.setattr(simgen, "_draw", refuse)
         options = {"ensemble_size": 1, "seed": 0, field: value}
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {value!r}")):
             estimate_matched_filter(5, **options)

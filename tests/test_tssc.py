@@ -326,6 +326,17 @@ class TestArrayPath:
         labeling = cluster_segments(series, cps, K=K, beta=beta, seed=seed)
         np.testing.assert_array_equal(labeling.labels, spectral_cluster(expected, K, seed))
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("length", [1, 9])
+    def test_one_segment_is_a_unit_affinity(self, dim, length):
+        # one segment has no pair: the workspace sizes to nothing, as
+        # max(initial=0) of no blocks
+        series = TimeSeries(np.arange(float(length * dim)).reshape(length, dim) % 4)
+        bounds = np.array([0, length])
+        atoms, cums = tssc._segment_arrays(series.data, bounds, 2)
+        affinity = tssc._affinity(np.diff(bounds), cums, atoms)
+        assert affinity.values.tolist() == [[1.0]]
+
     def test_checks_run_on_the_arrays(self, monkeypatch):
         series = TimeSeries(np.arange(12.0))
         ramps = {
@@ -495,6 +506,21 @@ class TestClusterSegments:
         with pytest.raises(ValueError):
             cluster_segments(series, [], K=2, beta=10, seed=0)
 
+    def test_one_segment_takes_the_clustering_path(self, monkeypatch):
+        series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 50),), seed=5))
+        calls = []
+        cluster = tssc.spectral_cluster
+
+        def spy(affinity, K, seed):
+            calls.append((affinity.values.tolist(), K, seed))
+            return cluster(affinity, K, seed)
+
+        monkeypatch.setattr(tssc, "spectral_cluster", spy)
+        labeling = cluster_segments(series, [], K=1, beta=10, seed=3)
+        assert calls == [([[1.0]], 1, 3)]
+        assert labeling.labels.tolist() == [0] and labeling.K == 1
+        assert labeling.change_points.tolist() == []
+
     @pytest.mark.parametrize(
         "K,beta,message",
         [
@@ -507,7 +533,6 @@ class TestClusterSegments:
     )
     @pytest.mark.parametrize("cps", [[], [50, 100, 150]])
     def test_rejects_non_integer_k_and_beta(self, K, beta, message, cps):
-        # one segment takes a shortcut past the distributions and the clustering
         series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 200),), seed=5))
         with pytest.raises(ValueError, match=message):
             cluster_segments(series, cps, K=K, beta=beta, seed=0)
