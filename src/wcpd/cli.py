@@ -17,6 +17,9 @@ import io
 import itertools
 import json
 import math
+import os
+import re
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -96,42 +99,79 @@ def _naming(path, error=ValueError):
         raise ValueError(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _open_buffered(path):
-    """``path`` read whole into a rewindable text handle, so a pipe reads like a file.
+# the suffixes np.loadtxt decompresses a file by, whatever its bytes
+_COMPRESSED = frozenset({".gz", ".bz2", ".xz", ".lzma"})
 
+
+@contextlib.contextmanager
+def _open_table(path):
+    """``path`` as a rewindable text handle, and the name numpy may read it by, or None.
+
+    A regular file is opened as itself. Anything else, such as a pipe, is
+    read whole into memory, so it reads like a file. The name is the
+    absolute path of a regular file whose suffix numpy does not decompress
+    by: given a name, numpy reads the file in large blocks in C, but a
+    handle one line at a time. Absolute, the name never reads as a URL.
     Text that does not decode, met anywhere in the with block, names ``path``.
-    The text is in memory already, so csv fields may be of any length in it.
+    While the block runs, csv fields may be of any length, as numpy's are.
     """
     limit = csv.field_size_limit(sys.maxsize)
     try:
-        with io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), newline="") as handle:
-            with _naming(path, UnicodeDecodeError):
-                yield handle
+        with open(path, "rb") as file:
+            raw, source = file, None
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                source = str(Path(path).absolute())  # keeps "..", as the kernel resolves it
+                if os.path.splitext(source)[1] in _COMPRESSED:
+                    source = None
+            else:
+                raw = io.BytesIO(file.read())
+            with io.TextIOWrapper(raw, newline="") as handle:
+                with _naming(path, UnicodeDecodeError):
+                    yield handle, source
     finally:
         csv.field_size_limit(limit)
 
 
-def _parse_body(handle, dtype, **options):
-    """The rest of ``handle`` parsed by ``np.loadtxt``, or None where numpy rejects it.
+def _parse_body(handle, source, header_lines, dtype, **options):
+    """A table's body parsed by ``np.loadtxt``, or None where numpy rejects it.
 
+    numpy reads the file named ``source`` from its start, past the
+    ``header_lines`` physical lines of its header; without a name, it reads
+    the rest of ``handle``, which is positioned at the body (see ``_open_table``).
     numpy's cell parsers accept a subset of what ``float()`` and ``int()``
     accept, and agree with them bitwise there. So a caller that gets None
     re-reads the file line by line: that reader either accepts what numpy
     did not (``1_0``, a text time column) or words the error with its line.
     An empty body, which numpy only warns about, and a delimiter numpy does
-    not take (TypeError), such as the quote character, also give None.
+    not take (TypeError), such as the quote character, also give None, as
+    does an OSError numpy meets opening the file by its name.
     """
+    if source is None:
+        source, header_lines = handle, 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(handle, dtype=dtype, comments=None, **options)
-        except (ValueError, TypeError, Warning):
+            return np.loadtxt(source, dtype=dtype, comments=None, skiprows=header_lines,
+                              encoding=handle.encoding, **options)
+        except (ValueError, TypeError, Warning, OSError):
             return None
 
 
+# the leading zeros of an int() literal, with the underscores int() allows among
+# them; re compiles it on first use, which most runs never reach
+_LEADING_ZEROS = r"^(\s*[+-]?)0(?:_?0)*_?(?=\d)"
+
+
 def _int64(text) -> int:
-    """``int(text)``, rejected like numpy's parse where it does not fit in int64."""
+    """``int(text)``, rejected like numpy's parse where it does not fit in int64.
+
+    numpy reads any number of leading zeros, but ``int()`` refuses a text of
+    more than 4,300 digits, so one longer than any unpadded int64 drops its
+    leading zeros first. Past that limit ``int()`` refuses before it converts,
+    so no text costs more than a conversion of 4,300 digits.
+    """
+    if len(text) > 20:
+        text = re.sub(_LEADING_ZEROS, r"\1", text, count=1)
     value = int(text)
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{text!r} does not fit in int64")
@@ -139,8 +179,8 @@ def _int64(text) -> int:
 
 
 def _read_indices(path) -> list[int]:
-    with _open_buffered(path) as handle:
-        indices = _parse_body(handle, int, ndmin=2)
+    with _open_table(path) as (handle, source):
+        indices = _parse_body(handle, source, 0, int, ndmin=2)
         if indices is not None and indices.shape[1] == 1:
             return indices[:, 0].tolist()
         handle.seek(0)
@@ -177,7 +217,7 @@ def ingest_csv(
     whichever array was built. A message names the physical line a row ends on.
     """
     path = Path(path)
-    with _open_buffered(path) as handle:
+    with _open_table(path) as (handle, source):
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
@@ -203,7 +243,8 @@ def ingest_csv(
         columns = np.dtype(
             [(f"c{i}", np.int64 if i == label_idx else np.float64) for i in range(len(header))]
         )
-        body = _parse_body(handle, columns, delimiter=delimiter, quotechar='"', ndmin=1)
+        body = _parse_body(handle, source, reader.line_num, columns,
+                           delimiter=delimiter, quotechar='"', ndmin=1)
         if body is None:
             data, labels = _scan_rows(handle, reader, path, header, value_idx, label_idx)
         else:
@@ -504,11 +545,12 @@ def _read_column(path, col: int, dtype, what: str) -> np.ndarray:
     ``_int64()``.
     """
     convert = _int64 if dtype is int else float
-    with _open_buffered(path) as handle:
+    with _open_table(path) as (handle, source):
         reader = csv.reader(handle)
         if next(reader, None) is None:
             raise ValueError(f"{path}: empty {what} file")
-        values = _parse_body(handle, dtype, delimiter=",", quotechar='"', usecols=col, ndmin=1)
+        values = _parse_body(handle, source, reader.line_num, dtype,
+                             delimiter=",", quotechar='"', usecols=col, ndmin=1)
         if values is not None:
             return values
         values = []
@@ -555,11 +597,13 @@ def _cmd_calibrate_filter(opt) -> int:
     beta, ensemble, seed, pairs_path = opt("beta"), opt("ensemble"), opt("seed"), opt("pairs")
     out = Path(opt("out"))
     pairs = _load_pairs(pairs_path) if pairs_path else DEFAULT_CHANGE_PAIRS
-    # a beta numpy cannot size fails here too, and names no file
     with _naming(pairs_path) if pairs_path else contextlib.nullcontext():
-        filt = estimate_matched_filter(
-            beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed
-        )
+        try:
+            filt = estimate_matched_filter(
+                beta=beta, ensemble_size=ensemble, change_pairs=pairs, seed=seed
+            )
+        except MemoryError as exc:  # beta sizes every array calibration allocates
+            raise ValueError(f"--beta {beta} is too large to calibrate: {exc}") from None
     out.parent.mkdir(parents=True, exist_ok=True)
     save_filter(filt, out)
     peak_offset = int(np.argmax(filt.taps)) - filt.beta

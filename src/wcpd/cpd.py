@@ -252,6 +252,7 @@ def estimate_matched_filter(
     Each member is the d=1 :func:`wcpd.simgen.generate` series of its own
     seed, drawn by the same sampler, and the rows are summed in member order,
     so the taps have the bits of a one-member-at-a-time calibration.
+    A beta too large to allocate raises MemoryError.
     """
     beta = _integer(beta, "beta", 2)
     ensemble_size = _integer(ensemble_size, "ensemble_size", 1)
@@ -265,7 +266,10 @@ def estimate_matched_filter(
     seed = _integer(seed, "seed", 0)
 
     group = max(1, _CHUNK_ELEMENTS // (4 * beta + 1))
-    accum = np.zeros(2 * beta + 1)
+    try:
+        accum = np.zeros(2 * beta + 1)
+    except ValueError as exc:  # 2*beta+1 taps are past numpy's array size limit
+        raise MemoryError(str(exc)) from None
     for pair_index, (before_spec, after_spec) in enumerate(change_pairs):
         segments = ((before_spec, 2 * beta), (after_spec, 2 * beta + 1))
         for lo in range(0, ensemble_size, group):

@@ -940,6 +940,25 @@ def test_calibrate_filter_error_without_pairs_names_no_file(tmp_path, capsys):
     assert not (tmp_path / "big.json").exists()
 
 
+@pytest.mark.parametrize("beta", [10**15, 10**20])
+@pytest.mark.parametrize("pairs", [False, True])
+def test_calibrate_filter_beta_too_large_names_the_flag(tmp_path, capsys, beta, pairs):
+    # only 10**15 (14 PiB) and 10**20 (past numpy's dimension limit): a beta
+    # whose arrays could be allocated would run
+    argv = ["calibrate-filter", "--beta", beta, "--out", tmp_path / "big.json"]
+    prefix = ""
+    if pairs:
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([[{"family": "normal"}, {"family": "laplace"}]]))
+        argv += ["--pairs", path]
+        prefix = f"{path}: "
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}--beta {beta} is too large to calibrate: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "big.json").exists()
+
+
 NOT_UTF8 = {
     "input": ["detect", "--input", "{bad}", "--beta", "30", "--out-dir", "{tmp}/out"],
     "change-points": CLUSTER,

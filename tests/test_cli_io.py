@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tracemalloc
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,9 @@ INGEST_CASES = [
                  f"line 3: non-numeric value {'y' * LONG!r} in column 'x'", id="long-cell"),
     pytest.param(b"t," + b"x" * LONG + b"\n0,1.5\n", {"time_column": "t"}, ([[1.5]], None),
                  id="long-header-name"),
+    # int() refuses more than 4,300 digits, numpy reads any number of leading zeros
+    pytest.param(b"x,label\n1,1_0\n2," + b"0" * 5_000 + b"2\n", {"label_column": "label"},
+                 ([[1.0], [2.0]], [10, 2]), id="padded-label"),
 ]
 
 
@@ -209,6 +213,10 @@ READER_CASES = [
                  "t,a\n0,1\n1," + "x" * LONG + "\n", "line 3: malformed trace row", id="long-cell"),
     pytest.param(lambda p: cli._read_column(p, 1, int, "label"),
                  "t," + "l" * LONG + "\n0,3\n", np.array([3]), id="long-header-name"),
+    pytest.param(cli._read_indices, "3\n" + "0" * (LONG - 1) + "1\nx\n", "line 3: not an index: 'x'",
+                 id="padded-index"),
+    pytest.param(lambda p: cli._read_column(p, 1, int, "label"),
+                 "t,label\n0,1_0\n1," + "0" * 5_000 + "2\n", np.array([10, 2]), id="padded-label"),
 ]
 
 
@@ -273,6 +281,127 @@ def test_pipe_is_read_like_a_file(tmp_path, read, content, expected, numpy_parse
     assert from_pipe == (expected, [numpy_parses])
     (tmp_path / "in.csv").write_text(content)
     assert routed(read, tmp_path / "in.csv") == from_pipe
+
+
+@pytest.mark.parametrize("text", [
+    "0" * 30 + "1", "-" + "0" * 30 + "5", " +" + "0_0" * 10 + "_7 ", "0" * 30, "0_" * 15 + "1",
+    "0__" + "0" * 30 + "1", "0" * 30 + "_", "_" + "0" * 30 + "1", "- " + "0" * 30 + "1",
+    "1" + "0" * 30, "0" * 30 + "9223372036854775808", "0" * 30 + "9223372036854775807",
+    "1" + "0" * 30 + "1",
+])
+def test_int64_drops_leading_zeros_as_int_reads_them(text):
+    # each text is under int()'s 4,300-digit limit, so int() itself is the reference
+    try:
+        expected = int(text)
+        expected = expected if -(2**63) <= expected < 2**63 else ValueError
+    except ValueError:
+        expected = ValueError
+    try:
+        value = cli._int64(text)
+    except ValueError:
+        value = ValueError
+    assert value == expected
+
+
+def numpy_sources(read, path):
+    """``routed(read, path)``, and what each ``np.loadtxt`` call was given to read:
+    a file name, or the type of a handle."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source if isinstance(source, str) else type(source))
+        return loadtxt(source, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", spy)
+        return routed(read, path), sources
+
+
+TABLE = "t,x,label\n0,1.5,2\n1,2.5,3\n"
+ROUTE_READERS = [
+    (lambda p: ingest_csv(p, time_column="t", label_column="label").data.tolist(), TABLE,
+     [[1.5], [2.5]]),
+    (lambda p: cli._read_column(p, 2, int, "label").tolist(), TABLE, [2, 3]),
+    (cli._read_indices, "3\n10\n", [3, 10]),
+]
+ROUTE_IDS = ["ingest_csv", "read_column", "read_indices"]
+
+
+@pytest.mark.parametrize("read,content,expected", ROUTE_READERS, ids=ROUTE_IDS)
+def test_numpy_reads_a_regular_file_by_its_absolute_name(tmp_path, monkeypatch, read, content,
+                                                         expected):
+    # by name numpy reads the file in blocks in C; relative, the name is made absolute
+    monkeypatch.chdir(tmp_path)
+    Path("in.csv").write_text(content)
+    assert numpy_sources(read, "in.csv") == ((expected, [True]), [str(tmp_path / "in.csv")])
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("read,content,expected", ROUTE_READERS, ids=ROUTE_IDS)
+def test_numpy_reads_a_pipe_through_its_handle(read, content, expected):
+    read_end, write_end = os.pipe()
+    os.write(write_end, content.encode())
+    os.close(write_end)
+    try:
+        assert numpy_sources(read, f"/dev/fd/{read_end}") == ((expected, [True]), [io.TextIOWrapper])
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("name", ["x.csv", "x.csv.gz", "x.csv.bz2", "x.csv.xz", "x.csv.lzma",
+                                  "http://x.csv"])
+@pytest.mark.parametrize("read,content,expected", ROUTE_READERS, ids=ROUTE_IDS)
+def test_a_name_numpy_would_decompress_or_fetch_reads_as_plain_text(tmp_path, monkeypatch, name,
+                                                                    read, content, expected):
+    # numpy decompresses a file by its suffix, and fetches a name that parses
+    # as a URL; "http://x.csv" is the local file x.csv under the directory "http:"
+    def no_network(*args, **kwargs):
+        raise AssertionError("a reader opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    path = Path(name)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(content)
+    by_name = os.path.splitext(name)[1] not in (".gz", ".bz2", ".xz", ".lzma")
+    source = str(tmp_path / path) if by_name else io.TextIOWrapper
+    assert numpy_sources(read, name) == ((expected, [True]), [source])
+
+
+@pytest.mark.parametrize(
+    "read,content,expected",
+    [
+        (lambda p: ingest_csv(p, label_column="la\nbel").labels.tolist(),
+         'x,"la\nbel"\n1,2\n3,4\n', [2, 4]),
+        (lambda p: cli._read_column(p, 1, float, "trace").tolist(),
+         't,"a\r\nb"\r\n0,1.5\r\n1,2.5\r\n', [1.5, 2.5]),
+        (lambda p: cli._read_column(p, 1, int, "label").tolist(), 't,"a\rb"\r0,1\r1,2\r', [1, 2]),
+    ],
+    ids=["newline", "crlf", "cr"],
+)
+def test_numpy_skips_the_physical_lines_of_a_header(tmp_path, read, content, expected):
+    # the header's quoted field spans two lines: skipping one would leave numpy
+    # a line it rejects, skipping three would lose a row
+    path = tmp_path / "in.csv"
+    path.write_bytes(content.encode())
+    assert numpy_sources(read, path) == ((expected, [True]), [str(path)])
+
+
+@pytest.mark.parametrize("read,content,expected", ROUTE_READERS, ids=ROUTE_IDS)
+def test_a_file_numpy_cannot_open_by_name_is_read_line_by_line(tmp_path, monkeypatch, read,
+                                                               content, expected):
+    # say the file was replaced by a directory after the reader opened it
+    loadtxt = np.loadtxt
+
+    def refuse_names(source, *args, **kwargs):
+        if isinstance(source, str):
+            raise IsADirectoryError(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", refuse_names)
+    (tmp_path / "in.csv").write_text(content)
+    assert routed(read, tmp_path / "in.csv") == (expected, [False])
 
 
 CELL = st.sampled_from(["0", "1", "-2.5", "3e1", "1_0", "nan", "inf", " 4 ", '"5"', '"6', "x", ""])
@@ -741,7 +870,7 @@ CSV_TEXTS = ['"1"', '"', '2"3', "1_0", "", "1,2", DROP, "y" * LONG]
 INTEGERS = [0, -1, 10**5, 10**20]
 # calibrate-filter runs any beta and ensemble it accepts, so draw only the
 # values it must refuse: a beta of 10**5 or an ensemble of 10**5 runs for seconds
-REFUSED = {("calibrate-filter", "beta"): [0, -1, 10**20], ("calibrate-filter", "ensemble"): [0, -1]}
+REFUSED = {("calibrate-filter", "beta"): [0, -1, 10**15, 10**20], ("calibrate-filter", "ensemble"): [0, -1]}
 
 
 @st.composite
@@ -831,6 +960,7 @@ def round_trip(tmp_path_factory):
 @example(case=("evaluate", (("option", "k", 10**20),)))
 @example(case=("evaluate", (("option", "k", 10**5),)))
 @example(case=("calibrate-filter", (("option", "beta", 10**20),)))
+@example(case=("calibrate-filter", (("option", "beta", 10**15),)))
 @example(case=("detect", (("csv", "data.csv", 5, 1, "y" * LONG),)))
 @example(case=("evaluate", (("csv", "trace.csv", 30, 2, "y" * LONG),)))
 @example(case=("simulate", (("json", "spec.json", 1, 2**63),)))  # the dimension

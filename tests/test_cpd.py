@@ -518,6 +518,13 @@ class TestEstimateMatchedFilter:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, not {value!r}")):
             estimate_matched_filter(5, **options)
 
+    # 10**15 asks for 14 PiB, which no address space holds, and 10**20 is past
+    # numpy's dimension limit, so both fail under every overcommit mode
+    @pytest.mark.parametrize("beta", [10**15, 10**20])
+    def test_beta_too_large_to_allocate_raises_memory_error(self, beta):
+        with pytest.raises(MemoryError):
+            estimate_matched_filter(beta, ensemble_size=1)
+
     def test_accepts_numpy_integer_ensemble_size_and_seed(self):
         filt = estimate_matched_filter(5, ensemble_size=np.int64(3), seed=np.int64(4))
         assert (filt.ensemble_size, filt.seed) == (3, 4)
