@@ -416,7 +416,7 @@ class OnlineDetector:
             raise ValueError("finalized detector cannot accept more samples")
         arr = np.asarray(sample)
         if arr.dtype.kind not in "iuf":
-            raise ValueError(f"sample must be real numbers, not {arr.dtype}")
+            arr = _reals(arr, "sample")
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.ndim != 1:

@@ -179,22 +179,9 @@ def _rank_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _workspace(*parts) -> list[np.ndarray]:
-    """Flat arrays of (count, dtype) each, cut from one new buffer at 64-byte-aligned offsets.
-
-    The batched kernels write every block temporary into such arrays with
-    ``out=``, so a call allocates and page-faults its temporaries once,
-    however many blocks it runs. glibc hands a freed block of 128 KiB or more
-    back to the OS, and a temporary made per block is faulted in anew each
-    time.
-    """
-    sizes = [-(-count * np.dtype(dtype).itemsize // 64) * 64 for count, dtype in parts]
-    raw = np.empty(sum(sizes) + 64, dtype=np.uint8)
-    offset = -raw.ctypes.data % 64
-    arrays = []
-    for (count, dtype), size in zip(parts, sizes):
-        arrays.append(raw[offset : offset + size].view(dtype)[:count])
-        offset += size
-    return arrays
+    """One new flat array per (count, dtype) part, made once per call, not per block: glibc
+    returns a freed block of 128 KiB or more to the OS, so a per-block temporary faults anew."""
+    return [np.empty(count, dtype) for count, dtype in parts]
 
 
 def _w2t_parts(rows: int, n: int, key_type) -> list[tuple]:

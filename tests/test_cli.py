@@ -1079,3 +1079,78 @@ def test_missing_out_dir_is_reported_before_the_work(workspace, capsys, monkeypa
     monkeypatch.setattr(cli, work, refuse)
     assert run([arg.format(ws=workspace) for arg in argv]) == 1
     assert "usage error: missing required option --out-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_calibration_without_signal_is_a_numerical_failure(tmp_path, capsys, seed):
+    # at beta 2, one draw of two equal normals leaves no statistic above the null mean
+    pairs = tmp_path / "same.json"
+    pairs.write_text(json.dumps([[{"family": "normal"}, {"family": "normal"}]]))
+    argv = ["calibrate-filter", "--beta", 2, "--ensemble", 1, "--seed", seed, "--pairs", pairs,
+            "--out", tmp_path / "f.json"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: filter estimation failed: no signal above null mean\n"
+    )
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "tab"])
+def test_other_delimiters_give_the_bytes_of_the_comma_run(workspace, tmp_path, how):
+    delimiter = "\t" if how == "tab" else ";"
+    data = tmp_path / "data.txt"
+    data.write_text((workspace / "data.csv").read_text().replace(",", delimiter))
+    argv = [arg.format(ws=workspace, tmp=tmp_path) for arg in DETECT]
+    argv[argv.index("--input") + 1] = data
+    if how == "config":
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"delimiter": delimiter}))
+        argv += ["--config", config]
+    else:
+        argv += ["--delimiter", delimiter]
+    assert run([*argv, "--filter", workspace / "filter.json"]) == 0
+    for name in ("trace.csv", "change_points.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (workspace / "det" / name).read_bytes()
+
+
+READ = ["detect", "--input", "{tmp}/in.csv", "--beta", "2", "--out-dir", "{tmp}/out"]
+SCORE_LABELS = [*EVALUATE, "--predicted-labels", "{tmp}/in.csv", "--truth-labels",
+                "{ws}/data.csv.labels"]
+UNUSABLE = {
+    "empty input": ("", READ, "empty series"),
+    "no value columns": ("t,label\n0,1\n1,1\n",
+                         [*READ, "--time-column", "t", "--label-column", "label"],
+                         "no value columns"),
+    "difference of one sample": ("x\n1.5\n", [*READ, "--difference"],
+                                 "need at least two samples to difference"),
+    "config not an object": ("[2]", ["detect", "--config", "{tmp}/in.csv"],
+                             "config must be a JSON object"),
+    "empty trace file": ("", [*EVALUATE, "--trace", "{tmp}/in.csv"], "empty trace file"),
+    "all-NaN trace column": ("t,sigma_raw,sigma_filtered\n0,0.5,nan\n1,0.5,nan\n",
+                             [*EVALUATE, "--trace", "{tmp}/in.csv"],
+                             "trace column 'filtered' contains no values"),
+    "empty label file": ("t,label\n", [*SCORE_LABELS, "--k", "3"], "empty label file"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE)
+def test_unusable_input_is_a_data_error_naming_the_file(workspace, tmp_path, capsys, case):
+    content, argv, message = UNUSABLE[case]
+    (tmp_path / "in.csv").write_text(content)
+    assert run([arg.format(ws=workspace, tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'in.csv'}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_labels_scored_without_k_is_a_usage_error(workspace, tmp_path, capsys):
+    (tmp_path / "in.csv").write_text("t,label\n0,0\n")
+    assert run([arg.format(ws=workspace, tmp=tmp_path) for arg in SCORE_LABELS]) == 1
+    assert capsys.readouterr().err == "usage error: --k is required to score labels\n"
+
+
+def test_difference_drops_the_first_label(tmp_path):
+    path = tmp_path / "diff.csv"
+    path.write_text("x,label\n1.0,0\n4.0,0\n9.0,1\n")
+    series = ingest_csv(path, label_column="label", difference=True)
+    assert series.data[:, 0].tolist() == [3.0, 5.0]
+    assert series.labels.tolist() == [0, 1]

@@ -944,6 +944,18 @@ class TestOnlineDetector:
             assert ints.step(row) == floats.step(row.astype(float))
         assert ints.finalize() == floats.finalize()
 
+    def test_integers_beyond_int64_step_as_time_series_reads_them(self, filter_b25):
+        # numpy holds such an int in an object array: TimeSeries converted it,
+        # while step refused it as "not object"
+        config = DetectorConfig(beta=25, filter=filter_b25)
+        values = self.three_segment(56).data[:, 0].tolist()
+        values[200], values[380] = 2**64, -(2**70)
+        offline = detect(TimeSeries(values), config).change_points
+        detector = OnlineDetector(config)
+        streamed = [detector.step(value) for value in values]
+        assert [cp for cp in streamed if cp is not None] + detector.finalize() == offline
+        assert offline == [152, 303]
+
     def test_step_after_finalize_rejected(self, filter_b25):
         detector = OnlineDetector(DetectorConfig(beta=25, filter=filter_b25))
         detector.finalize()
@@ -1120,3 +1132,36 @@ class TestFilterSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a matched filter"):
             load_filter(path)
+
+
+def step_all(samples, finalize=0):
+    detector = OnlineDetector(DetectorConfig(beta=2))
+    for sample in samples:
+        detector.step(sample)
+    for _ in range(finalize):
+        detector.finalize()
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "filter.json"
+    path.write_text(text)
+    return load_filter(path)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: StatTrace([], 1), "trace values must be a nonempty flat array"),
+        (lambda tmp: StatTrace(np.full((5, 5), np.nan), 1), "must be a nonempty flat array"),
+        (lambda tmp: step_all([[[0.0], [1.0]]]), "sample must be a flat vector"),
+        (lambda tmp: step_all([[0.0, 1.0], [2.0]]), "sample dimension changed mid-stream"),
+        (lambda tmp: step_all([0.0, 1.0], finalize=2), "detector already finalized"),
+        (
+            lambda tmp: load_text(tmp, '{"format": "wcpd.matched-filter", "version": 2}'),
+            "filter.json: unsupported filter version 2",
+        ),
+    ],
+)
+def test_refuses_malformed_input(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

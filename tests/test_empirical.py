@@ -465,3 +465,25 @@ class TestNullConstants:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             NullConstants(null_mean=0.5, reject_threshold_05=0.4)
+
+
+def test_build_empirical_flattens_nested_values():
+    values = [[3.0, -1.0], [2.0, -1.0]]
+    weights = [0.25, 0.5, 0.75, 0.5]
+    flat = build_empirical(np.ravel(values), weights)
+    nested = build_empirical(values, weights)
+    assert nested.support.tobytes() == flat.support.tobytes()
+    assert nested.weights.tobytes() == flat.weights.tobytes()
+
+
+@pytest.mark.parametrize(
+    "support, weights, message",
+    [
+        ([], [], "empty distribution"),
+        (np.zeros((2, 2)), np.full((2, 2), 0.25), "empty distribution"),
+        ([1.0, 2.0], [1.0], "support and weights must have equal length"),
+    ],
+)
+def test_empirical_dist_refuses_what_it_cannot_hold(support, weights, message):
+    with pytest.raises(ValueError, match=message):
+        EmpiricalDist(support, weights)

@@ -246,3 +246,17 @@ class TestIntegerInputs:
         assert cp_f1(np.array([3, 9], dtype=np.uint16), np.array([2], dtype=np.int32), 1) == (
             cp_f1([3, 9], [2], 1)
         )
+
+
+@pytest.mark.parametrize(
+    "truth, K, message",
+    [
+        ([], 2, "truth labels must be a nonempty flat sequence"),
+        ([[0, 0, 1]], 2, "truth labels must be a nonempty flat sequence"),
+        ([0, 0, 1, 1], 1, "predicted labeling uses more than K clusters"),
+    ],
+)
+def test_label_accuracy_refuses_what_it_cannot_score(truth, K, message):
+    labeling = SegmentLabeling(change_points=[2], labels=[0, 1], K=2)
+    with pytest.raises(ValueError, match=message):
+        label_accuracy(labeling, truth, K)

@@ -342,3 +342,10 @@ class TestHungarianExact:
         # [0, 1] costs 1e300 + 1e290, within 1e-9 of the least cost 1e300
         cost = [[1e300, 1e300], [0.0, 1e290]]
         assert hungarian(cost) == exact_assignment(cost) == [1, 0]
+
+
+def test_kmeans_reads_flat_points_as_one_column():
+    points = np.random.default_rng(4).normal(size=30)
+    labels = kmeans(points, 3, 0)
+    assert labels.tolist() == kmeans(points.reshape(-1, 1), 3, 0).tolist()
+    assert sorted(set(labels.tolist())) == [0, 1, 2]

@@ -150,3 +150,21 @@ class TestChangePoints:
         assert not series.change_points.flags.writeable
         assert source.flags.writeable
         assert TimeSeries(np.zeros(5), change_points=[]).change_points.tolist() == []
+
+
+@pytest.mark.parametrize(
+    "data, cps, message",
+    [
+        ([], None, r"data must be a nonempty \(T, d\) array"),
+        (np.zeros((2, 0)), None, r"data must be a nonempty \(T, d\) array"),
+        (np.zeros((2, 2, 2)), None, r"data must be a nonempty \(T, d\) array"),
+        (np.zeros(5), [[1, 2]], "change points must be a flat index sequence"),
+        (np.zeros(5), [2, 2], "change points must be strictly increasing"),
+        (np.zeros(5), [3, 1], "change points must be strictly increasing"),
+        (np.zeros(5), [0, 2], r"change points must lie strictly inside \(0, T\)"),
+        (np.zeros(5), [2, 5], r"change points must lie strictly inside \(0, T\)"),
+    ],
+)
+def test_refuses_a_shape_or_split_it_cannot_hold(data, cps, message):
+    with pytest.raises(ValueError, match=message):
+        TimeSeries(data, change_points=cps)

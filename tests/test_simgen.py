@@ -188,3 +188,15 @@ class TestBatchedDraw:
         for dim in range(3):
             expected = one_stream_draw(spec, 7, [8, 1, dim])
             assert series.data[4:, dim].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ((), "series spec needs at least one segment"),
+        (((DistSpec("normal"), 4), ("normal", 4)), "segment specs must be DistSpec instances"),
+    ],
+)
+def test_series_spec_refuses_what_it_cannot_generate(segments, message):
+    with pytest.raises(ValueError, match=message):
+        SeriesSpec(segments)

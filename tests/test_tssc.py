@@ -614,3 +614,21 @@ class TestSegmentLabeling:
         restored = _labeling_from_samples(labeling.per_sample(total), 4)
         np.testing.assert_array_equal(restored.change_points, labeling.change_points)
         np.testing.assert_array_equal(restored.labels, labeling.labels)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SegmentLabeling([[2]], [0, 1], K=2), "must be flat sequences"),
+        (lambda: SegmentLabeling([2], [[0, 1]], K=2), "must be flat sequences"),
+        (lambda: SegmentLabeling([3, 2], [0, 1, 0], K=2), "must be strictly increasing"),
+        (lambda: Segment(4, 4, (build_empirical([1.0]),)), "start must precede its end"),
+        (lambda: Segment(0, 2, ()), "needs at least one dimension"),
+        (lambda: AffinityMatrix(np.ones((0, 0))), "must be square and nonempty"),
+        (lambda: AffinityMatrix(np.ones(3)), "must be square and nonempty"),
+        (lambda: AffinityMatrix(np.ones((2, 3))), "must be square and nonempty"),
+    ],
+)
+def test_containers_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
