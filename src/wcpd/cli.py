@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import array
 import contextlib
 import csv
 import functools
@@ -18,7 +17,6 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 import warnings
@@ -132,67 +130,79 @@ def _open_table(path):
         csv.field_size_limit(limit)
 
 
-def _parse_body(handle, source, header_lines, dtype, **options):
-    """A table's body parsed by ``np.loadtxt``, or None where numpy rejects it.
-
-    numpy reads the file named ``source`` from its start, past the
-    ``header_lines`` physical lines of its header; without a name, it reads
-    the rest of ``handle``, which is positioned at the body (see ``_open_table``).
-    numpy's cell parsers accept a subset of what ``float()`` and ``int()``
-    accept, and agree with them bitwise there. So a caller that gets None
-    re-reads the file line by line: that reader either accepts what numpy
-    did not (``1_0``, a text time column) or words the error with its line.
-    An empty body, which numpy only warns about, and a delimiter numpy does
-    not take (TypeError), such as the quote character, also give None, as
-    does an OSError numpy meets opening the file by its name.
-    """
-    if source is None:
-        source, header_lines = handle, 0
+def _loadtxt(source, dtype, **options):
+    """``np.loadtxt`` of table text; a body of no records, which numpy warns about, has no rows."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return np.loadtxt(source, dtype=dtype, comments=None, skiprows=header_lines,
-                              encoding=handle.encoding, **options)
-        except (ValueError, TypeError, Warning, OSError):
-            return None
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype=dtype, comments=None, **options)
 
 
-# the leading zeros of an int() literal, with the underscores int() allows among
-# them; re compiles it on first use, which most runs never reach
-_LEADING_ZEROS = r"^(\s*[+-]?)0(?:_?0)*_?(?=\d)"
+def _parse_body(handle, source, skip, dtype, fault, **options):
+    """``_loadtxt`` of what follows the first ``skip`` physical lines of the table.
 
-
-def _int64(text) -> int:
-    """``int(text)``, rejected like numpy's parse where it does not fit in int64.
-
-    numpy reads any number of leading zeros, but ``int()`` refuses a text of
-    more than 4,300 digits, so one longer than any unpadded int64 drops its
-    leading zeros first. Past that limit ``int()`` refuses before it converts,
-    so no text costs more than a conversion of 4,300 digits.
+    numpy reads the file named ``source``, or ``handle`` where there is no
+    name or numpy cannot open it (say the file was replaced by a directory).
+    Where numpy refuses the body, the ValueError names the line of the first
+    record it refuses alone and ``fault(lines)`` of the lines up to it.
     """
-    if len(text) > 20:
-        text = re.sub(_LEADING_ZEROS, r"\1", text, count=1)
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"{text!r} does not fit in int64")
-    return value
+    try:
+        if source is not None:
+            with contextlib.suppress(OSError):
+                return _loadtxt(source, dtype, skiprows=skip, encoding=handle.encoding, **options)
+        handle.seek(0)
+        return _loadtxt(itertools.islice(handle, skip, None), dtype, **options)
+    except ValueError:
+        lineno, record = _first_refused(handle, skip, dtype, **options)
+        raise ValueError(f"line {lineno}: {fault(record)}") from None
+
+
+def _records(handle, skip, delimiter):
+    """The physical lines of ``handle``, and the line each record after the first ``skip`` ends on.
+
+    Lines end as csv and numpy end them. With ``delimiter`` None there is no
+    quoting, so each line is taken for a record (numpy accepts a blank one as
+    none); else a record is a nonempty csv row, whose quoted fields may span lines.
+    """
+    handle.seek(0)
+    lines = handle.readlines()
+    if delimiter is None:
+        return lines, list(range(skip + 1, len(lines) + 1))
+    reader = csv.reader(lines[skip:], delimiter=delimiter)
+    return lines, [skip + reader.line_num for row in reader if row]
+
+
+def _first_refused(handle, skip, dtype, **options):
+    """The line the first record numpy refuses alone ends on, and the lines up to it.
+
+    Halving the refused range of records (see ``_records``) costs about one
+    more parse, and numpy's messages are never read.
+    """
+    lines, ends = _records(handle, skip, options.get("delimiter"))
+    starts = [skip, *ends[:-1]]
+    lo, hi = 0, len(ends)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _refuses(lines[starts[lo] : ends[mid - 1]], dtype, **options):
+            hi = mid
+        else:
+            lo = mid
+    return ends[lo], lines[starts[lo] : ends[lo]]
+
+
+def _refuses(lines, dtype, **options) -> bool:
+    try:
+        _loadtxt(lines, dtype, **options)
+    except ValueError:
+        return True
+    return False
 
 
 def _read_indices(path) -> list[int]:
-    with _open_table(path) as (handle, source):
-        indices = _parse_body(handle, source, 0, int, ndmin=2)
-        if indices is not None and indices.shape[1] == 1:
-            return indices[:, 0].tolist()
-        handle.seek(0)
-        indices = []
-        for lineno, line in enumerate(handle, start=1):  # lines end at \n, \r and \r\n
-            line = line.strip()
-            if line:
-                try:
-                    indices.append(_int64(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: not an index: {line!r}") from exc
-    return indices
+    """The integer on each nonblank line of ``path``, as numpy reads it: one field a line."""
+    with _open_table(path) as (handle, source), _naming(path):
+        body = _parse_body(handle, source, 0, [("i", "i8")],
+                           lambda lines: f"not an index: {''.join(lines).strip()!r}", ndmin=1)
+    return body["i"].tolist()
 
 
 def ingest_csv(
@@ -210,11 +220,11 @@ def ingest_csv(
     values with their first difference (indices then refer to the transformed
     series).
 
-    numpy parses the body in one call, every column as a float and the label
-    column as an integer. Only a file it rejects, such as one with a text
-    time column, goes through the slower line-by-line reader, whose syntax
-    and messages numpy's path keeps. The values are checked finite once, on
-    whichever array was built. A message names the physical line a row ends on.
+    numpy parses the body in one call: value columns as floats, the label
+    column as integers, and any other column as a zero-width string, which
+    takes any text and keeps none. Where numpy refuses the body, the message
+    names the physical line of the first record it refuses. The values are
+    checked finite once. A delimiter numpy cannot split on raises TypeError.
     """
     path = Path(path)
     with _open_table(path) as (handle, source):
@@ -229,10 +239,10 @@ def ingest_csv(
             repeated = next(name for i, name in enumerate(header) if column_of[name] != i)
             raise ValueError(f"{path}: duplicate column name {repeated!r}")
 
-        skip = [name for name in (label_column, time_column) if name is not None]
+        ignored = [name for name in (label_column, time_column) if name is not None]
         value_names = (list(value_columns) if value_columns is not None
-                       else [name for name in header if name not in skip])
-        for name in (*skip, *value_names):
+                       else [name for name in header if name not in ignored])
+        for name in (*ignored, *value_names):
             if name not in column_of:
                 raise ValueError(f"{path}: no column named {name!r}")
         if not value_names:
@@ -240,19 +250,27 @@ def ingest_csv(
         value_idx = [column_of[name] for name in value_names]
         label_idx = column_of[label_column] if label_column is not None else None
 
-        columns = np.dtype(
-            [(f"c{i}", np.int64 if i == label_idx else np.float64) for i in range(len(header))]
-        )
-        body = _parse_body(handle, source, reader.line_num, columns,
-                           delimiter=delimiter, quotechar='"', ndmin=1)
-        if body is None:
-            data, labels = _scan_rows(handle, reader, path, header, value_idx, label_idx)
-        else:
-            data = np.stack([body[f"c{i}"] for i in value_idx], axis=1, dtype=float)
-            labels = body[f"c{label_idx}"] if label_idx is not None else None
+        columns = np.dtype([(f"c{i}", "i8" if i == label_idx else "f8" if i in value_idx else "U0")
+                            for i in range(len(header))])
+        skip = reader.line_num
+        options = {"delimiter": delimiter, "quotechar": '"', "ndmin": 1}
+
+        def fault(lines):  # numpy refuses a record's field count, a value or the label
+            row = next(filter(None, csv.reader(lines, delimiter=delimiter)))
+            bad = [i for i in value_idx if _refuses(lines, float, usecols=[i], **options)]
+            return (f"expected {len(header)} fields, found {len(row)}" if len(row) != len(header)
+                    else f"non-numeric value {row[bad[0]]!r} in column {header[bad[0]]!r}" if bad
+                    else f"non-integer label {row[label_idx]!r}")
+
+        with _naming(path):
+            body = _parse_body(handle, source, skip, columns, fault, **options)
+        if body.size == 0:
+            raise ValueError(f"{path}: empty series")
+        data = np.stack([body[f"c{i}"] for i in value_idx], axis=1, dtype=float)
+        labels = body[f"c{label_idx}"] if label_idx is not None else None
         if not np.isfinite(data).all():
             r, c = np.argwhere(~np.isfinite(data))[0]
-            lineno = next(itertools.islice(_body(handle, reader), r, None))[0]
+            lineno = _records(handle, skip, delimiter)[1][r]
             raise ValueError(
                 f"{path}: line {lineno}: non-finite value '{data[r, c]}' "
                 f"in column {header[value_idx[c]]!r}"
@@ -265,54 +283,6 @@ def ingest_csv(
         if labels is not None:
             labels = labels[1:]
     return TimeSeries(data=data, labels=labels)
-
-
-def _body(handle, reader):
-    """``(line number, fields)`` of each nonempty row after the header; rewinds ``handle``.
-
-    The number is the physical line the row ends on, as ``reader.line_num``
-    counts it from the rewind: a quoted field that spans lines counts each of
-    its lines, and lines end at ``\\n``, ``\\r`` and ``\\r\\n``.
-    """
-    handle.seek(0)
-    start = reader.line_num
-    next(reader)
-    yield from ((reader.line_num - start, row) for row in reader if row)
-
-
-def _scan_rows(handle, reader, path, header, value_idx, label_idx):
-    """``ingest_csv``'s body row by row with ``float()`` and ``_int64()``.
-
-    Returns the values and the labels (None without a label column), held in
-    flat typed buffers at 8 bytes each, or raises naming the first bad cell.
-    """
-    values = array.array("d")
-    labels = array.array("q")
-    for lineno, row in _body(handle, reader):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(header)} fields, found {len(row)}"
-            )
-        for i in value_idx:
-            try:
-                values.append(float(row[i]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric value {row[i]!r} "
-                    f"in column {header[i]!r}"
-                ) from None
-        if label_idx is not None:
-            try:
-                labels.append(_int64(row[label_idx]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-integer label {row[label_idx]!r}"
-                ) from None
-
-    if not values:
-        raise ValueError(f"{path}: empty series")
-    data = np.frombuffer(values, dtype=float).reshape(-1, len(value_idx))
-    return data, np.frombuffer(labels, dtype=np.int64) if label_idx is not None else None
 
 
 def _read_json(path):
@@ -369,9 +339,9 @@ def _options(args):
     return read
 
 
-def _one_char(value) -> str:
-    if not isinstance(value, str) or len(value) != 1:
-        raise ValueError(f"must be one character, not {value!r}")
+def _delimiter(value) -> str:
+    if not isinstance(value, str) or len(value) != 1 or value in '"\r\n':
+        raise ValueError(f"must be one character other than '\"', '\\r' and '\\n', not {value!r}")
     return value
 
 
@@ -459,7 +429,7 @@ _OPTIONS = (
     _Option("value-columns", _INGEST, str, _column_names, None, "comma-separated value columns"),
     _Option("label-column", _INGEST, str, _text, None, "ground-truth label column name"),
     _Option("time-column", _INGEST, str, _text, None, "column to ignore as a time axis"),
-    _Option("delimiter", _INGEST, str, _one_char, ",", "field delimiter (default ',')"),
+    _Option("delimiter", _INGEST, str, _delimiter, ",", "field delimiter (default ',')"),
     _Option("difference", _INGEST, bool, _boolean, False, "first-difference the values"),
     _Option("beta", _DET, int, _at_least(2), _REQUIRED, "window size"),
     _Option("lambda", _DET, float, _number, NULL.reject_threshold_05, "detection threshold"),
@@ -540,26 +510,16 @@ def _load_pairs(path) -> tuple:
 def _read_column(path, col: int, dtype, what: str) -> np.ndarray:
     """Column ``col`` of each row of a header-bearing CSV written by this tool.
 
-    ``dtype`` is ``float`` or ``int``: numpy's type for the column. The
-    line-by-line reader, for what numpy rejects, converts with ``float()`` or
-    ``_int64()``.
+    ``dtype`` is ``float`` or ``int``: numpy's type for the column.
     """
-    convert = _int64 if dtype is int else float
     with _open_table(path) as (handle, source):
         reader = csv.reader(handle)
         if next(reader, None) is None:
             raise ValueError(f"{path}: empty {what} file")
-        values = _parse_body(handle, source, reader.line_num, dtype,
-                             delimiter=",", quotechar='"', usecols=col, ndmin=1)
-        if values is not None:
-            return values
-        values = []
-        for lineno, row in _body(handle, reader):
-            try:
-                values.append(convert(row[col]))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: line {lineno}: malformed {what} row") from None
-    return np.asarray(values, dtype=dtype)
+        options = {"delimiter": ",", "quotechar": '"', "usecols": col, "ndmin": 1}
+        with _naming(path):
+            return _parse_body(handle, source, reader.line_num, dtype,
+                               lambda lines: f"malformed {what} row", **options)
 
 
 def _labeling_from_samples(sample_labels: np.ndarray, K: int) -> SegmentLabeling:

@@ -415,8 +415,9 @@ class OnlineDetector:
         if self._finalized:
             raise ValueError("finalized detector cannot accept more samples")
         arr = np.asarray(sample)
-        if arr.dtype.kind not in "iuf":
-            arr = _reals(arr, "sample")
+        # a sequence numpy converted may hold a bool, which _reals refuses
+        if arr.dtype.kind not in "iuf" or (arr is not sample and arr.ndim):
+            arr = _reals(sample, "sample")
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.ndim != 1:

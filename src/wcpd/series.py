@@ -49,6 +49,10 @@ def _reals(values, name: str, finite: str | None = None) -> np.ndarray:
     ``non-finite <finite>``; a longdouble beyond float64 counts as inf.
     """
     array = np.asarray(values)
+    if not isinstance(values, np.ndarray) and array.ndim and array.dtype.kind in "iuf":
+        # numpy reads a bool among the numbers of a sequence as 0 or 1
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
+            raise ValueError(f"{name} must be real numbers, not bool")
     if array.dtype == object and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in array.flat
     ):

@@ -1,13 +1,18 @@
-"""The CLI's table I/O: numpy's body parse against the line-by-line reader,
-the bytes of the writers, and the types of config values."""
+"""The CLI's table I/O: numpy's verdict on every table body, the bytes of the
+writers, and the types of config values."""
 
 import contextlib
 import csv
+import functools
 import io
+import itertools
 import json
 import os
+import re
+import sys
 import tracemalloc
 import urllib.request
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,7 @@ def outcome(read, *args, **kwargs):
     """What a reader returns, as comparable bytes, or the message it raises."""
     try:
         value = read(*args, **kwargs)
-    except (ValueError, csv.Error) as exc:
+    except (ValueError, TypeError, csv.Error) as exc:
         return type(exc), str(exc)
     if isinstance(value, TimeSeries):
         labels = None if value.labels is None else value.labels.tolist()
@@ -41,13 +46,105 @@ def outcome(read, *args, **kwargs):
     return value
 
 
-def both_ways(read, *args, **kwargs):
-    """``outcome`` with numpy's body parse, and with the line-by-line reader alone."""
-    fast = outcome(read, *args, **kwargs)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_parse_body", lambda *args, **kwargs: None)
-        slow = outcome(read, *args, **kwargs)
-    return fast, slow
+def column(col, dtype, what):
+    """``cli._read_column`` of ``col`` as ``dtype``, as a partial the oracle can read."""
+    return functools.partial(cli._read_column, col=col, dtype=dtype, what=what)
+
+
+def loadtxt(path, dtype, skip, rows=None, **options):
+    """numpy's own reading of the ``rows`` records (all, without) after the first
+    ``skip`` lines of ``path``; a body of no records has no rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, dtype=dtype, comments=None, skiprows=skip, max_rows=rows,
+                          **options)
+
+
+def csv_records(path, delimiter):
+    """The fields of the first row of ``path``, the lines it spans, and the line each
+    later nonempty row ends on: the records of a table's body."""
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            header = next(reader, None)
+            skip = reader.line_num
+            return header, skip, [reader.line_num for row in reader if row]
+    finally:
+        csv.field_size_limit(limit)
+
+
+def numpy_reading(read, path):
+    """numpy's own reading of the body that ``read`` (a reader, or a partial of one)
+    reads from ``path``: ``parse(skip, rows=None)``, which raises ValueError where
+    numpy refuses the ``rows`` records after the first ``skip`` lines; the lines
+    before the body; the line each of its records ends on; and the ``outcome`` that
+    ``read`` makes of numpy's array of the whole body."""
+    func, kw = getattr(read, "func", read), getattr(read, "keywords", {})
+    if func is cli._read_indices:
+        with open(path, newline="") as handle:
+            ends = [n for n, line in enumerate(handle, start=1) if not line.isspace()]
+
+        def indices(skip, rows=None):
+            found = loadtxt(path, int, skip, rows, ndmin=2)
+            if found.shape[1] != 1:
+                raise ValueError("not one field a line")
+            return found
+
+        return indices, 0, ends, lambda found: found[:, 0].tolist()
+    delimiter = kw.get("delimiter", ",")
+    header, skip, ends = csv_records(path, delimiter)
+    options = {"delimiter": delimiter, "quotechar": '"', "ndmin": 1}
+    if func is cli._read_column:
+        parse = functools.partial(loadtxt, path, kw["dtype"], usecols=kw["col"], **options)
+        return parse, skip, ends, lambda found: outcome(lambda: found)
+    names = [name.strip() for name in header]
+    label, time = kw.get("label_column"), kw.get("time_column")
+    values = [i for i, name in enumerate(names) if name not in (label, time)]
+    dtype = np.dtype([(f"c{i}", np.int64 if name == label else float if i in values else "U0")
+                      for i, name in enumerate(names)])
+
+    def series(found):
+        if found.size == 0:
+            return ValueError, f"{path}: empty series"
+        data = np.stack([found[f"c{i}"] for i in values], axis=1)
+        if not np.isfinite(data).all():
+            r, c = np.argwhere(~np.isfinite(data))[0]
+            return ValueError, (f"{path}: line {ends[r]}: non-finite value '{data[r, c]}' "
+                                f"in column {names[values[c]]!r}")
+        return outcome(lambda: TimeSeries(data, found[f"c{names.index(label)}"] if label else None))
+
+    return functools.partial(loadtxt, path, dtype, **options), skip, ends, series
+
+
+def refuses(parse, skip, rows=None):
+    try:
+        parse(skip, rows)
+    except ValueError:
+        return True
+    return False
+
+
+def follows_numpy(read, path):
+    """The oracle: ``read(path)`` gives what it makes of numpy's array of the body, or
+    raises naming the line of a record that numpy refuses on its own while numpy
+    accepts every record before it. Returns ``outcome(read, path)``."""
+    got = outcome(read, path)
+    parse, skip, ends, made = numpy_reading(read, path)
+    try:
+        found = parse(skip)
+    except TypeError:  # a delimiter numpy cannot split on
+        assert got[0] is TypeError, got
+        return got
+    except ValueError:
+        assert got[0] is ValueError, got
+        line = int(re.match(rf"{re.escape(str(path))}: line (\d+): ", got[1])[1])
+        r = ends.index(line)
+        assert refuses(parse, ends[r - 1] if r else skip, 1)
+        assert r == 0 or not refuses(parse, skip, r)
+        return got
+    assert got == made(found)
+    return got
 
 
 # csv's reader refuses a field over 131,072 characters unless its limit is raised
@@ -65,12 +162,13 @@ INGEST_CASES = [
     (b"x,label\n1,0\n2,2.5\n", {"label_column": "label"}, "line 3: non-integer label '2.5'"),
     (b"x,label\n1,0\n2,1e3\n", {"label_column": "label"}, "line 3: non-integer label '1e3'"),
     (b"x,label\n1, 3 \n", {"label_column": "label"}, ([[1.0]], [3])),
-    (b"x\n1_0\n2\n", {}, ([[10.0], [2.0]], None)),
+    (b"x\n1_0\n2\n", {}, "line 2: non-numeric value '1_0' in column 'x'"),
     (b"t,x\n2020-01-01,1.5\n2020-01-02,2.5\n", {"time_column": "t"}, ([[1.5], [2.5]], None)),
     (b"x\n1\n\n\ninf\n", {}, "line 5: non-finite value 'inf' in column 'x'"),
     (b"x,y\n1,2\n\n3,nan\n", {}, "line 4: non-finite value 'nan' in column 'y'"),
     (b"x\n\n\n", {}, "empty series"),
-    (b'x"y\n1"2\n', {"delimiter": '"'}, ([[1.0, 2.0]], None)),
+    # numpy cannot split on its quote character
+    (b'x"y\n1"2\n', {"delimiter": '"'}, TypeError),
     (b"x,label\n1,0\n2,99999999999999999999\n", {"label_column": "label"},
      "line 3: non-integer label '99999999999999999999'"),
     (b"x,label\n1,9223372036854775807\n2,-9223372036854775808\n", {"label_column": "label"},
@@ -84,20 +182,21 @@ INGEST_CASES = [
                  f"line 3: non-numeric value {'y' * LONG!r} in column 'x'", id="long-cell"),
     pytest.param(b"t," + b"x" * LONG + b"\n0,1.5\n", {"time_column": "t"}, ([[1.5]], None),
                  id="long-header-name"),
-    # int() refuses more than 4,300 digits, numpy reads any number of leading zeros
-    pytest.param(b"x,label\n1,1_0\n2," + b"0" * 5_000 + b"2\n", {"label_column": "label"},
+    # numpy reads any number of leading zeros, though int() refuses more than 4,300 digits
+    pytest.param(b"x,label\n1,10\n2," + b"0" * 5_000 + b"2\n", {"label_column": "label"},
                  ([[1.0], [2.0]], [10, 2]), id="padded-label"),
 ]
 
 
 @pytest.mark.parametrize("content,options,expected", INGEST_CASES)
-def test_ingest_numpy_path_matches_line_by_line(tmp_path, content, options, expected):
+def test_ingest_follows_numpy(tmp_path, content, options, expected):
     path = tmp_path / "in.csv"
     path.write_bytes(content)
-    fast, slow = both_ways(ingest_csv, path, **options)
-    assert fast == slow
-    if isinstance(expected, str):
-        assert fast == (ValueError, f"{path}: {expected}")
+    got = follows_numpy(functools.partial(ingest_csv, **options), path)
+    if expected is TypeError:
+        assert got[0] is TypeError
+    elif isinstance(expected, str):
+        assert got == (ValueError, f"{path}: {expected}")
     else:
         values, labels = expected
         series = ingest_csv(path, **options)
@@ -126,26 +225,15 @@ def test_ingest_error_keeps_exit_code(tmp_path, capsys):
     ids=["one-column", "time-column", "label-column"],
 )
 def test_non_finite_value_numpy_parsed_is_not_read_again(tmp_path, content, options, message):
-    # the line is found by one walk up to its row, not by the line-by-line reader
+    # the line is found by one walk up to its row, not by another parse
     path = tmp_path / "in.csv"
     path.write_text(content)
-    scans = []
-    scan_rows = cli._scan_rows
-
-    def spy(*args):
-        scans.append(args)
-        return scan_rows(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_scan_rows", spy)
-        assert routed(lambda p: ingest_csv(p, **options), path) == (message, [True])
-    assert scans == []
-    assert both_ways(ingest_csv, path, **options) == ((ValueError, f"{path}: {message}"),) * 2
+    assert routed(lambda p: ingest_csv(p, **options), path) == (message, [str(path)])
 
 
 def scan_peak(path, rows, dim):
-    """tracemalloc peak of ingest_csv on a file whose text time column only
-    the line-by-line reader takes, and the file's body bytes per row."""
+    """tracemalloc peak of ingest_csv on a file with a text time column, and the
+    file's body bytes per row."""
     rng = np.random.default_rng(rows + dim)
     body = "".join(
         f"t{i}," + ",".join(map(repr, rng.normal(size=dim).tolist())) + f",{i % 3}\n"
@@ -154,133 +242,100 @@ def scan_peak(path, rows, dim):
     path.write_text("t," + ",".join(f"x{j}" for j in range(dim)) + ",label\n" + body)
     tracemalloc.start()
     try:
-        series = ingest_csv(path, time_column="t", label_column="label")
+        series, sources = routed(lambda p: ingest_csv(p, time_column="t", label_column="label"),
+                                 path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert series.data.shape == (rows, dim)
+    assert sources == [str(path)]
     return peak, len(body)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-def test_line_by_line_peak_per_row_is_the_text_and_the_values(tmp_path, dim):
-    # besides the file text, a row holds its dim values and its label at
-    # 8 bytes each (and the series' copy); the parent kept a list of Python
-    # floats per row and a line number: about 200 more bytes a row
-    small, small_bytes = scan_peak(tmp_path / "small.csv", 2_000, dim)
-    large, large_bytes = scan_peak(tmp_path / "large.csv", 20_000, dim)
+def test_text_time_column_peak_per_row_is_the_values(tmp_path, dim):
+    # numpy reads the file by name in blocks and stores no byte of the time
+    # column, so a row holds its dim values and its label at 8 bytes each, and
+    # the series' copies of the values, but none of the file's text
+    small, _ = scan_peak(tmp_path / "small.csv", 2_000, dim)
+    large, _ = scan_peak(tmp_path / "large.csv", 20_000, dim)
     per_row = (large - small) / 18_000
-    assert per_row < (large_bytes - small_bytes) / 18_000 + 32 * (dim + 1)
+    assert per_row < 32 * (dim + 1)
 
+
+@pytest.mark.parametrize("cell", ["2020-01-01T00:00:00", "2020年1月", "", '"a,\nb"', "y" * 200_000],
+                         ids=["iso", "non-ascii", "empty", "quoted-newline", "long"])
+def test_an_ignored_column_is_a_zero_width_string(tmp_path, monkeypatch, cell):
+    # numpy takes any text in a column typed U0 and keeps none of it, in the
+    # one call that parses the body; the field count is still checked
+    bodies = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        bodies.append(loadtxt(*args, **kwargs))
+        return bodies[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = tmp_path / "in.csv"
+    path.write_text(f"t,x,label\n{cell},1.5,2\n{cell},2.5,3\n")
+    series = ingest_csv(path, time_column="t", label_column="label")
+    assert (series.data.tolist(), series.labels.tolist()) == ([[1.5], [2.5]], [2, 3])
+    assert [body.dtype["c0"] for body in bodies] == [np.dtype("U0")]
+    path.write_text(f"t,x,label\n{cell},1.5,2\n{cell},2.5,3,4\n")
+    line = 1 + 2 * (cell.count("\n") + 1)
+    with pytest.raises(ValueError, match=f"line {line}: expected 3 fields, found 4$"):
+        ingest_csv(path, time_column="t", label_column="label")
 
 
 READER_CASES = [
     # (reader, file text, message after "<path>: " or the values read)
     (cli._read_indices, "1\n\n  \n2\n", [1, 2]),
-    (cli._read_indices, " 3 \n1_0\n", [3, 10]),
+    (cli._read_indices, " 3 \n1_0\n", "line 2: not an index: '1_0'"),
     (cli._read_indices, "", []),
     (cli._read_indices, "1 2\n", "line 1: not an index: '1 2'"),
     (cli._read_indices, "1\n2,3\n", "line 2: not an index: '2,3'"),
     (cli._read_indices, "# 3\n", "line 1: not an index: '# 3'"),
     (cli._read_indices, "1\n\n2.5\n", "line 3: not an index: '2.5'"),
-    (lambda p: cli._read_column(p, 2, float, "trace"),
-     "t,a,b\n0,nan,1.5\n\n1,2,3,extra\n", np.array([1.5, 3.0])),
-    (lambda p: cli._read_column(p, 2, float, "trace"), "t,a,b\n0,1,2\n \n",
-     "line 3: malformed trace row"),
-    (lambda p: cli._read_column(p, 2, float, "trace"), "t,a,b\n0,1,2\n1,2\n",
-     "line 3: malformed trace row"),
-    (lambda p: cli._read_column(p, 1, int, "label"), 't,label\n0," 3 "\n1,1_0\n', np.array([3, 10])),
-    (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n0,1\n1,1e3\n",
-     "line 3: malformed label row"),
-    (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n", np.array([], dtype=int)),
-    (lambda p: cli._read_column(p, 1, int, "label"), "t,label\n0,1\n1,9223372036854775808\n",
+    (column(2, float, "trace"), "t,a,b\n0,nan,1.5\n\n1,2,3,extra\n", np.array([1.5, 3.0])),
+    (column(2, float, "trace"), "t,a,b\n0,1,2\n \n", "line 3: malformed trace row"),
+    (column(2, float, "trace"), "t,a,b\n0,1,2\n1,2\n", "line 3: malformed trace row"),
+    (column(1, int, "label"), 't,label\n0," 3 "\n1,1_0\n', "line 3: malformed label row"),
+    (column(1, int, "label"), "t,label\n0,1\n1,1e3\n", "line 3: malformed label row"),
+    (column(1, int, "label"), "t,label\n", np.array([], dtype=int)),
+    (column(1, int, "label"), "t,label\n0,1\n1,9223372036854775808\n",
      "line 3: malformed label row"),
     (cli._read_indices, "1\n99999999999999999999\n", "line 2: not an index: '99999999999999999999'"),
     (cli._read_indices, "-9223372036854775809\n", "line 1: not an index: '-9223372036854775809'"),
-    (cli._read_indices, "9223372036854775807\n1_0\n", [2**63 - 1, 10]),
+    (cli._read_indices, "9223372036854775807\n1_0\n", "line 2: not an index: '1_0'"),
     # a quoted field that spans lines counts each of its lines, and lines end
     # only at \n, \r and \r\n, not also at \f, \v and U+2028 as str.splitlines
-    (lambda p: cli._read_column(p, 1, float, "trace"), 't,a\n0," 1\n"\n1,oops\n',
-     "line 4: malformed trace row"),
-    (lambda p: cli._read_column(p, 1, int, "label"), 't,label\n0," 1\n"\n1,inf\n',
-     "line 4: malformed label row"),
+    (column(1, float, "trace"), 't,a\n0," 1\n"\n1,oops\n', "line 4: malformed trace row"),
+    (column(1, int, "label"), 't,label\n0," 1\n"\n1,inf\n', "line 4: malformed label row"),
     (cli._read_indices, "1\n\f\n2x\n", "line 3: not an index: '2x'"),
     (cli._read_indices, "1\n\u2028\n2x\n", "line 3: not an index: '2x'"),
     (cli._read_indices, "1\f2\n", "line 1: not an index: '1\\x0c2'"),
-    pytest.param(lambda p: cli._read_column(p, 2, float, "trace"),
+    pytest.param(column(2, float, "trace"),
                  "t,a,b\n0,nan," + "0" * (LONG - 1) + "1\n", np.array([1.0]), id="long-number"),
-    pytest.param(lambda p: cli._read_column(p, 1, float, "trace"),
+    pytest.param(column(1, float, "trace"),
                  "t,a\n0,1\n1," + "x" * LONG + "\n", "line 3: malformed trace row", id="long-cell"),
-    pytest.param(lambda p: cli._read_column(p, 1, int, "label"),
+    pytest.param(column(1, int, "label"),
                  "t," + "l" * LONG + "\n0,3\n", np.array([3]), id="long-header-name"),
     pytest.param(cli._read_indices, "3\n" + "0" * (LONG - 1) + "1\nx\n", "line 3: not an index: 'x'",
                  id="padded-index"),
-    pytest.param(lambda p: cli._read_column(p, 1, int, "label"),
-                 "t,label\n0,1_0\n1," + "0" * 5_000 + "2\n", np.array([10, 2]), id="padded-label"),
+    pytest.param(column(1, int, "label"),
+                 "t,label\n0,10\n1," + "0" * 5_000 + "2\n", np.array([10, 2]), id="padded-label"),
 ]
 
 
 @pytest.mark.parametrize("read,content,expected", READER_CASES)
-def test_readers_numpy_path_matches_line_by_line(tmp_path, read, content, expected):
+def test_readers_follow_numpy(tmp_path, read, content, expected):
     path = tmp_path / "in.txt"
     path.write_text(content)
-    fast, slow = both_ways(read, path)
-    assert fast == slow
+    got = follows_numpy(read, path)
     if isinstance(expected, str):
-        assert fast == (ValueError, f"{path}: {expected}")
+        assert got == (ValueError, f"{path}: {expected}")
     else:
-        assert fast == outcome(lambda: expected)
-
-
-def routed(read, path):
-    """``read(path)``'s value or message, and whether numpy parsed each body it read."""
-    routes = []
-    parse_body = cli._parse_body
-
-    def spy(*args, **kwargs):
-        body = parse_body(*args, **kwargs)
-        routes.append(body is not None)
-        return body
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_parse_body", spy)
-        try:
-            value = read(path)
-        except ValueError as exc:
-            value = str(exc).removeprefix(f"{path}: ")
-    return value, routes
-
-
-@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
-@pytest.mark.parametrize(
-    "read,content,expected,numpy_parses",
-    [
-        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n2\n", [[1.0], [2.0]], True),
-        (lambda p: ingest_csv(p, time_column="t").data.tolist(),
-         "t,x\n2020-01-01,1\n\n2020-01-02,2\n", [[1.0], [2.0]], False),
-        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n\noops\n",
-         "line 4: non-numeric value 'oops' in column 'x'", False),
-        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1_0\n", [10], False),
-        (cli._read_indices, "3\n1_0\n", [3, 10], False),
-        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1\n1,2\n", [1, 2],
-         True),
-        (cli._read_indices, "3\n10\n", [3, 10], True),
-    ],
-    ids=["numeric", "text-time-column", "bad-row", "label-column", "indices",
-         "numeric-label-column", "numeric-indices"],
-)
-def test_pipe_is_read_like_a_file(tmp_path, read, content, expected, numpy_parses):
-    # the pipe is buffered once, so numpy parses its body as it would a file's
-    read_end, write_end = os.pipe()
-    os.write(write_end, content.encode())
-    os.close(write_end)
-    try:
-        from_pipe = routed(read, f"/dev/fd/{read_end}")
-    finally:
-        os.close(read_end)
-    assert from_pipe == (expected, [numpy_parses])
-    (tmp_path / "in.csv").write_text(content)
-    assert routed(read, tmp_path / "in.csv") == from_pipe
+        assert got == outcome(lambda: expected)
 
 
 @pytest.mark.parametrize("text", [
@@ -289,23 +344,33 @@ def test_pipe_is_read_like_a_file(tmp_path, read, content, expected, numpy_parse
     "1" + "0" * 30, "0" * 30 + "9223372036854775808", "0" * 30 + "9223372036854775807",
     "1" + "0" * 30 + "1",
 ])
-def test_int64_drops_leading_zeros_as_int_reads_them(text):
-    # each text is under int()'s 4,300-digit limit, so int() itself is the reference
+def test_integers_read_as_int_reads_them_without_underscores(tmp_path, text):
+    # numpy drops leading zeros as int() does, but refuses its underscores
     try:
-        expected = int(text)
-        expected = expected if -(2**63) <= expected < 2**63 else ValueError
+        value = int(text) if "_" not in text else None
     except ValueError:
-        expected = ValueError
-    try:
-        value = cli._int64(text)
-    except ValueError:
-        value = ValueError
-    assert value == expected
+        value = None
+    value = value if value is not None and -(2**63) <= value < 2**63 else None
+    indices, table = tmp_path / "in.txt", tmp_path / "in.csv"
+    indices.write_text(f"3\n{text}\n")
+    table.write_text(f"x,label\n1,3\n2,{text}\n")
+    got = [follows_numpy(cli._read_indices, indices),
+           follows_numpy(functools.partial(ingest_csv, label_column="label"), table),
+           follows_numpy(column(1, int, "label"), table)]
+    if value is None:
+        assert got == [(ValueError, f"{indices}: line 2: not an index: {text.strip()!r}"),
+                       (ValueError, f"{table}: line 3: non-integer label {text!r}"),
+                       (ValueError, f"{table}: line 3: malformed label row")]
+    else:
+        assert got == [[3, value],
+                       outcome(lambda: TimeSeries(np.array([[1.0], [2.0]]), np.array([3, value]))),
+                       outcome(lambda: np.array([3, value]))]
 
 
-def numpy_sources(read, path):
-    """``routed(read, path)``, and what each ``np.loadtxt`` call was given to read:
-    a file name, or the type of a handle."""
+def routed(read, path):
+    """``read(path)``'s value or message, and what each ``np.loadtxt`` call was
+    given to read: a file name, or the type of what holds the lines (the lines
+    of a handle after its header are an ``itertools.islice``)."""
     sources = []
     loadtxt = np.loadtxt
 
@@ -315,7 +380,46 @@ def numpy_sources(read, path):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "loadtxt", spy)
-        return routed(read, path), sources
+        try:
+            value = read(path)
+        except ValueError as exc:
+            value = str(exc).removeprefix(f"{path}: ")
+    return value, sources
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "read,content,expected",
+    [
+        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n2\n", [[1.0], [2.0]]),
+        (lambda p: ingest_csv(p, time_column="t").data.tolist(),
+         "t,x\n2020-01-01,1\n\n2020-01-02,2\n", [[1.0], [2.0]]),
+        (lambda p: ingest_csv(p).data.tolist(), "x\n1\n\noops\n",
+         "line 4: non-numeric value 'oops' in column 'x'"),
+        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1_0\n",
+         "line 2: malformed label row"),
+        (cli._read_indices, "3\n1_0\n", "line 2: not an index: '1_0'"),
+        (lambda p: cli._read_column(p, 1, int, "label").tolist(), "t,label\n0,1\n1,2\n", [1, 2]),
+        (cli._read_indices, "3\n10\n", [3, 10]),
+    ],
+    ids=["numeric", "text-time-column", "bad-row", "label-column", "indices",
+         "numeric-label-column", "numeric-indices"],
+)
+def test_pipe_is_read_like_a_file(tmp_path, read, content, expected):
+    # the pipe is buffered once, so numpy parses its body, and finds a refused
+    # record, through the handle as it would a file by its name
+    read_end, write_end = os.pipe()
+    os.write(write_end, content.encode())
+    os.close(write_end)
+    try:
+        value, sources = routed(read, f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert value == expected
+    assert sources[0] is itertools.islice
+    path = tmp_path / "in.csv"
+    path.write_text(content)
+    assert routed(read, path) == (value, [str(path), *sources[1:]])
 
 
 TABLE = "t,x,label\n0,1.5,2\n1,2.5,3\n"
@@ -334,7 +438,7 @@ def test_numpy_reads_a_regular_file_by_its_absolute_name(tmp_path, monkeypatch, 
     # by name numpy reads the file in blocks in C; relative, the name is made absolute
     monkeypatch.chdir(tmp_path)
     Path("in.csv").write_text(content)
-    assert numpy_sources(read, "in.csv") == ((expected, [True]), [str(tmp_path / "in.csv")])
+    assert routed(read, "in.csv") == (expected, [str(tmp_path / "in.csv")])
 
 
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
@@ -344,7 +448,7 @@ def test_numpy_reads_a_pipe_through_its_handle(read, content, expected):
     os.write(write_end, content.encode())
     os.close(write_end)
     try:
-        assert numpy_sources(read, f"/dev/fd/{read_end}") == ((expected, [True]), [io.TextIOWrapper])
+        assert routed(read, f"/dev/fd/{read_end}") == (expected, [itertools.islice])
     finally:
         os.close(read_end)
 
@@ -365,8 +469,8 @@ def test_a_name_numpy_would_decompress_or_fetch_reads_as_plain_text(tmp_path, mo
     path.parent.mkdir(exist_ok=True)
     path.write_text(content)
     by_name = os.path.splitext(name)[1] not in (".gz", ".bz2", ".xz", ".lzma")
-    source = str(tmp_path / path) if by_name else io.TextIOWrapper
-    assert numpy_sources(read, name) == ((expected, [True]), [source])
+    source = str(tmp_path / path) if by_name else itertools.islice
+    assert routed(read, name) == (expected, [source])
 
 
 @pytest.mark.parametrize(
@@ -385,12 +489,12 @@ def test_numpy_skips_the_physical_lines_of_a_header(tmp_path, read, content, exp
     # a line it rejects, skipping three would lose a row
     path = tmp_path / "in.csv"
     path.write_bytes(content.encode())
-    assert numpy_sources(read, path) == ((expected, [True]), [str(path)])
+    assert routed(read, path) == (expected, [str(path)])
 
 
 @pytest.mark.parametrize("read,content,expected", ROUTE_READERS, ids=ROUTE_IDS)
-def test_a_file_numpy_cannot_open_by_name_is_read_line_by_line(tmp_path, monkeypatch, read,
-                                                               content, expected):
+def test_a_file_numpy_cannot_open_by_name_is_read_through_its_handle(tmp_path, monkeypatch, read,
+                                                                     content, expected):
     # say the file was replaced by a directory after the reader opened it
     loadtxt = np.loadtxt
 
@@ -400,8 +504,9 @@ def test_a_file_numpy_cannot_open_by_name_is_read_line_by_line(tmp_path, monkeyp
         return loadtxt(source, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", refuse_names)
-    (tmp_path / "in.csv").write_text(content)
-    assert routed(read, tmp_path / "in.csv") == (expected, [False])
+    path = tmp_path / "in.csv"
+    path.write_text(content)
+    assert routed(read, path) == (expected, [str(path), itertools.islice])
 
 
 CELL = st.sampled_from(["0", "1", "-2.5", "3e1", "1_0", "nan", "inf", " 4 ", '"5"', '"6', "x", ""])
@@ -411,19 +516,18 @@ SEPARATOR = st.sampled_from([",", "\n", "\r\n", ",", "\n", '"', " ", ";"])
 @settings(max_examples=150, deadline=None)
 @given(body=st.lists(st.one_of(CELL, SEPARATOR), max_size=24),
        delimiter=st.sampled_from([",", ",", ";", " ", '"']))
-def test_numpy_path_matches_line_by_line_on_any_text(tmp_path_factory, body, delimiter):
+def test_readers_follow_numpy_on_any_text(tmp_path_factory, body, delimiter):
     path = tmp_path_factory.mktemp("fuzz") / "in.csv"
     text = "".join(body)
     path.write_text(delimiter.join(["t", "x", "label"]) + "\n" + text)
-    for read, *args in [(ingest_csv, path, None, None, None, delimiter),
-                        (ingest_csv, path, None, "label", "t", delimiter),
-                        (cli._read_column, path, 2, int, "label"),
-                        (cli._read_column, path, 1, float, "trace")]:
-        fast, slow = both_ways(read, *args)
-        assert fast == slow
+    for read in [functools.partial(ingest_csv, delimiter=delimiter),
+                 functools.partial(ingest_csv, label_column="label", time_column="t",
+                                   delimiter=delimiter),
+                 column(2, int, "label"),
+                 column(1, float, "trace")]:
+        follows_numpy(read, path)
     path.write_text(text)
-    fast, slow = both_ways(cli._read_indices, path)
-    assert fast == slow
+    follows_numpy(cli._read_indices, path)
 
 
 @pytest.fixture(scope="module")
@@ -673,6 +777,21 @@ def test_config_value_of_wrong_type_names_file_and_key(configs, tmp_path, capsys
     config.write_text(json.dumps({**configs[command], key: value}))
     assert run([command, "--config", config]) == 2
     assert f"error: {config}: {key!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ['"', "\n", "\r"])
+def test_a_delimiter_numpy_cannot_split_on_is_refused(configs, tmp_path, capsys, delimiter):
+    # numpy raises TypeError for its quote and for a line end: from the flag a
+    # usage error, from the config file a data error, from the library numpy's
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(configs["detect"]))
+    assert run(["detect", "--config", config, "--delimiter", delimiter]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --delimiter: must be one character")
+    config.write_text(json.dumps({**configs["detect"], "delimiter": delimiter}))
+    assert run(["detect", "--config", config]) == 2
+    assert f"error: {config}: 'delimiter': " in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        ingest_csv(configs["detect"]["input"], delimiter=delimiter)
 
 
 @pytest.mark.parametrize("lam", [1, 0.25])

@@ -889,7 +889,7 @@ class TestOnlineDetector:
             np.array(online).view(np.uint64), offline[beta : len(series) - beta].view(np.uint64)
         )
 
-    @pytest.mark.parametrize("sample", ["1.5", True, b"2", [True], 1 + 2j, ["1", "2"], [None]])
+    @pytest.mark.parametrize("sample", ["1.5", True, b"2", [True], [0.5, True], 1 + 2j, ["1", "2"], [None]])
     def test_rejects_non_real_samples_without_state_change(self, sample):
         # np.asarray(sample, dtype=float) parsed "1.5" and b"2", read True as
         # 1.0 and dropped an imaginary part with only a ComplexWarning

@@ -11,8 +11,8 @@ from wcpd.tssc import AffinityMatrix
 class TestData:
     @pytest.mark.parametrize(
         "data",
-        [["1.5", "2.5", "3"], [True, False, True], [1 + 2j, 0.0, 1.0], [b"1", b"2"],
-         [[1.0, None], [2.0, 3.0]]],
+        [["1.5", "2.5", "3"], [True, False, True], [0.0, 1.0, True], [1 + 2j, 0.0, 1.0],
+         [b"1", b"2"], [[1.0, None], [2.0, 3.0]]],
     )
     def test_rejects_non_real_samples(self, data):
         # np.array(..., dtype=float) parsed the strings, read the bools as 1/0
