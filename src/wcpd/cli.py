@@ -59,6 +59,7 @@ def _fmt(value: float) -> str:
 
 
 _BLOCK_LINES = 4096  # lines a writer formats, joins and writes at a time
+_WALK_RECORDS = 512  # records numpy judges at a time in the walk to a refused one
 
 
 def _write_text(path: Path, lines) -> None:
@@ -143,7 +144,9 @@ def _parse_body(handle, source, skip, dtype, fault, **options):
     numpy reads the file named ``source``, or ``handle`` where there is no
     name or numpy cannot open it (say the file was replaced by a directory).
     Where numpy refuses the body, the ValueError names the line of the first
-    record it refuses alone and ``fault(lines)`` of the lines up to it.
+    record it refuses alone and ``fault(lines)`` of its lines. One forward
+    walk finds it, on numpy's verdicts, never its messages: numpy judges
+    ``_WALK_RECORDS`` records at a time, then each of the first block it refuses.
     """
     try:
         if source is not None:
@@ -152,41 +155,34 @@ def _parse_body(handle, source, skip, dtype, fault, **options):
         handle.seek(0)
         return _loadtxt(itertools.islice(handle, skip, None), dtype, **options)
     except ValueError:
-        lineno, record = _first_refused(handle, skip, dtype, **options)
-        raise ValueError(f"line {lineno}: {fault(record)}") from None
+        records = _records(handle, skip, options.get("delimiter"))
+        for block in iter(lambda: list(itertools.islice(records, _WALK_RECORDS)), []):
+            if _refuses([line for _, lines in block for line in lines], dtype, **options):
+                for lineno, lines in block:
+                    if _refuses(lines, dtype, **options):
+                        raise ValueError(f"line {lineno}: {fault(lines)}") from None
+        raise  # no record is refused alone: numpy's own message stands
 
 
 def _records(handle, skip, delimiter):
-    """The physical lines of ``handle``, and the line each record after the first ``skip`` ends on.
+    """The line each record after the first ``skip`` lines of ``handle`` ends on, and its lines.
 
-    Lines end as csv and numpy end them. With ``delimiter`` None there is no
-    quoting, so each line is taken for a record (numpy accepts a blank one as
-    none); else a record is a nonempty csv row, whose quoted fields may span lines.
+    Lines are read as they are asked for, and end as csv and numpy end them.
+    With ``delimiter`` None there is no quoting, so each line is a record
+    (numpy accepts a blank one as none); else a record is a nonempty csv
+    row, whose quoted fields may span lines, and its lines follow the last record's.
     """
     handle.seek(0)
-    lines = handle.readlines()
+    lines = itertools.islice(handle, skip, None)
     if delimiter is None:
-        return lines, list(range(skip + 1, len(lines) + 1))
-    reader = csv.reader(lines[skip:], delimiter=delimiter)
-    return lines, [skip + reader.line_num for row in reader if row]
-
-
-def _first_refused(handle, skip, dtype, **options):
-    """The line the first record numpy refuses alone ends on, and the lines up to it.
-
-    Halving the refused range of records (see ``_records``) costs about one
-    more parse, and numpy's messages are never read.
-    """
-    lines, ends = _records(handle, skip, options.get("delimiter"))
-    starts = [skip, *ends[:-1]]
-    lo, hi = 0, len(ends)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _refuses(lines[starts[lo] : ends[mid - 1]], dtype, **options):
-            hi = mid
-        else:
-            lo = mid
-    return ends[lo], lines[starts[lo] : ends[lo]]
+        yield from ((lineno, [line]) for lineno, line in enumerate(lines, skip + 1))
+        return
+    taken = []
+    reader = csv.reader((taken.append(line) or line for line in lines), delimiter=delimiter)
+    for row in reader:
+        if row:
+            yield skip + reader.line_num, taken.copy()
+            taken.clear()
 
 
 def _refuses(lines, dtype, **options) -> bool:
@@ -257,9 +253,11 @@ def ingest_csv(
 
         def fault(lines):  # numpy refuses a record's field count, a value or the label
             row = next(filter(None, csv.reader(lines, delimiter=delimiter)))
-            bad = [i for i in value_idx if _refuses(lines, float, usecols=[i], **options)]
-            return (f"expected {len(header)} fields, found {len(row)}" if len(row) != len(header)
-                    else f"non-numeric value {row[bad[0]]!r} in column {header[bad[0]]!r}" if bad
+            if len(row) != len(header):
+                return f"expected {len(header)} fields, found {len(row)}"
+            refused = (i for i in value_idx if _refuses(lines, float, usecols=[i], **options))
+            bad = next(refused, None)
+            return (f"non-numeric value {row[bad]!r} in column {header[bad]!r}" if bad is not None
                     else f"non-integer label {row[label_idx]!r}")
 
         with _naming(path):
@@ -270,7 +268,7 @@ def ingest_csv(
         labels = body[f"c{label_idx}"] if label_idx is not None else None
         if not np.isfinite(data).all():
             r, c = np.argwhere(~np.isfinite(data))[0]
-            lineno = _records(handle, skip, delimiter)[1][r]
+            lineno, _ = next(itertools.islice(_records(handle, skip, delimiter), r, None))
             raise ValueError(
                 f"{path}: line {lineno}: non-finite value '{data[r, c]}' "
                 f"in column {header[value_idx[c]]!r}"
@@ -537,7 +535,7 @@ def _ingest(opt) -> TimeSeries:
 def _cmd_simulate(opt) -> int:
     spec_path, out = opt("spec"), Path(opt("out"))
     spec = _load_series_spec(spec_path)
-    with _naming(spec_path):
+    with _naming(spec_path, (ValueError, MemoryError)):  # the spec sizes the series
         series = generate(spec)
 
     header = "t," + ",".join(f"x{d}" for d in range(series.dim)) + ",label"
@@ -610,7 +608,8 @@ def _cmd_cluster(opt) -> int:
         )
     out_dir = Path(opt("out-dir"))
 
-    with _naming(cps_path):  # cluster_segments checks the change points against the series length
+    # cluster_segments checks the change points, and their count sizes its affinity matrix
+    with _naming(cps_path, (ValueError, MemoryError)):
         labeling = cluster_segments(series, cps, K=k, beta=beta, seed=seed)
     bounds = np.concatenate(([0], labeling.change_points, [len(series)]))
     segment_lines = ["segment_index,start,end,label"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .empirical import (
     _workspace,
 )
 from .errors import NumericalError
-from .series import TimeSeries, _integer, _real, _reals
+from .series import TimeSeries, _float, _integer, _real, _reals
 from .simgen import DistSpec, _series_rows
 
 __all__ = [
@@ -117,16 +116,15 @@ class MatchedFilter:
             raise ValueError("taps must cover offsets -beta..beta")
         if abs(float(taps.sum()) - 1.0) > _UNIT_AREA_TOL:
             raise ValueError("filter taps must have unit area")
-        gamma = self.gamma
-        real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
-        if not (real and math.isfinite(gamma) and gamma > 0.0):
-            raise ValueError(f"gamma must be a finite positive number, not {gamma!r}")
+        gamma = _float(self.gamma)
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(f"gamma must be a finite positive number, not {self.gamma!r}")
         ensemble_size = _integer(self.ensemble_size, "ensemble size", 1)
         seed = None if self.seed is None else _integer(self.seed, "seed", 0)
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "ensemble_size", ensemble_size)
         object.__setattr__(self, "seed", seed)
 

@@ -33,10 +33,19 @@ def _integers(values, name: str) -> np.ndarray:
     return array.astype(int)
 
 
+def _float(value) -> float:
+    """A real number as a float, ±inf if it is beyond float64; NaN for a bool or a non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _real(value, name: str) -> None:
-    """Refuse value unless it is a finite real number; a bool is not one."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value)):
+    """Refuse value unless it is a real number that is finite in float64; a bool is not one."""
+    if not math.isfinite(_float(value)):
         raise ValueError(f"{name} must be a finite real number, not {value!r}")
 
 

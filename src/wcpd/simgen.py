@@ -8,12 +8,13 @@ stream and generation order cannot change the result.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries, _integer
+from .series import TimeSeries, _float, _integer
 
 __all__ = ["DistSpec", "SeriesSpec", "sample", "generate"]
 
@@ -41,9 +42,9 @@ class DistSpec:
         for name, value in (("location", self.location), ("scale", self.scale)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, not {value!r}")
-        if not np.isfinite(self.location):
+        if not math.isfinite(_float(self.location)):  # an int beyond float64 counts as inf
             raise ValueError("non-finite location")
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
+        if not 0.0 < _float(self.scale) < math.inf:
             raise ValueError("scale must be positive")
 
 

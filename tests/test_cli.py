@@ -1154,3 +1154,38 @@ def test_difference_drops_the_first_label(tmp_path):
     series = ingest_csv(path, label_column="label", difference=True)
     assert series.data[:, 0].tolist() == [3.0, 5.0]
     assert series.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "cluster"])
+def test_a_size_too_large_to_allocate_is_a_data_error_naming_the_file(workspace, tmp_path, capsys,
+                                                                       monkeypatch, command):
+    # numpy raises MemoryError for an array it cannot allocate: a spec of
+    # dimension 100,000 with 10**6 samples, or the affinity matrix of 300,001
+    # segments. Raised here without allocating anything
+    message = "Unable to allocate 671. GiB for an array with shape (300001, 300001)"
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate" if command == "simulate" else "cluster_segments", too_large)
+    if command == "simulate":
+        named = workspace / "spec.json"
+        argv = ["simulate", "--spec", named, "--out", tmp_path / "x.csv"]
+    else:
+        named = workspace / "data.csv.cps"
+        argv = [arg.format(ws=workspace, bad=named, tmp=tmp_path) for arg in CLUSTER]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}: {message}\n"
+
+
+def test_a_filter_gamma_beyond_float64_is_a_data_error_naming_the_filter(workspace, tmp_path,
+                                                                         capsys):
+    payload = json.loads((workspace / "filter.json").read_text())
+    payload["gamma"] = 10**399
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload))
+    argv = [*(arg.format(ws=workspace, tmp=tmp_path) for arg in DETECT), "--filter", path]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid filter file: gamma must be a finite positive")

@@ -1116,3 +1116,132 @@ def test_every_mutated_input_gets_its_exit_code(tmp_path_factory, round_trip, ca
         assert any(path in err for path in inputs), err
     elif code == 3:
         assert err.startswith("numerical failure:"), err
+
+
+WALK = cli._WALK_RECORDS
+# the first and the last record of the first two blocks the walk hands numpy
+EDGES = pytest.mark.parametrize("bad_at", [0, WALK - 1, WALK, 2 * WALK - 1],
+                                ids=["first", "last-of-block", "first-of-next", "last"])
+
+
+def walk_table(header, records):
+    """``header`` and ``records`` as a file's text, a blank line before every eighth
+    record, so the first of each block; and the line each record ends on."""
+    lines = [header]
+    ends = []
+    for r, record in enumerate(records):
+        lines += [""] * (r % 8 == 0) + record.split("\n")
+        ends.append(len(lines))
+    return "\n".join(lines) + "\n", ends
+
+
+TABLE_READERS = pytest.mark.parametrize("read,message", [
+    (ingest_csv, "non-numeric value {bad!r} in column 'x'"),
+    (column(0, float, "trace"), "malformed trace row"),
+], ids=["ingest_csv", "read_column"])
+
+
+@EDGES
+@TABLE_READERS
+def test_the_walk_names_a_refused_record_at_a_block_edge(tmp_path, read, message, bad_at):
+    records = [str(r) for r in range(2 * WALK)]
+    records[bad_at] = "oops"
+    text, ends = walk_table("x", records)
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    expected = f"{path}: line {ends[bad_at]}: {message.format(bad='oops')}"
+    assert follows_numpy(read, path) == (ValueError, expected)
+
+
+@pytest.mark.parametrize("quoted_at,quoted,bad_at", [
+    (WALK - 1, '" 1\n\n"', WALK),  # numpy takes it: it ends the first block, three lines long
+    (WALK - 1, '"1\nx"', WALK - 1),  # refused, it ends the first block
+    (WALK, '"1\nx"', WALK),  # refused, it starts the second
+    (WALK, '" 1\n"', WALK + 1),
+], ids=["taken-last", "refused-last", "refused-first", "taken-first"])
+@TABLE_READERS
+def test_the_walk_counts_the_lines_of_a_quoted_record_at_a_block_edge(tmp_path, read, message,
+                                                                      quoted_at, quoted, bad_at):
+    records = [str(r) for r in range(2 * WALK)]
+    records[quoted_at] = quoted
+    if bad_at != quoted_at:
+        records[bad_at] = "oops"
+    text, ends = walk_table("x", records)
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    bad = "oops" if bad_at != quoted_at else quoted.strip('"')
+    expected = f"{path}: line {ends[bad_at]}: {message.format(bad=bad)}"
+    assert follows_numpy(read, path) == (ValueError, expected)
+
+
+@EDGES
+def test_the_walk_names_a_refused_index_at_a_block_edge(tmp_path, bad_at):
+    # every line of an index file is a record for the walk, a blank one too
+    lines = ["" if n % 8 in (1, 6) else str(n) for n in range(2 * WALK)]
+    lines[bad_at] = "2x"
+    path = tmp_path / "in.txt"
+    path.write_text("\n".join(lines) + "\n")
+    expected = (ValueError, f"{path}: line {bad_at + 1}: not an index: '2x'")
+    assert follows_numpy(cli._read_indices, path) == expected
+
+
+@pytest.mark.parametrize("last,message", [("oops", "non-numeric value 'oops'"),
+                                          ("inf", "non-finite value 'inf'")])
+def test_a_refused_row_is_found_without_holding_the_file(tmp_path, last, message):
+    # the walk holds one block of records at a time, and the non-finite value's
+    # line is found by a walk too: every line of this 8 MB file as a string
+    # takes about 30 MB
+    rows = 200_000
+    rng = np.random.default_rng(rows)
+    path = tmp_path / "in.csv"
+    with path.open("w") as handle:
+        handle.write("t,x0,label\n")
+        handle.writelines(f"2020-01-01 t{i},{v!r},{i % 3}\n"
+                          for i, v in enumerate(rng.normal(size=rows - 1).tolist()))
+        handle.write(f"2020-01-01 t{rows - 1},{last},0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"line {rows + 1}: {message} in column 'x0'$"):
+            ingest_csv(path, time_column="t", label_column="label")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def test_a_body_no_record_of_which_numpy_refuses_alone_keeps_numpy_message(tmp_path,
+                                                                          monkeypatch):
+    # numpy reads the file by its name and the walk reads the handle, so they
+    # differ where the path was given another file after the reader opened it:
+    # numpy's verdict on the body then stands, and a refused body always raises
+    loadtxt = np.loadtxt
+
+    def refuse_names(source, *args, **kwargs):
+        if isinstance(source, str):
+            raise ValueError("refused by name")
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", refuse_names)
+    path = tmp_path / "in.csv"
+    for read, content in [(ingest_csv, "x\n1\n"), (column(0, float, "trace"), "a\n1\n"),
+                          (cli._read_indices, "1\n")]:
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: refused by name$"):
+            read(path)
+
+
+def test_the_first_value_column_numpy_refuses_is_named_and_no_later_one_judged(tmp_path,
+                                                                               monkeypatch):
+    columns = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        columns.append(kwargs.get("usecols"))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = tmp_path / "in.csv"
+    path.write_text("x,y,z\n1,2,3\n4,a,b\n")
+    with pytest.raises(ValueError, match="line 3: non-numeric value 'a' in column 'y'$"):
+        ingest_csv(path)
+    assert [c for c in columns if c is not None] == [[0], [1]]

@@ -1165,3 +1165,30 @@ def load_text(tmp_path, text):
 def test_refuses_malformed_input(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("lam", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_lam_beyond_float64_is_refused(lam):
+    # math.isfinite raised OverflowError on an int beyond float64
+    trace = StatTrace(np.array([np.nan, 0.1, 0.3, 0.2, np.nan]), 1)
+    with pytest.raises(ValueError, match="lam must be a finite real number"):
+        DetectorConfig(beta=3, lam=lam)
+    with pytest.raises(ValueError, match="lam must be a finite real number"):
+        detect_peaks(trace, lam)
+
+
+def test_lam_beyond_int64_within_float64_is_taken():
+    trace = StatTrace(np.array([np.nan, 0.1, 0.3, 0.2, np.nan]), 1)
+    assert DetectorConfig(beta=3, lam=2**70).lam == 2**70
+    assert detect_peaks(trace, 2**70) == [] and detect_peaks(trace, -(2**70)) == [2]
+
+
+@pytest.mark.parametrize("gamma,taken", [(10**400, None), (2**70, float(2**70))],
+                         ids=["beyond-float64", "beyond-int64"])
+def test_gamma_is_taken_if_it_fits_in_a_float(gamma, taken):
+    make = lambda: MatchedFilter(taps=np.full(3, 1 / 3), beta=1, gamma=gamma, ensemble_size=1)
+    if taken is None:
+        with pytest.raises(ValueError, match="gamma must be a finite positive number"):
+            make()
+    else:
+        assert make().gamma == taken and type(make().gamma) is float

@@ -200,3 +200,22 @@ class TestBatchedDraw:
 def test_series_spec_refuses_what_it_cannot_generate(segments, message):
     with pytest.raises(ValueError, match=message):
         SeriesSpec(segments)
+
+
+def test_an_int_beyond_int64_within_float64_is_a_location_and_a_scale():
+    # np.isfinite raised TypeError on 2**70, which numpy holds only as an object
+    segments = ((DistSpec("normal", 2**70), 6), (DistSpec("laplace", 0, 2**70), 6))
+    series = generate(SeriesSpec(segments))
+    assert np.isfinite(series.data).all()
+    assert np.all(series.data[:6] == float(2**70))  # unit draws vanish next to 2**70
+    assert np.abs(series.data[6:]).max() > 2**60
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("location", 10**400, "non-finite location"),
+    ("location", -(10**400), "non-finite location"),
+    ("scale", 10**400, "scale must be positive"),
+], ids=["location", "negative-location", "scale"])
+def test_an_int_beyond_float64_is_a_value_error(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        DistSpec("normal", **{field: value})
