@@ -358,7 +358,7 @@ class OnlineDetector:
             taps = np.zeros(2 * beta + 1)
             taps[beta] = 1.0  # identity: peaks come straight from the raw trace
         self._rev = taps[::-1].copy()
-        self._products = np.empty(2 * beta + 1)  # _filter_next's scratch
+        self._products = np.empty(2 * beta + 1)  # _advance's scratch
         # filtered[t] is final once every nonzero tap sees a real statistic;
         # a zero leading tap lets it in one sample before sigma[t + beta],
         # whose ring slot then still holds an older finite statistic
@@ -378,26 +378,24 @@ class OnlineDetector:
         self._raw: np.ndarray | None = None
         self._windows: np.ndarray | None = None
         self._sigma = np.full(2 * self._span, NULL.null_mean)
-        # the span of sigma that _filter_next reads at each ring offset
+        # the span of sigma that _advance reads at each ring offset
         self._sigma_spans = [self._sigma[lo : lo + self._span] for lo in range(self._span)]
-        self._sigma_hi = beta - 1  # highest index written to _sigma
-        self._next_t = beta  # next index whose filtered value is due
-        self._last_two = (np.nan, np.nan)  # filtered[next_t - 2], filtered[next_t - 1]
+        self._last_two = (np.nan, np.nan)  # the last two filtered values
         self._finalized = False
 
-    def _push_sigma(self, value: float) -> None:
-        self._sigma_hi += 1
-        slot = self._sigma_hi % self._span
-        self._sigma[slot] = self._sigma[slot + self._span] = value
+    def _advance(self, i: int, value: float) -> int | None:
+        """Write sigma[i]; then filter t = i - beta + slack, if due, and judge t - 1.
 
-    def _filter_next(self) -> int | None:
-        """Filter the next index t and judge t - 1, whose neighbors are now known.
-
-        The filtered values before index beta are NaN and compare false, like
-        the warm-up entries the offline peak search skips.
+        The one clock of the stream and the flush: filtered[t] is due once
+        sigma[t + beta - slack] is in, from t = beta on. The filtered values
+        before index beta are NaN and compare false, like the warm-up entries
+        the offline peak search skips.
         """
-        t = self._next_t
-        self._next_t += 1
+        slot = i % self._span
+        self._sigma[slot] = self._sigma[slot + self._span] = value
+        t = i - self._beta + self._slack
+        if t < self._beta:
+            return None
         # the tap-order sum of apply_filter: accumulate adds sequentially
         sigma = self._sigma_spans[(t - self._beta) % self._span]
         products = np.multiply(sigma, self._rev, out=self._products)
@@ -405,6 +403,7 @@ class OnlineDetector:
         left, mid = self._last_two
         self._last_two = (mid, right)
         if mid > left and mid > right and mid > self._config.lam:
+            self._confirmed += 1
             return t - 1
         return None
 
@@ -439,13 +438,7 @@ class OnlineDetector:
         # indices are in range, and mode="raise" would buffer the output
         self._spans[slot].take(self._pick, axis=1, out=self._windows, mode="clip")
         self._windows.sort()
-        self._push_sigma(_w2t_row(*self._rows) / self._scale)
-        if self._sigma_hi < self._next_t + self._beta - self._slack:
-            return None
-        confirmed = self._filter_next()
-        if confirmed is not None:
-            self._confirmed += 1
-        return confirmed
+        return self._advance(self._n - 1 - self._beta, _w2t_row(*self._rows) / self._scale)
 
     def _start(self, dim: int) -> None:
         """Size the sample ring and the (d, 2, beta) window buffer for d = dim, and their views."""
@@ -483,15 +476,11 @@ class OnlineDetector:
         if self._finalized:
             raise ValueError("detector already finalized")
         self._finalized = True
-        emitted = []
-        while self._next_t < self._n - self._beta:
-            while self._sigma_hi < self._next_t + self._beta:
-                self._push_sigma(NULL.null_mean)
-            confirmed = self._filter_next()
-            if confirmed is not None:
-                emitted.append(confirmed)
-        self._confirmed += len(emitted)
-        return emitted
+        # the offline pass pads sigma with the null mean past the last real
+        # index. With a zero leading tap the last pad meets only taps[0] = ±0.0,
+        # so it is left out: any finite sigma >= 0 gives that signed zero.
+        flushed = range(self._n - self._beta, self._n - self._slack)
+        return [cp for cp in (self._advance(i, NULL.null_mean) for i in flushed) if cp is not None]
 
 
 def save_filter(filt: MatchedFilter, path) -> None:

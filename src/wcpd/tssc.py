@@ -32,7 +32,7 @@ from .empirical import (
     _workspace,
 )
 from .numeric import eigh_symmetric, kmeans
-from .series import TimeSeries, _integer, _integers, _reals
+from .series import TimeSeries, _float, _integer, _integers, _reals
 
 __all__ = [
     "Segment",
@@ -139,7 +139,8 @@ def _boundary_weights(length: int, beta: int) -> np.ndarray:
     """
     if length < 1:
         raise ValueError("empty segment")
-    _integer(beta, "beta", 1)
+    # inf past float64: numpy compares and multiplies with float(beta) anyway
+    beta = _float(_integer(beta, "beta", 1))
     positions = np.arange(length, dtype=float)
     edge_distance = np.minimum(positions, length - 1 - positions)
     weights = np.ones(length)

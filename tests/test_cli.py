@@ -489,6 +489,18 @@ class TestCluster:
                              for f in ("segments.csv", "labels.csv")]
         assert outputs["unsorted"] == outputs["sorted"]
 
+    def test_beta_beyond_float64_clusters_as_2_1023(self, workspace, tmp_path):
+        # a beta float64 cannot hold exited 1 with an OverflowError traceback
+        outputs = {}
+        for name, beta in [("limit", 2**1023), ("huge", 10**400)]:
+            assert run(["cluster", "--input", workspace / "data.csv", "--time-column", "t",
+                        "--label-column", "label", "--beta", beta, "--k", 3,
+                        "--change-points", workspace / "det/change_points.txt",
+                        "--out-dir", tmp_path / name]) == 0
+            outputs[name] = [(tmp_path / name / f).read_bytes()
+                             for f in ("segments.csv", "labels.csv")]
+        assert outputs["huge"] == outputs["limit"]
+
 
 class TestEvaluate:
     def test_perfect_predictions(self, workspace, tmp_path, capsys):

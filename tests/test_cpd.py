@@ -404,13 +404,13 @@ class TestEqualWindows:
             data[:, 1:] = rng.normal(size=(len(data), 2))
             data[len(data) // 2 :, 1:] += 2.5
         streamed = []
-        push = OnlineDetector._push_sigma
+        advance = OnlineDetector._advance
 
-        def push_spy(self, value):
+        def advance_spy(self, i, value):
             streamed.append(value)
-            push(self, value)
+            return advance(self, i, value)
 
-        monkeypatch.setattr(OnlineDetector, "_push_sigma", push_spy)
+        monkeypatch.setattr(OnlineDetector, "_advance", advance_spy)
         config = DetectorConfig(beta=beta)
         detector = OnlineDetector(config)
         confirmed = [cp for cp in map(detector.step, data) if cp is not None]
@@ -828,9 +828,8 @@ class TestOnlineDetector:
         pushed = []
         for sample in series.data:
             detector.step(sample)
-            if detector._sigma_hi >= beta:
-                assert detector._sigma_hi == beta + len(pushed)
-                pushed.append(detector._sigma[detector._sigma_hi % span])
+            if detector._n >= span:  # the step wrote sigma[n - 1 - beta]
+                pushed.append(detector._sigma[(detector._n - 1 - beta) % span])
         offline = sliding_statistic(series, beta).values[beta : len(series) - beta]
         assert offline[0] == 0.0  # the permuted window
         np.testing.assert_array_equal(
@@ -852,8 +851,8 @@ class TestOnlineDetector:
         pushed = []
         for sample in series.data:
             detector.step(sample)
-            if detector._sigma_hi >= beta:
-                pushed.append(detector._sigma[detector._sigma_hi % span])
+            if detector._n >= span:
+                pushed.append(detector._sigma[(detector._n - 1 - beta) % span])
         offline = sliding_statistic(series, beta).values[beta : len(series) - beta]
         np.testing.assert_array_equal(
             np.array(pushed).view(np.uint64), offline.view(np.uint64)
@@ -866,28 +865,58 @@ class TestOnlineDetector:
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("beta", [2, 7, 50])
-    def test_filtered_values_are_bitwise_offline(self, dim, beta):
+    def test_filtered_values_are_bitwise_offline(self, tmp_path, dim, beta):
         # both paths add the taps in one order, so every filtered value the
-        # stream computes, the flushed tail included, has the offline bits
+        # stream computes, the flushed tail included, has the offline bits:
+        # with random taps (nonzero leading tap), an estimated filter (leading
+        # tap 0.0) and a loaded one whose leading tap is -0.0, whose last pad
+        # the flush leaves out; on the whole series and on streams of 2*beta
+        # (nothing to judge) to 2*beta + 3 samples, the first that can hold a
+        # peak. lam = 0 judges every strict local maximum.
         series = self.tricky_series(dim, beta, seed=dim * 1000 + beta)
-        taps = np.random.default_rng(beta).random(2 * beta + 1)
-        filt = MatchedFilter(taps=taps / taps.sum(), beta=beta, gamma=1.0, ensemble_size=1)
-        detector = OnlineDetector(DetectorConfig(beta=beta, filter=filt))
-        online, filter_next = [], detector._filter_next
-
-        def recording():
-            confirmed = filter_next()
-            online.append(detector._last_two[1])
-            return confirmed
-
-        detector._filter_next = recording
-        for sample in series.data:
-            detector.step(sample)
-        detector.finalize()
-        offline = apply_filter(sliding_statistic(series, beta), filt).values
-        np.testing.assert_array_equal(
-            np.array(online).view(np.uint64), offline[beta : len(series) - beta].view(np.uint64)
+        rng = np.random.default_rng(beta)
+        taps = rng.random(2 * beta + 1)
+        signed = rng.random(2 * beta + 1) + 0.5
+        signed[0], signed[-1] = -0.0, -0.25
+        save_filter(
+            MatchedFilter(taps=signed / signed.sum(), beta=beta, gamma=1.0, ensemble_size=1),
+            tmp_path / "signed.json",
         )
+        filters = [
+            MatchedFilter(taps=taps / taps.sum(), beta=beta, gamma=1.0, ensemble_size=1),
+            estimate_matched_filter(beta=beta, ensemble_size=5, seed=beta),
+            load_filter(tmp_path / "signed.json"),
+        ]
+        leading = [f.taps[0] for f in filters]
+        assert leading[0] != 0.0 and leading[1] == leading[2] == 0.0
+        assert np.signbit(leading).tolist() == [False, False, True] and filters[2].taps[-1] < 0.0
+        for filt in filters:
+            config = DetectorConfig(beta=beta, lam=0.0, filter=filt)
+            for size in (len(series), 2 * beta, 2 * beta + 1, 2 * beta + 2, 2 * beta + 3):
+                data = series.data[:size]
+                detector = OnlineDetector(config)
+                online, advance = [], detector._advance
+
+                def recording(i, value):
+                    last_two = detector._last_two
+                    confirmed = advance(i, value)
+                    if detector._last_two is not last_two:  # filtered[t] was computed
+                        online.append(detector._last_two[1])
+                    return confirmed
+
+                detector._advance = recording
+                streamed = [cp for cp in map(detector.step, data) if cp is not None]
+                flushed = detector.finalize()
+                assert detector.stats()["confirmed"] == len(streamed) + len(flushed)
+                if size == 2 * beta:
+                    assert online == streamed == flushed == []
+                    continue
+                offline = detect(TimeSeries(data), config)
+                assert streamed + flushed == offline.change_points
+                np.testing.assert_array_equal(
+                    np.array(online).view(np.uint64),
+                    offline.filtered.values[beta : size - beta].view(np.uint64),
+                )
 
     @pytest.mark.parametrize("sample", ["1.5", True, b"2", [True], [0.5, True], 1 + 2j, ["1", "2"], [None]])
     def test_rejects_non_real_samples_without_state_change(self, sample):

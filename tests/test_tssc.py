@@ -67,6 +67,29 @@ class TestBoundaryWeights:
         with pytest.raises(ValueError, match="beta must be an integer"):
             boundary_weights(10, beta=beta)
 
+    @pytest.mark.parametrize("beta", [1, 10, 2**53 + 1, 2**1023])
+    @pytest.mark.parametrize("length", [1, 12, 40])
+    def test_beta_below_2_1024_keeps_its_bits(self, length, beta):
+        # the weights as computed with the Python int beta itself
+        positions = np.arange(length, dtype=float)
+        edge = np.minimum(positions, length - 1 - positions)
+        expected = np.ones(length)
+        ramp = edge < beta
+        expected[ramp] = 0.54 - 0.46 * np.cos(2.0 * np.pi * edge[ramp] / (2.0 * beta - 1.0))
+        np.testing.assert_array_equal(
+            boundary_weights(length, beta).view(np.uint64), expected.view(np.uint64)
+        )
+
+    def test_beta_beyond_float64_is_the_uniform_limit(self):
+        # 2**1023 already weighs every sample 0.08; a beta float64 cannot hold
+        # gives the same weights, where float(beta) raised OverflowError
+        limit = boundary_weights(40, 2**1023)
+        assert (limit == limit[0]).all() and limit[0] == pytest.approx(0.08)
+        for beta in (2**1024, 10**400):
+            np.testing.assert_array_equal(
+                boundary_weights(40, beta).view(np.uint64), limit.view(np.uint64)
+            )
+
 
 class TestSegmentDistribution:
     def test_single_sample(self):
@@ -536,6 +559,17 @@ class TestClusterSegments:
         series = generate(SeriesSpec(segments=((DistSpec("normal", 0.0, 1.0), 200),), seed=5))
         with pytest.raises(ValueError, match=message):
             cluster_segments(series, cps, K=K, beta=beta, seed=0)
+
+    def test_beta_beyond_float64_clusters_as_2_1023(self):
+        series = self.eight_segments()
+        limit = cluster_segments(series, series.change_points, K=3, beta=2**1023, seed=1)
+        huge = cluster_segments(series, series.change_points, K=3, beta=10**400, seed=1)
+        np.testing.assert_array_equal(huge.labels, limit.labels)
+        for start, end in [(0, 200), (190, 230)]:
+            near, far = (segment_distribution(series, start, end, b) for b in (2**1023, 10**400))
+            for a, b in zip(near.dists, far.dists):
+                np.testing.assert_array_equal(a.support, b.support)
+                np.testing.assert_array_equal(a.weights.view(np.uint64), b.weights.view(np.uint64))
 
     @pytest.mark.parametrize("cps", [[], [50, 100, 150]])
     def test_rejects_negative_seed(self, cps):
